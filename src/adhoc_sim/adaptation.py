@@ -22,6 +22,7 @@ from typing import Optional, Union
 from .errors import IncompleteLog, InconsistentPlan
 from .infrastructure import DEAD, RUNNING
 from .kernel import EventLog
+from .qos import Forecaster
 from .resources import ResourceVector
 
 ADD_COST = 1.0
@@ -566,7 +567,7 @@ class AdaptationController:
             if forecaster is not None:
                 p = forecast.per_node[node_id].availability
             else:
-                p = _stationary_availability(node)
+                p = Forecaster._oracle_availability(node)
             nodes[node_id] = NodeSnapshot(
                 node_id=node_id,
                 up=up,
@@ -727,16 +728,6 @@ class AdaptationController:
             service.repair_replicas(action.key, action.target_element)
             return True, ""
         return False, "unknown_action"
-
-
-def _stationary_availability(node) -> float:
-    from .nodes import ChurnModel
-
-    if node.forecast_availability is not None:
-        return node.forecast_availability
-    if isinstance(node.churn, ChurnModel):
-        return node.churn.stationary_availability()
-    return 1.0
 
 
 # -- goal-level aggregation from the raw event log ------------------------------------

@@ -78,7 +78,6 @@ class KvReplicaEngine:
         self.element = element
         self.store: dict[str, tuple[int, object, int]] = {}  # key -> (version, value, size)
         self.metadata_watermark = 0
-        self.metadata_snapshot: Optional[dict] = None
 
     def apply_write(self, key: str, version: int, value: object, size: int) -> int:
         current = self.store.get(key, (0, None, 0))[0]
@@ -92,16 +91,8 @@ class KvReplicaEngine:
             return None
         return (entry[0], entry[1])
 
-    def apply_metadata(self, version: int, snapshot: dict) -> None:
-        if version > self.metadata_watermark:
-            self.metadata_watermark = version
-            self.metadata_snapshot = snapshot
-
-    def on_crash(self) -> None:
-        if not self.element.persistent:
-            self.store.clear()
-            self.metadata_watermark = 0
-            self.metadata_snapshot = None
+    def apply_metadata(self, version: int) -> None:
+        self.metadata_watermark = max(self.metadata_watermark, version)
 
 
 @dataclass

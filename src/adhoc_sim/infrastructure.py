@@ -54,7 +54,6 @@ class CloudElement:
     allocation: ResourceVector
     state: str = DEPLOYING
     throttle_factor: float = 1.0
-    persistent: bool = True
     evict_requested: bool = False
     engine: object = None  # attached by the engine layer
 
@@ -213,7 +212,7 @@ class NodeInfrastructure:
         # persistent software restarts on boot; deliberately destroyed
         # elements stay dead
         for el in list(self.elements.values()):
-            if el.state == DEAD and el.persistent and not el.evict_requested:
+            if el.state == DEAD and not el.evict_requested:
                 el.throttle_factor = 1.0
                 self._transition(el, DEPLOYING, "restart")
                 self._pending[el.element_id] = self.sim.schedule(

@@ -53,9 +53,6 @@ class RngStream:
         return (self.next_u64() >> 11) / float(1 << 53)
 
 
-_DIST_KINDS = ("exponential", "uniform", "constant", "two_point")
-
-
 @dataclass(frozen=True)
 class Dist:
     """Distribution spec: exponential(mean), uniform(a,b), constant(value),
@@ -88,15 +85,24 @@ class Dist:
 
     def problems(self) -> list[str]:
         """Parameter diagnostics; empty means valid."""
+        # a non-finite parameter would draw an infinite duration
         out = []
-        if self.kind not in _DIST_KINDS:
-            return [f"unknown distribution kind {self.kind!r}"]
-        if self.kind == "exponential" and not self.mean > 0:
-            out.append(f"exponential mean must be > 0, got {self.mean}")
-        if self.kind == "uniform" and not self.a <= self.b:
-            out.append(f"uniform requires a <= b, got a={self.a} b={self.b}")
-        if self.kind == "two_point" and not 0.0 <= self.p <= 1.0:
-            out.append(f"two_point p must be in [0,1], got {self.p}")
+        if self.kind == "exponential":
+            if not 0 < self.mean < math.inf:
+                out.append(f"exponential mean must be finite and > 0, got {self.mean}")
+        elif self.kind == "uniform":
+            if not -math.inf < self.a <= self.b < math.inf:
+                out.append(f"uniform requires finite a <= b, got a={self.a} b={self.b}")
+        elif self.kind == "constant":
+            if not math.isfinite(self.value):
+                out.append(f"constant value must be finite, got {self.value}")
+        elif self.kind == "two_point":
+            if not 0.0 <= self.p <= 1.0:
+                out.append(f"two_point p must be in [0,1], got {self.p}")
+            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+                out.append(f"two_point lo and hi must be finite, got lo={self.lo} hi={self.hi}")
+        else:
+            out.append(f"unknown distribution kind {self.kind!r}")
         return out
 
     def sample(self, stream: RngStream) -> float:
@@ -302,6 +308,3 @@ class Simulator:
             raise ValueError(
                 f"no handler for target {handle.target!r} and payload is not callable"
             )
-
-    def pending_count(self) -> int:
-        return sum(1 for _, _, h in self._heap if not h.cancelled)

@@ -8,8 +8,9 @@ crashed element leaves the view within multiplier*interval + max network
 latency of the crash.
 
 Service metadata (the per-key replica map and version counters) is sequenced
-by the coordinator and replicated to the first min(k, members) elements as
-versioned snapshots; a mutation commits once a majority of those replicas
+by the coordinator, whose map is the only copy. Each mutation ships its
+committed version to the first min(k, members) elements, which advance
+their metadata watermark; it commits once a majority of those replicas
 acknowledge. Suspected elements are removed immediately (fail-stop); there is
 no rehabilitation phase.
 """
@@ -81,14 +82,6 @@ class MetadataState:
         self.replica_map: dict[str, list[str]] = {}
         self.key_versions: dict[str, int] = {}
         self.key_sizes: dict[str, int] = {}
-
-    def snapshot(self) -> dict:
-        return {
-            "version": self.version,
-            "replica_map": {k: list(v) for k, v in self.replica_map.items()},
-            "key_versions": dict(self.key_versions),
-            "key_sizes": dict(self.key_sizes),
-        }
 
 
 class CloudletRuntime:
@@ -309,8 +302,10 @@ class CloudletRuntime:
         return members[: min(k, len(members))]
 
     def metadata_quorum_update(self, mutation: tuple) -> OpHandle:
-        """Apply a mutation in the coordinator's total order and replicate the
-        resulting snapshot; commits once a majority of metadata replicas ack."""
+        """Apply a mutation in the coordinator's total order and ship the
+        committed version (watermark) to the metadata replicas; the
+        coordinator's map is the only copy. Commits once a majority of
+        metadata replicas ack."""
         handle = OpHandle("metadata_update")
         meta_set = self.metadata_replica_set()
         live = [
@@ -328,7 +323,6 @@ class CloudletRuntime:
             )
             return handle
         result = self._apply_mutation(mutation)
-        snapshot = self.metadata.snapshot()
         version = self.metadata.version
         self.sim.record(
             self._component,
@@ -345,7 +339,7 @@ class CloudletRuntime:
 
         def apply_on(el: CloudElement):
             if el.engine is not None:
-                el.engine.apply_metadata(version, snapshot)
+                el.engine.apply_metadata(version)
             return version
 
         Round(

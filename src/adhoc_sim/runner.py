@@ -193,18 +193,14 @@ class Simulation:
         if runtime is not None:
             runtime.element_transition(el, old, new, reason)
         engine = el.engine
-        if engine is None:
+        if not isinstance(engine, ComputeElementEngine):
             return
-        if isinstance(engine, ComputeElementEngine):
+        if new in (DEAD, EVICTING):
             service = self.compute_services.get(el.cloudlet_id)
-            if new in (DEAD, EVICTING):
-                if service is not None:
-                    service.handle_element_failure(el)
-            elif new in (RUNNING, THROTTLED):
-                engine.on_rate_change()
-        elif isinstance(engine, KvReplicaEngine):
-            if new == DEAD and reason == "crash":
-                engine.on_crash()
+            if service is not None:
+                service.handle_element_failure(el)
+        elif new in (RUNNING, THROTTLED):
+            engine.on_rate_change()
 
     # -- execution ---------------------------------------------------------------
 
@@ -340,8 +336,6 @@ class KvWorkload:
 
 def build_simulation(scenario, seed: Optional[int] = None) -> Simulation:
     """Wire a Simulation instance from a validated Scenario."""
-    from .membership import CloudletPolicy as _CP  # noqa: F401 (docs)
-
     seed = scenario.seed if seed is None else seed
     d = scenario.defaults
     s = Simulation(

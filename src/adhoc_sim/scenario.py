@@ -137,12 +137,37 @@ def _dist(obj, path, problems) -> Optional[Dist]:
         return None
     try:
         d = Dist.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         problems.append(f"{path}: {exc}")
         return None
     for msg in d.problems():
         problems.append(f"{path}: {msg}")
     return d
+
+
+def _int(obj: dict, key: str, default: int, path: str, problems) -> Optional[int]:
+    value = obj.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        problems.append(f"{path}: must be an integer, got {value!r}")
+        return None
+
+
+def _entries(doc: dict, section: str, problems) -> list[tuple[int, dict]]:
+    """(index, object) for each entry of a top-level list section; a section
+    that is not a list, or an entry that is not an object, is a diagnostic."""
+    items = doc.get(section, [])
+    if not isinstance(items, list):
+        problems.append(f"{section}: must be a list")
+        return []
+    out = []
+    for i, item in enumerate(items):
+        if isinstance(item, dict):
+            out.append((i, item))
+        else:
+            problems.append(f"{section}[{i}]: must be an object")
+    return out
 
 
 def _vector(obj, path, problems) -> ResourceVector:
@@ -234,14 +259,14 @@ def parse_scenario(doc: dict) -> Scenario:
     latency = _dist(defaults["network_latency"], "defaults.network_latency", problems)
 
     run = doc.get("run", {})
-    run_until = int(run.get("until", 0))
-    seed = int(run.get("seed", 0))
-    if run_until <= 0:
+    run_until = _int(run, "until", 0, "run.until", problems)
+    seed = _int(run, "seed", 0, "run.seed", problems)
+    if run_until is not None and run_until <= 0:
         problems.append("run.until: must be > 0")
 
     fleet = []
     seen_nodes = set()
-    for i, nd in enumerate(doc.get("fleet", [])):
+    for i, nd in _entries(doc, "fleet", problems):
         path = f"fleet[{i}]"
         node_id = str(nd.get("node_id", ""))
         if not node_id:
@@ -296,7 +321,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     cloudlets = []
     seen_cloudlets = set()
-    for i, cd in enumerate(doc.get("cloudlets", [])):
+    for i, cd in _entries(doc, "cloudlets", problems):
         path = f"cloudlets[{i}]"
         cid = str(cd.get("cloudlet_id", ""))
         if not cid:
@@ -352,7 +377,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     reservations = []
     seen_requests = set()
-    for i, rd in enumerate(doc.get("reservations", [])):
+    for i, rd in _entries(doc, "reservations", problems):
         path = f"reservations[{i}]"
         rid = str(rd.get("request_id", f"r{i}"))
         if rid in seen_requests:
@@ -380,7 +405,7 @@ def parse_scenario(doc: dict) -> Scenario:
     workloads = []
     seen_workloads = set()
     cloudlet_engines = {c.cloudlet_id: c.engine for c in cloudlets}
-    for i, wd in enumerate(doc.get("workloads", [])):
+    for i, wd in _entries(doc, "workloads", problems):
         path = f"workloads[{i}]"
         wid = str(wd.get("workload_id", f"w{i}"))
         if wid in seen_workloads:

@@ -211,24 +211,32 @@ class TestMetadataQuorum:
         assert sum(1 for w in watermarks if w >= version) >= 2
 
     def test_mutations_totally_ordered_any_delivery_interleaving(self):
-        # sequencer assigns versions; replicas apply snapshots in any order
-        # and must converge on the later version containing both effects
+        # the sequencer assigns versions; replicas receive committed versions
+        # in any order and must converge on the later one
         from itertools import permutations
 
         for order in permutations(range(6)):
             replicas = [KvReplicaEngine(None) for _ in range(3)]
-            # two mutations -> snapshots s1 (key a) then s2 (keys a and b)
-            s1 = {"version": 1, "replica_map": {"a": ["e0"]}, "key_versions": {"a": 1},
-                  "key_sizes": {"a": 8}}
-            s2 = {"version": 2, "replica_map": {"a": ["e0"], "b": ["e1"]},
-                  "key_versions": {"a": 1, "b": 1}, "key_sizes": {"a": 8, "b": 8}}
-            deliveries = [(r, s1) for r in range(3)] + [(r, s2) for r in range(3)]
+            deliveries = [(r, 1) for r in range(3)] + [(r, 2) for r in range(3)]
             for idx in order:
-                replica, snap = deliveries[idx]
-                replicas[replica].apply_metadata(snap["version"], snap)
+                replica, version = deliveries[idx]
+                replicas[replica].apply_metadata(version)
             for rep in replicas:
                 assert rep.metadata_watermark == 2
-                assert rep.metadata_snapshot == s2
+
+        # the later version holds both mutations' effects, and a majority of
+        # the metadata replicas acknowledged it
+        s, runtime, eids = kv_fabric()
+        s.run_until(2100)
+        first = runtime.metadata_quorum_update(("ensure_key", "a", 8))
+        second = runtime.metadata_quorum_update(("ensure_key", "b", 8))
+        s.run_until(3000)
+        assert first.ok() and second.ok()
+        assert set(runtime.metadata.replica_map) == {"a", "b"}
+        version = runtime.metadata.version
+        assert version == 2
+        watermarks = [runtime.elements[e].engine.metadata_watermark for e in eids]
+        assert sum(1 for w in watermarks if w >= version) >= 2
 
 
 class TestReplicaPlacement:
