@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
+from .defaults import DEFAULTS
 from .errors import IncompleteLog, InconsistentPlan
 from .infrastructure import DEAD, RUNNING
 from .kernel import EventLog
@@ -28,25 +29,15 @@ from .resources import ResourceVector
 ADD_COST = 1.0
 REMOVE_COST = 0.2
 REREPLICATE_COST_PER_BYTE = 1e-6
-
-DEFAULT_WEIGHTS = (100.0, 10.0, 1.0, 0.1)
+MAX_REREPLICATE_CANDIDATES = 8  # deficient keys considered per cloudlet and epoch
 
 
 @dataclass(frozen=True)
 class UtilityWeights:
-    w_avail: float = DEFAULT_WEIGHTS[0]
-    w_perf: float = DEFAULT_WEIGHTS[1]
-    w_intr: float = DEFAULT_WEIGHTS[2]
-    w_cost: float = DEFAULT_WEIGHTS[3]
-
-    def problems(self) -> list[str]:
-        ws = (self.w_avail, self.w_perf, self.w_intr, self.w_cost)
-        out = []
-        if any(w < 0 for w in ws):
-            out.append("utility weights must be non-negative")
-        if all(w == 0 for w in ws):
-            out.append("at least one utility weight must be positive")
-        return out
+    w_avail: float = DEFAULTS["w_avail"]
+    w_perf: float = DEFAULTS["w_perf"]
+    w_intr: float = DEFAULTS["w_intr"]
+    w_cost: float = DEFAULTS["w_cost"]
 
     def scaled(self, c: float) -> "UtilityWeights":
         return UtilityWeights(
@@ -112,19 +103,10 @@ NOOP_PLAN = Plan(actions=(NoOp(),))
 
 @dataclass(frozen=True)
 class AdaptationPolicy:
-    epoch_ms: int = 30_000
-    max_actions_per_epoch: int = 3
-    epsilon: float = 1e-6
-    max_rereplicate_candidates: int = 8
-    enabled: bool = True
-
-    def problems(self) -> list[str]:
-        out = []
-        if self.epoch_ms <= 0:
-            out.append("adaptation epoch_ms must be > 0")
-        if self.max_actions_per_epoch < 1:
-            out.append("max_actions_per_epoch must be >= 1")
-        return out
+    epoch_ms: int = DEFAULTS["epoch_ms"]
+    max_actions_per_epoch: int = DEFAULTS["max_actions_per_epoch"]
+    epsilon: float = DEFAULTS["epsilon"]
+    enabled: bool = DEFAULTS["adaptation_enabled"]
 
 
 # -- snapshot (pure data, constructed by the controller or by tests) -----------
@@ -163,15 +145,15 @@ class CloudletSnapshot:
     engine_kind: str
     members: tuple  # MemberSnapshot, id ascending
     keys: tuple  # KeySnapshot, key ascending
-    target_replication: int = 3
-    min_members: int = 1
-    max_members: int = 10
-    high_watermark: float = 0.8
-    low_watermark: float = 0.2
+    target_replication: int = DEFAULTS["target_replication"]
+    min_members: int = DEFAULTS["min_members"]
+    max_members: int = DEFAULTS["max_members"]
+    high_watermark: float = DEFAULTS["scale_high_watermark"]
+    low_watermark: float = DEFAULTS["scale_low_watermark"]
     utilization: float = 0.0
     arrival_rate_per_ms: float = 0.0
     mean_work_units: float = 1.0
-    element_allocation: ResourceVector = ResourceVector(1.0, 512, 1024, 5)
+    element_allocation: ResourceVector = DEFAULTS["element_allocation"]
 
 
 @dataclass(frozen=True)
@@ -228,7 +210,7 @@ def _repair_plans(snapshot, cloudlet, policy) -> list[Plan]:
     ]
     if not deficient:
         return []
-    deficient = deficient[: policy.max_rereplicate_candidates]
+    deficient = deficient[:MAX_REREPLICATE_CANDIDATES]
     plans = []
     repair_actions = []
     needs_new_member = False
@@ -650,7 +632,6 @@ class AdaptationController:
             arrival_rate = service.arrival_rate_per_ms(window, now)
             if service.submitted:
                 mean_work = service.total_work / service.submitted
-        alloc = s.element_allocations.get(cid, CloudletSnapshot.element_allocation)
         return CloudletSnapshot(
             cloudlet_id=cid,
             engine_kind=runtime.engine_kind,
@@ -664,7 +645,7 @@ class AdaptationController:
             utilization=utilization,
             arrival_rate_per_ms=arrival_rate,
             mean_work_units=mean_work,
-            element_allocation=alloc,
+            element_allocation=s.element_allocations[cid],
         )
 
     # -- execution

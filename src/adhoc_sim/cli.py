@@ -59,15 +59,20 @@ def write_outputs(out_dir, summary, series_rows, series_columns, event_log,
             fh.write(event_log.to_ndjson())
 
 
-def cmd_validate(args) -> int:
+def _load(path):
+    """The validated scenario, or None after printing its diagnostics."""
     try:
-        load_scenario(args.scenario)
+        return load_scenario(path)
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ScenarioValidationError as exc:
         for diag in exc.diagnostics:
             print(f"invalid: {diag}", file=sys.stderr)
+    return None
+
+
+def cmd_validate(args) -> int:
+    if _load(args.scenario) is None:
         return EXIT_INVALID
     print("OK")
     return EXIT_OK
@@ -75,14 +80,8 @@ def cmd_validate(args) -> int:
 
 def _run_one(scenario_path, out_dir, seed=None, until=None, fmt="both",
              events=False) -> int:
-    try:
-        scenario = load_scenario(scenario_path)
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ScenarioValidationError as exc:
-        for diag in exc.diagnostics:
-            print(f"invalid: {diag}", file=sys.stderr)
+    scenario = _load(scenario_path)
+    if scenario is None:
         return EXIT_INVALID
     if until is not None:
         scenario = dataclasses.replace(scenario, run_until=until)

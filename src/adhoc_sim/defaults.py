@@ -1,0 +1,53 @@
+"""The one defaults table, keyed like a scenario's `defaults` section.
+
+The scenario schema fills omitted fields from it and echoes it into the run
+summary; the policies, services and the simulation take their constructor
+defaults from it, so a component built without a scenario behaves like one
+built from an empty document.
+"""
+
+from types import MappingProxyType
+
+from .kernel import Dist
+from .resources import ResourceVector
+
+DEFAULTS = MappingProxyType({
+    # simulation and node infrastructure
+    "margin_fraction": 0.1,
+    "deploy_ms": 2000,
+    "shutdown_ms": 500,
+    "network_latency": Dist.uniform(5.0, 50.0),
+    "op_timeout_ms": 2000,
+    "copy_ms_per_mb": 100.0,
+    "sample_interval_ms": 10_000,
+    # per-node intrusiveness policy
+    "grace_ms": 1000,
+    "throttle_first": True,
+    "max_violation_fraction": 0.01,
+    "throttle_floor": 0.1,
+    "enforce": True,
+    # per-cloudlet policy
+    "target_replication": 3,
+    "heartbeat_interval_ms": 10_000,
+    "timeout_multiplier": 3,
+    "min_members": 1,
+    "max_members": 10,
+    "scale_high_watermark": 0.8,
+    "scale_low_watermark": 0.2,
+    "element_allocation": ResourceVector(1.0, 512, 1024, 5),
+    # QoS broker
+    "qos_mode": "oracle",
+    "trailing_window_ms": 500_000_000,
+    "exhaustive_threshold": 10,
+    # adaptation loop and its utility weights
+    "adaptation_enabled": True,
+    "epoch_ms": 30_000,
+    "max_actions_per_epoch": 3,
+    "epsilon": 1e-6,
+    "w_avail": 100.0,
+    "w_perf": 10.0,
+    "w_intr": 1.0,
+    "w_cost": 0.1,
+    # workload generators
+    "workload_start_ms": 5000,
+})

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import math
 from typing import Callable, Optional
 
+from .defaults import DEFAULTS
 from .errors import (
     NoLiveElement,
     NoSourceReplica,
@@ -34,8 +35,6 @@ COMPUTE = "compute"
 KV_STORE = "kv_store"
 
 ENGINE_KINDS = (COMPUTE, KV_STORE)
-
-DEFAULT_COPY_MS_PER_MB = 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,8 @@ class KvService:
         sim: Simulator,
         net: Network,
         runtime: CloudletRuntime,
-        op_timeout_ms: int = 2000,
-        copy_ms_per_mb: float = DEFAULT_COPY_MS_PER_MB,
+        op_timeout_ms: int = DEFAULTS["op_timeout_ms"],
+        copy_ms_per_mb: float = DEFAULTS["copy_ms_per_mb"],
     ):
         self.sim = sim
         self.net = net

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .defaults import DEFAULTS
 from .errors import InsufficientHeadroom, NodeDown, UnknownElement
 from .kernel import Simulator, StepHistory, flag_area
 from .nodes import Node
@@ -26,9 +27,6 @@ DEAD = "dead"
 
 SERVING_STATES = (RUNNING, THROTTLED)
 ACTIVE_STATES = (DEPLOYING, RUNNING, THROTTLED)  # usage counts toward the node
-
-DEFAULT_DEPLOY_MS = 2000
-DEFAULT_SHUTDOWN_MS = 500
 
 _EPS = 1e-9
 
@@ -73,11 +71,11 @@ class CloudElement:
 
 @dataclass(frozen=True)
 class IntrusivenessPolicy:
-    grace_ms: int = 1000
-    throttle_first: bool = True
-    max_violation_fraction: float = 0.01
-    throttle_floor: float = 0.1  # lowest cpu fraction a throttle may impose
-    enforce: bool = True
+    grace_ms: int = DEFAULTS["grace_ms"]
+    throttle_first: bool = DEFAULTS["throttle_first"]
+    max_violation_fraction: float = DEFAULTS["max_violation_fraction"]
+    throttle_floor: float = DEFAULTS["throttle_floor"]  # lowest cpu fraction a throttle may impose
+    enforce: bool = DEFAULTS["enforce"]
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,8 @@ class NodeInfrastructure:
         node: Node,
         ids: Ids,
         policy: IntrusivenessPolicy = IntrusivenessPolicy(),
-        deploy_ms: int = DEFAULT_DEPLOY_MS,
-        shutdown_ms: int = DEFAULT_SHUTDOWN_MS,
+        deploy_ms: int = DEFAULTS["deploy_ms"],
+        shutdown_ms: int = DEFAULTS["shutdown_ms"],
     ):
         self.sim = sim
         self.node = node

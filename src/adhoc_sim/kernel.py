@@ -13,6 +13,7 @@ import hashlib
 import heapq
 import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -52,6 +53,15 @@ class RngStream:
     def uniform01(self) -> float:
         # 53-bit mantissa; result in [0, 1)
         return (self.next_u64() >> 11) / float(1 << 53)
+
+
+# the parameters each distribution kind takes
+_DIST_PARAMS = {
+    "exponential": ("mean",),
+    "uniform": ("a", "b"),
+    "constant": ("value",),
+    "two_point": ("p", "lo", "hi"),
+}
 
 
 @dataclass(frozen=True)
@@ -143,26 +153,29 @@ class Dist:
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     def to_json(self) -> dict:
-        if self.kind == "exponential":
-            return {"kind": "exponential", "mean": self.mean}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "a": self.a, "b": self.b}
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        return {"kind": "two_point", "p": self.p, "lo": self.lo, "hi": self.hi}
+        out = {"kind": self.kind}
+        for name in _DIST_PARAMS[self.kind]:
+            out[name] = getattr(self, name)
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "Dist":
-        kind = obj.get("kind")
-        if kind == "exponential":
-            return Dist.exponential(float(obj["mean"]))
-        if kind == "uniform":
-            return Dist.uniform(float(obj["a"]), float(obj["b"]))
-        if kind == "constant":
-            return Dist.constant(float(obj["value"]))
-        if kind == "two_point":
-            return Dist.two_point(float(obj["p"]), float(obj["lo"]), float(obj["hi"]))
-        raise ValueError(f"unknown distribution kind {kind!r}")
+        """Parse the document form: a kind and exactly its parameters, numbers
+        that problems() accepts. Raises ValueError."""
+        kind = obj.get("kind") if type(obj) is dict else None
+        names = _DIST_PARAMS.get(kind) if type(kind) is str else None
+        if names is None or len(obj) != len(names) + 1:
+            raise ValueError(f"must be one of {list(_DIST_PARAMS)} with its parameters, got {obj!r}")
+        params = {}
+        for name in names:
+            x = obj.get(name)
+            if not (type(x) is float or type(x) is int and abs(x) <= sys.float_info.max):
+                raise ValueError(f"{kind} takes the numbers {list(names)}, got {obj!r}")
+            params[name] = float(x)
+        dist = Dist(kind, **params)
+        if dist.problems():
+            raise ValueError("; ".join(dist.problems()))
+        return dist
 
 
 def draw(stream: RngStream, dist: Dist) -> float:

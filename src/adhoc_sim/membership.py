@@ -20,39 +20,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .defaults import DEFAULTS
 from .errors import EngineMismatch, MetadataQuorumUnavailable, NoLiveElement, UnknownKey
 from .infrastructure import DEAD, DEPLOYING, EVICTING, RUNNING, THROTTLED, CloudElement
 from .kernel import Simulator
 from .network import Network, OpHandle, Round
 from .nodes import Node
 
-DEFAULT_HEARTBEAT_MS = 10_000
-DEFAULT_TIMEOUT_MULTIPLIER = 3
-
 
 @dataclass(frozen=True)
 class CloudletPolicy:
-    target_replication: int = 3
-    heartbeat_interval_ms: int = DEFAULT_HEARTBEAT_MS
-    timeout_multiplier: int = DEFAULT_TIMEOUT_MULTIPLIER
-    min_members: int = 1
-    max_members: int = 10
-    scale_high_watermark: float = 0.8
-    scale_low_watermark: float = 0.2
-
-    def problems(self) -> list[str]:
-        out = []
-        if self.target_replication < 1:
-            out.append("target_replication must be >= 1")
-        if self.timeout_multiplier < 2:
-            out.append("timeout_multiplier must be >= 2")
-        if self.min_members > self.max_members:
-            out.append("min_members must be <= max_members")
-        if self.heartbeat_interval_ms <= 0:
-            out.append("heartbeat_interval_ms must be > 0")
-        if not 0 <= self.scale_low_watermark <= self.scale_high_watermark <= 1:
-            out.append("watermarks must satisfy 0 <= low <= high <= 1")
-        return out
+    target_replication: int = DEFAULTS["target_replication"]
+    heartbeat_interval_ms: int = DEFAULTS["heartbeat_interval_ms"]
+    timeout_multiplier: int = DEFAULTS["timeout_multiplier"]
+    min_members: int = DEFAULTS["min_members"]
+    max_members: int = DEFAULTS["max_members"]
+    scale_high_watermark: float = DEFAULTS["scale_high_watermark"]
+    scale_low_watermark: float = DEFAULTS["scale_low_watermark"]
 
 
 class MembershipView:
@@ -100,7 +84,7 @@ class CloudletRuntime:
         engine_kind: str,
         policy: CloudletPolicy,
         nodes: dict[str, Node],
-        metadata_timeout_ms: int = 2000,
+        metadata_timeout_ms: int = DEFAULTS["op_timeout_ms"],
     ):
         self.sim = sim
         self.net = net

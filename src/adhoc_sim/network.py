@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from .defaults import DEFAULTS
 from .infrastructure import CloudElement
 from .kernel import Dist, Simulator, draw_ms
 
-DEFAULT_LATENCY = Dist.uniform(5, 50)
-DEFAULT_OP_TIMEOUT_MS = 2000
-
 
 class Network:
-    def __init__(self, sim: Simulator, latency: Dist = DEFAULT_LATENCY):
+    def __init__(self, sim: Simulator, latency: Dist = DEFAULTS["network_latency"]):
         self.sim = sim
         self.latency = latency
         self._stream = sim.stream("net")

@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .defaults import DEFAULTS
 from .errors import NodeDown
 from .kernel import Dist, RngStream, Simulator, StepHistory, draw_ms
 from .resources import ResourceVector
 
 UP = "up"
 DOWN = "down"
-
-DEFAULT_MARGIN_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -34,32 +33,12 @@ class ChurnModel:
         e_down = self.down_duration.mean_value()
         return e_up / (e_up + e_down)
 
-    def problems(self) -> list[str]:
-        out = list(self.up_duration.problems()) + list(self.down_duration.problems())
-        if not out:
-            if self.up_duration.mean_value() <= 0:
-                out.append("churn mean up duration must be > 0")
-            if self.down_duration.mean_value() < 0:
-                out.append("churn mean down duration must be >= 0")
-        return out
-
 
 @dataclass(frozen=True)
 class ScriptedChurn:
     """Explicit (time, up|down) transitions; used for forced-crash scenarios."""
 
     transitions: tuple[tuple[int, str], ...]
-
-    def problems(self) -> list[str]:
-        out = []
-        last_t = -1
-        for t, liveness in self.transitions:
-            if liveness not in (UP, DOWN):
-                out.append(f"scripted churn liveness must be up/down, got {liveness!r}")
-            if t <= last_t:
-                out.append("scripted churn times must be strictly increasing")
-            last_t = t
-        return out
 
 
 @dataclass(frozen=True)
@@ -96,17 +75,6 @@ class TraceLoad:
         total = total + current.scale(end - cursor)
         return total.scale(1.0 / (end - start))
 
-    def problems(self) -> list[str]:
-        out = []
-        last_t = -1
-        for t, demand in self.points:
-            if t <= last_t:
-                out.append("trace breakpoint times must be strictly increasing")
-            if not demand.non_negative():
-                out.append(f"trace demand at t={t} has negative components")
-            last_t = t
-        return out
-
 
 @dataclass(frozen=True)
 class MarkovLoad:
@@ -122,14 +90,6 @@ class MarkovLoad:
         return self.idle_demand.scale(self.mean_idle_ms / total) + self.active_demand.scale(
             self.mean_active_ms / total
         )
-
-    def problems(self) -> list[str]:
-        out = []
-        if self.mean_idle_ms <= 0 or self.mean_active_ms <= 0:
-            out.append("markov2 mean durations must be > 0")
-        if not (self.idle_demand.non_negative() and self.active_demand.non_negative()):
-            out.append("markov2 demands must be non-negative")
-        return out
 
 
 def _up_area(liveness: str, dt: int) -> int:
@@ -174,7 +134,7 @@ class Node:
         # churn is scripted or unknown to the planner
         self.forecast_availability = forecast_availability
         if reserve_margin is None:
-            reserve_margin = capacity.scale(DEFAULT_MARGIN_FRACTION)
+            reserve_margin = capacity.scale(DEFAULTS["margin_fraction"])
         self.reserve_margin = reserve_margin
         self.liveness = UP
         no_demand = ResourceVector.zero()

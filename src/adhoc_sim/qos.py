@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
 
+from .defaults import DEFAULTS
 from .errors import NoLiveElement, UnknownAgreement
 from .kernel import Simulator
 from .membership import CloudletRuntime
@@ -32,9 +33,6 @@ REJECT_CAPACITY = "capacity_exhausted"
 ACTIVE = "active"
 EXPIRED = "expired"
 RELEASED = "released"
-
-DEFAULT_EXHAUSTIVE_THRESHOLD = 10
-DEFAULT_TRAILING_WINDOW_MS = 500_000_000
 
 
 def availability_of(node_availabilities) -> float:
@@ -53,20 +51,6 @@ class ReservationRequest:
     element_count: int
     window: tuple[int, int]  # [start, end)
     availability_target: float
-
-    def problems(self) -> list[str]:
-        out = []
-        if not self.window[0] < self.window[1]:
-            out.append(f"request {self.request_id}: window start must precede end")
-        if not self.demand.any_positive():
-            out.append(f"request {self.request_id}: demand must be positive somewhere")
-        if not self.demand.non_negative():
-            out.append(f"request {self.request_id}: demand components must be >= 0")
-        if self.element_count < 1:
-            out.append(f"request {self.request_id}: element_count must be >= 1")
-        if not 0 < self.availability_target <= 1:
-            out.append(f"request {self.request_id}: availability_target must be in (0,1]")
-        return out
 
 
 @dataclass
@@ -111,8 +95,8 @@ class Forecaster:
     def __init__(
         self,
         nodes: dict[str, Node],
-        mode: str = ORACLE,
-        trailing_window_ms: int = DEFAULT_TRAILING_WINDOW_MS,
+        mode: str = DEFAULTS["qos_mode"],
+        trailing_window_ms: int = DEFAULTS["trailing_window_ms"],
         now_fn: Callable[[], int] = lambda: 0,
     ):
         if mode not in (ORACLE, ESTIMATOR):
@@ -208,8 +192,8 @@ class Broker:
         forecaster: Forecaster,
         ids,
         deploy_fn: Callable[[str, str, ResourceVector], str],
-        deploy_ms: int = 2000,
-        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
+        deploy_ms: int = DEFAULTS["deploy_ms"],
+        exhaustive_threshold: int = DEFAULTS["exhaustive_threshold"],
     ):
         self.sim = sim
         self.nodes = nodes

@@ -5,6 +5,7 @@ Comparison is componentwise: a <= b iff every component of a is <= b's.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 COMPONENTS = ("cpu", "memory", "storage", "network")
@@ -77,7 +78,17 @@ class ResourceVector:
 
     @staticmethod
     def from_dict(obj: dict) -> "ResourceVector":
-        extra = set(obj) - set(COMPONENTS)
-        if extra:
-            raise ValueError(f"unknown resource components: {sorted(extra)}")
-        return ResourceVector(**{k: float(v) for k, v in obj.items()})
+        """Parse the document form: some of COMPONENTS, each a finite number
+        >= 0; the rest are zero. Raises ValueError."""
+        if type(obj) is not dict:
+            raise ValueError(f"must be an object of {list(COMPONENTS)}, got {obj!r}")
+        for key, x in obj.items():
+            if key not in COMPONENTS or not (
+                (type(x) is float or type(x) is int) and 0 <= x <= sys.float_info.max
+            ):
+                raise ValueError(f"must map {list(COMPONENTS)} to numbers >= 0, got {obj!r}")
+        get = obj.get
+        return ResourceVector(
+            float(get("cpu", 0.0)), float(get("memory", 0.0)),
+            float(get("storage", 0.0)), float(get("network", 0.0)),
+        )

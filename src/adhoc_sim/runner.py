@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .defaults import DEFAULTS
 from .engines import (
     COMPUTE,
     KV_STORE,
@@ -29,7 +30,7 @@ from .infrastructure import (
 )
 from .kernel import Dist, Simulator
 from .membership import CloudletPolicy, CloudletRuntime
-from .network import DEFAULT_LATENCY, DEFAULT_OP_TIMEOUT_MS, Network
+from .network import Network
 from .nodes import Node
 from .resources import ResourceVector
 
@@ -40,11 +41,11 @@ class Simulation:
     def __init__(
         self,
         seed: int = 0,
-        latency: Dist = DEFAULT_LATENCY,
-        deploy_ms: int = 2000,
-        shutdown_ms: int = 500,
-        op_timeout_ms: int = DEFAULT_OP_TIMEOUT_MS,
-        copy_ms_per_mb: float = 100.0,
+        latency: Dist = DEFAULTS["network_latency"],
+        deploy_ms: int = DEFAULTS["deploy_ms"],
+        shutdown_ms: int = DEFAULTS["shutdown_ms"],
+        op_timeout_ms: int = DEFAULTS["op_timeout_ms"],
+        copy_ms_per_mb: float = DEFAULTS["copy_ms_per_mb"],
     ):
         self.sim = Simulator(seed=seed)
         self.net = Network(self.sim, latency)
@@ -99,7 +100,7 @@ class Simulation:
         cloudlet_id: str,
         engine_kind: str,
         policy: Optional[CloudletPolicy] = None,
-        element_allocation: Optional[ResourceVector] = None,
+        element_allocation: ResourceVector = DEFAULTS["element_allocation"],
     ) -> CloudletRuntime:
         runtime = CloudletRuntime(
             self.sim,
@@ -111,9 +112,7 @@ class Simulation:
             metadata_timeout_ms=self.op_timeout_ms,
         )
         self.cloudlets[cloudlet_id] = runtime
-        self.element_allocations[cloudlet_id] = element_allocation or ResourceVector(
-            1.0, 512, 1024, 5
-        )
+        self.element_allocations[cloudlet_id] = element_allocation
         self.sim.record(
             f"cloudlet:{cloudlet_id}",
             {"event": "cloudlet_defined", "cloudlet": cloudlet_id, "engine": engine_kind},
@@ -150,9 +149,9 @@ class Simulation:
 
     def attach_qos(
         self,
-        mode: str = "oracle",
-        trailing_window_ms: int = 500_000_000,
-        exhaustive_threshold: int = 10,
+        mode: str = DEFAULTS["qos_mode"],
+        trailing_window_ms: int = DEFAULTS["trailing_window_ms"],
+        exhaustive_threshold: int = DEFAULTS["exhaustive_threshold"],
     ):
         """Create the broker and dispatcher for this instance."""
         from .qos import Broker, Dispatcher, Forecaster
@@ -225,9 +224,8 @@ def _interarrival_ms(arrival: dict, stream) -> int:
     from .kernel import draw_ms
 
     if arrival["kind"] == "poisson":
-        mean = 1000.0 / float(arrival["rate_per_s"])
-        return draw_ms(stream, Dist.exponential(mean))
-    return int(arrival["interval_ms"])
+        return draw_ms(stream, Dist.exponential(1000.0 / arrival["rate_per_s"]))
+    return arrival["interval_ms"]
 
 
 class TaskWorkload:
@@ -340,11 +338,11 @@ def build_simulation(scenario, seed: Optional[int] = None) -> Simulation:
     d = scenario.defaults
     s = Simulation(
         seed=seed,
-        latency=Dist.from_json(d["network_latency"]),
-        deploy_ms=int(d["deploy_ms"]),
-        shutdown_ms=int(d["shutdown_ms"]),
-        op_timeout_ms=int(d["op_timeout_ms"]),
-        copy_ms_per_mb=float(d["copy_ms_per_mb"]),
+        latency=d["network_latency"],
+        deploy_ms=d["deploy_ms"],
+        shutdown_ms=d["shutdown_ms"],
+        op_timeout_ms=d["op_timeout_ms"],
+        copy_ms_per_mb=d["copy_ms_per_mb"],
     )
     s.sim.record("runner", {"event": "run_start", "seed": seed})
     for spec in scenario.fleet:
@@ -370,18 +368,7 @@ def build_simulation(scenario, seed: Optional[int] = None) -> Simulation:
             spec.policy,
             element_allocation=spec.element_allocation,
         )
-        placement = spec.initial_placement
-        if placement == "auto":
-            want = (
-                spec.policy.target_replication
-                if spec.engine == KV_STORE
-                else max(1, spec.policy.min_members)
-            )
-            ranked = sorted(
-                scenario.fleet, key=lambda n: (-n.capacity.cpu, n.node_id)
-            )
-            placement = [n.node_id for n in ranked[:want]]
-        for node_id in placement:
+        for node_id in spec.nodes:
             s.deploy_element(node_id, spec.cloudlet_id, spec.element_allocation)
     s.reservation_results = {}
     for res in scenario.reservations:
@@ -401,7 +388,7 @@ def build_simulation(scenario, seed: Optional[int] = None) -> Simulation:
         + [f"{n.node_id}_up" for n in scenario.fleet]
         + [f"{n.node_id}_violation" for n in scenario.fleet]
     )
-    interval = int(d["sample_interval_ms"])
+    interval = d["sample_interval_ms"]
 
     def sample():
         row = [s.sim.now]
@@ -425,6 +412,7 @@ def run_scenario(scenario, seed_override: Optional[int] = None):
 
     from .adaptation import GoalSpec, aggregate_metrics
     from .qos import Agreement
+    from .scenario import scenario_to_json
 
     seed = scenario.seed if seed_override is None else seed_override
     s = build_simulation(scenario, seed)
@@ -450,7 +438,7 @@ def run_scenario(scenario, seed_override: Optional[int] = None):
         "schema_version": 1,
         "seed": seed,
         "run_until": scenario.run_until,
-        "scenario": scenario.to_json(),
+        "scenario": scenario_to_json(scenario),
         "reservations": reservations,
         "metrics": metrics,
     }

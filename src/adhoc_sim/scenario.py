@@ -1,21 +1,25 @@
 """Scenario files: schema, defaults, validation, and serialization.
 
-A scenario is a JSON document describing the fleet (capacity, churn, user
-load, margins), the cloudlets, workload generators, QoS reservations, and
-run controls. Loading fills every omitted field from the defaults table
-below and echoes the completed form into the run summary, so an output is
-always reproducible from itself.
-
-Validation reports every violation found, not just the first.
+A scenario is a JSON document describing the fleet, the cloudlets, workload
+generators, QoS reservations, and run controls. The field tables below are
+the schema's single source: each `field` gives a key, its coercion kind, its
+fallback (a `defaults` entry, filled from `defaults.DEFAULTS`, or a literal)
+and its bound. `_read` uses them to parse, default-fill and report
+path-named diagnostics, `_write` to echo the completed document into the
+run summary: `parse_scenario(scenario_to_json(s)) == s`. A null value reads
+as omitted; an unknown key is a diagnostic; every violation is reported.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+import sys
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .adaptation import AdaptationPolicy, UtilityWeights
+from .defaults import DEFAULTS
 from .engines import COMPUTE, ENGINE_KINDS, KV_STORE
 from .errors import ScenarioParseError, ScenarioValidationError
 from .infrastructure import IntrusivenessPolicy
@@ -25,55 +29,15 @@ from .nodes import DOWN, UP, ChurnModel, MarkovLoad, ScriptedChurn, TraceLoad
 from .qos import ESTIMATOR, ORACLE, ReservationRequest
 from .resources import ResourceVector
 
-SCHEMA_VERSION = 1
-
-# the one defaults table: every omitted scenario field comes from here and is
-# echoed back into the summary for provenance
-DEFAULTS = {
-    "margin_fraction": 0.1,
-    "deploy_ms": 2000,
-    "shutdown_ms": 500,
-    "network_latency": {"kind": "uniform", "a": 5, "b": 50},
-    "op_timeout_ms": 2000,
-    "copy_ms_per_mb": 100.0,
-    "sample_interval_ms": 10_000,
-    "grace_ms": 1000,
-    "throttle_first": True,
-    "max_violation_fraction": 0.01,
-    "throttle_floor": 0.1,
-    "enforce": True,
-    "target_replication": 3,
-    "heartbeat_interval_ms": 10_000,
-    "timeout_multiplier": 3,
-    "min_members": 1,
-    "max_members": 10,
-    "scale_high_watermark": 0.8,
-    "scale_low_watermark": 0.2,
-    "element_allocation": {"cpu": 1.0, "memory": 512, "storage": 1024, "network": 5},
-    "qos_mode": ORACLE,
-    "trailing_window_ms": 500_000_000,
-    "exhaustive_threshold": 10,
-    "adaptation_enabled": True,
-    "epoch_ms": 30_000,
-    "max_actions_per_epoch": 3,
-    "epsilon": 1e-6,
-    "w_avail": 100.0,
-    "w_perf": 10.0,
-    "w_intr": 1.0,
-    "w_cost": 0.1,
-    "workload_start_ms": 5000,
-}
-
-
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: str
     capacity: ResourceVector
-    churn: object = None  # ChurnModel | ScriptedChurn | None
-    user_load: object = None  # TraceLoad | MarkovLoad | None
-    reserve_margin: Optional[ResourceVector] = None
-    forecast_availability: Optional[float] = None
-    intrusiveness: Optional[IntrusivenessPolicy] = None
+    churn: object  # ChurnModel | ScriptedChurn | None
+    user_load: object  # TraceLoad | MarkovLoad | None
+    reserve_margin: ResourceVector
+    forecast_availability: Optional[float]
+    intrusiveness: IntrusivenessPolicy
 
 
 @dataclass(frozen=True)
@@ -82,7 +46,8 @@ class CloudletSpec:
     engine: str
     policy: CloudletPolicy
     element_allocation: ResourceVector
-    initial_placement: object = "auto"  # "auto" | tuple of node ids
+    initial_placement: object  # "auto" | tuple of node ids
+    nodes: tuple  # initial_placement resolved against the fleet; not echoed
 
 
 @dataclass(frozen=True)
@@ -92,11 +57,11 @@ class WorkloadSpec:
     cloudlet: str
     arrival: dict  # {"kind": "poisson", "rate_per_s": r} | {"kind": "constant_interval", "interval_ms": i}
     start_ms: int
-    count: Optional[int] = None
-    work_units: Optional[Dist] = None
-    agreement_of: Optional[str] = None
-    put_ratio: float = 0.5
-    key_space: int = 10
+    count: Optional[int]
+    agreement_of: Optional[str]
+    work_units: Optional[Dist] = None  # tasks only
+    put_ratio: Optional[float] = None  # kv_ops only, as are the next two
+    key_space: Optional[int] = None
     value_size: Optional[Dist] = None
 
 
@@ -110,155 +75,528 @@ class ReservationSpec:
 class Scenario:
     run_until: int
     seed: int
-    defaults: dict
+    defaults: dict  # every DEFAULTS key, typed
     fleet: tuple
     cloudlets: tuple
-    workloads: tuple = ()
-    reservations: tuple = ()
-    qos_mode: str = ORACLE
-    trailing_window_ms: int = DEFAULTS["trailing_window_ms"]
-    exhaustive_threshold: int = DEFAULTS["exhaustive_threshold"]
-    adaptation: AdaptationPolicy = AdaptationPolicy()
-    weights: UtilityWeights = UtilityWeights()
-
-    def node_ids(self) -> list[str]:
-        return [n.node_id for n in self.fleet]
-
-    def to_json(self) -> dict:
-        return scenario_to_json(self)
+    workloads: tuple
+    reservations: tuple
+    qos_mode: str
+    trailing_window_ms: int
+    exhaustive_threshold: int
+    adaptation: AdaptationPolicy
+    weights: UtilityWeights
 
 
-# -- parsing --------------------------------------------------------------------
+# -- coercions: a document value to a typed one, or ValueError, to which the
+# -- reader adds the value's path ------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
 
 
-def _dist(obj, path, problems) -> Optional[Dist]:
-    if obj is None:
-        problems.append(f"{path}: distribution required")
-        return None
-    try:
-        d = Dist.from_json(obj)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        problems.append(f"{path}: {exc}")
-        return None
-    for msg in d.problems():
-        problems.append(f"{path}: {msg}")
-    return d
+def _same(value):
+    return value
 
 
-def _int(obj: dict, key: str, default: int, path: str, problems) -> Optional[int]:
-    value = obj.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        problems.append(f"{path}: must be an integer, got {value!r}")
-        return None
-
-
-def _object(doc: dict, section: str, problems) -> dict:
-    """A top-level object section; anything else is a diagnostic and reads
-    as empty."""
-    value = doc.get(section, {})
-    if isinstance(value, dict):
+def _int(value) -> int:
+    # a JSON number is a double: an integer beyond its range would overflow
+    # where the simulation mixes it with floats
+    if type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return value
-    problems.append(f"{section}: must be an object")
-    return {}
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"must be an integer, got {value!r}")
 
 
-def _entries(doc: dict, section: str, problems) -> list[tuple[int, dict]]:
-    """(index, object) for each entry of a top-level list section; a section
-    that is not a list, or an entry that is not an object, is a diagnostic."""
-    items = doc.get(section, [])
-    if not isinstance(items, list):
-        problems.append(f"{section}: must be a list")
-        return []
-    out = []
-    for i, item in enumerate(items):
-        if isinstance(item, dict):
-            out.append((i, item))
+def _float(value) -> float:
+    if (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    raise ValueError(f"must be a finite number, got {value!r}")
+
+
+def _bool(value) -> bool:
+    if type(value) is bool:
+        return value
+    raise ValueError(f"must be true or false, got {value!r}")
+
+
+def _id(value) -> str:
+    if type(value) is str and value:
+        return value
+    raise ValueError(f"must be a non-empty string, got {value!r}")
+
+
+def _pair(value, first, second, shape: str) -> tuple:
+    if type(value) is list and len(value) == 2:
+        try:
+            return (first(value[0]), second(value[1]))
+        except ValueError:
+            pass
+    raise ValueError(f"must be a {shape} pair, got {value!r}")
+
+
+def _placement(value):
+    if value == "auto":
+        return value
+    if type(value) is not list:
+        raise ValueError(f'must be "auto" or a list of node ids, got {value!r}')
+    return tuple(_id(node_id) for node_id in value)
+
+
+# bounds: (holds(value), diagnostic)
+POSITIVE = (lambda v: v > 0, "must be > 0")
+NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+FRACTION = (lambda v: 0 <= v <= 1, "not in [0,1]")
+
+
+def _one_of(*choices) -> tuple:
+    return (lambda v: v in choices, f"must be one of {list(choices)}")
+
+
+class Kind(NamedTuple):
+    """How a field's document value becomes a typed value and back. A nested
+    kind reads with (value, path, ctx), so it can report diagnostics below
+    its own path; the others raise ValueError."""
+
+    read: Callable
+    write: Callable = _same
+    nested: bool = False
+
+
+INT = Kind(_int)
+FLOAT = Kind(_float)
+BOOL = Kind(_bool)
+ID = Kind(_id)
+VECTOR = Kind(ResourceVector.from_dict, ResourceVector.as_dict)
+DIST = Kind(Dist.from_json, Dist.to_json)
+WINDOW = Kind(lambda v: _pair(v, _int, _int, "[start_ms, end_ms]"), list)
+PLACEMENT = Kind(_placement, lambda p: p if p == "auto" else list(p))
+
+
+class Fallback(str):
+    """An omitted field takes the document's `defaults` entry of this name."""
+
+
+class _Marker:
+    """How an omitted field is filled where no value can say it."""
+
+
+REQUIRED = _Marker()  # an omitted field is a diagnostic
+OMITTED = _Marker()  # reads as None and is left out of the echo
+SHARED = _Marker()  # a nested object read from {} once per document
+
+
+class Field(NamedTuple):
+    key: str
+    attr: str  # attribute of the built object
+    read: Callable
+    write: Callable
+    nested: bool
+    default: object  # REQUIRED, OMITTED, SHARED, a Fallback or a literal
+    bound: Optional[tuple]
+
+
+def field(key: str, kind: Kind, default=REQUIRED, bound=None, attr: str = "") -> Field:
+    return Field(key, attr or key, kind.read, kind.write, kind.nested, default, bound)
+
+
+def _d(key: str, kind: Kind, bound=None, name: str = "") -> Field:
+    """A field that falls back to the `defaults` entry `name` (else `key`)."""
+    return field(key, kind, Fallback(name or key), bound)
+
+
+# -- the generic reader and writer ---------------------------------------------------
+
+
+class _Context:
+    """One document's diagnostics and what its omitted fields fall back to."""
+
+    def __init__(self, fallback: dict):
+        self.problems: list[str] = []
+        self.fallback = fallback
+        self.shared: dict = {}
+
+
+def _read(raw, fields, path: str, ctx: _Context, tagged: bool = False) -> dict:
+    """Coerce the object `raw` through a field table into {attr: value}.
+
+    Omitted fields take their default; a field that fails is recorded in
+    ctx.problems and left out. A tagged object's "kind" is read by its
+    caller.
+    """
+    if raw is None:
+        raw = {}
+    elif type(raw) is not dict:
+        ctx.problems.append(f"{path}: must be an object")
+        return {}
+    values = {}
+    known = tagged and "kind" in raw
+    get = raw.get
+    for key, attr, read, _write, nested, default, bound in fields:
+        value = get(key)
+        if value is None:
+            if type(default) is Fallback:
+                value = ctx.fallback[default]
+            elif type(default) is not _Marker:
+                value = default
+            elif default is SHARED:
+                if key not in ctx.shared:
+                    ctx.shared[key] = read({}, f"{path}.{key}", ctx)
+                value = ctx.shared[key]
+            elif default is OMITTED:
+                value = None
+            else:
+                ctx.problems.append(f"{path}.{key}: required")
+                continue
         else:
-            problems.append(f"{section}[{i}]: must be an object")
+            known += 1
+            try:
+                value = read(value, f"{path}.{key}", ctx) if nested else read(value)
+                if bound is not None and not bound[0](value):
+                    raise ValueError(bound[1])
+            except ValueError as exc:
+                ctx.problems.append(f"{path}.{key}: {exc}")
+                continue
+        values[attr] = value
+    if known != len(raw):
+        unknown = raw.keys() - {f.key for f in fields} - ({"kind"} if tagged else set())
+        if unknown:
+            ctx.problems.append(f"{path}: unknown keys {sorted(unknown)}")
+    return values
+
+
+def _checked(obj, path: str, problems: list):
+    """`obj`, after recording each condition of CHECKS that it fails."""
+    for holds, message in CHECKS.get(type(obj), ()):
+        if not holds(obj):
+            problems.append(f"{path}: {message}")
+    return obj
+
+
+def _build(cls, raw, fields, path: str, ctx: _Context, tagged: bool = False):
+    """`cls` built from a table read of `raw` and checked; None after a
+    diagnostic."""
+    before = len(ctx.problems)
+    values = _read(raw, fields, path, ctx, tagged)
+    if len(ctx.problems) > before:
+        return None
+    obj = cls(**values)
+    return _checked(obj, path, ctx.problems) if cls in CHECKS else obj
+
+
+def _write(obj, fields) -> dict:
+    out = {}
+    for key, attr, _read, write, _nested, default, _bound in fields:
+        value = getattr(obj, attr)
+        if value is not None:
+            out[key] = write(value)
+        elif default is not OMITTED:
+            out[key] = None
     return out
 
 
-def _vector(obj, path, problems) -> ResourceVector:
-    try:
-        v = ResourceVector.from_dict(obj or {})
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{path}: {exc}")
-        return ResourceVector.zero()
-    if not v.non_negative():
-        problems.append(f"{path}: components must be >= 0")
-    return v
+def _object(fields, cls) -> Kind:
+    return Kind(
+        lambda raw, path, ctx: _build(cls, raw, fields, path, ctx),
+        lambda obj: _write(obj, fields),
+        nested=True,
+    )
 
 
-def _parse_churn(obj, path, problems):
-    if obj is None:
-        return None
-    kind = obj.get("kind", "stochastic")
-    if kind == "stochastic":
-        up = _dist(obj.get("up"), f"{path}.up", problems)
-        down = _dist(obj.get("down"), f"{path}.down", problems)
-        if up is None or down is None:
-            return None
-        model = ChurnModel(up, down)
-        for msg in model.problems():
-            problems.append(f"{path}: {msg}")
-        return model
-    if kind == "scripted":
-        transitions = []
-        pairs = obj.get("transitions", [])
-        if not isinstance(pairs, list):
-            problems.append(f"{path}.transitions: must be a list")
-            pairs = []
-        for i, pair in enumerate(pairs):
+def _tagged(label: str, variants: dict, default_tag=None, write=None) -> Kind:
+    """An object whose "kind" picks its table and class: variants maps each
+    kind to (fields, cls)."""
+
+    def read(raw, path, ctx):
+        if type(raw) is not dict:
+            raise ValueError("must be an object")
+        tag = raw.get("kind", default_tag)
+        if type(tag) is not str or tag not in variants:
+            raise ValueError(f"unknown {label} kind {tag!r}")
+        fields, cls = variants[tag]
+        return _build(cls, raw, fields, path, ctx, tagged=True)
+
+    def write_variant(obj):
+        for tag, (fields, cls) in variants.items():
+            if type(obj) is cls:
+                return {"kind": tag, **_write(obj, fields)}
+
+    return Kind(read, write or write_variant, nested=True)
+
+
+def _steps(second, shape: str, write_second=_same) -> Kind:
+    """A list of [time_ms, second] pairs at strictly increasing times >= 0."""
+
+    def read(raw, path, ctx):
+        if type(raw) is not list:
+            raise ValueError("must be a list")
+        out = []
+        for i, pair in enumerate(raw):
             try:
-                t, state = pair
-                transitions.append((int(t), str(state)))
-            except (TypeError, ValueError, OverflowError):
-                problems.append(
-                    f"{path}.transitions[{i}]: must be a [time_ms, state] pair, got {pair!r}"
-                )
-        model = ScriptedChurn(tuple(transitions))
-        for msg in model.problems():
-            problems.append(f"{path}: {msg}")
-        return model
-    problems.append(f"{path}.kind: unknown churn kind {kind!r}")
-    return None
+                out.append(_pair(pair, _int, second, shape))
+            except ValueError as exc:
+                ctx.problems.append(f"{path}[{i}]: {exc}")
+                continue
+            if out[-1][0] <= (out[-2][0] if len(out) > 1 else -1):
+                ctx.problems.append(f"{path}[{i}]: times must be >= 0 and strictly increasing")
+        return tuple(out)
+
+    return Kind(read, lambda pairs: [[a, write_second(b)] for a, b in pairs], nested=True)
 
 
-def _parse_user_load(obj, path, capacity, problems):
-    if obj is None:
-        return None
-    kind = obj.get("kind")
-    if kind == "trace":
-        points = []
-        for i, pair in enumerate(obj.get("points", [])):
-            t, rv = pair
-            points.append((int(t), _vector(rv, f"{path}.points[{i}]", problems)))
-        load = TraceLoad(tuple(points))
-        for msg in load.problems():
-            problems.append(f"{path}: {msg}")
-        for t, demand in points:
-            if not demand.le(capacity):
-                problems.append(f"{path}: demand at t={t} exceeds node capacity")
-        return load
-    if kind == "markov2":
-        load = MarkovLoad(
-            idle_demand=_vector(obj.get("idle_demand"), f"{path}.idle_demand", problems),
-            active_demand=_vector(
-                obj.get("active_demand"), f"{path}.active_demand", problems
-            ),
-            mean_idle_ms=float(obj.get("mean_idle_ms", 0)),
-            mean_active_ms=float(obj.get("mean_active_ms", 0)),
-        )
-        for msg in load.problems():
-            problems.append(f"{path}: {msg}")
-        for label, demand in (("idle", load.idle_demand), ("active", load.active_demand)):
-            if not demand.le(capacity):
-                problems.append(f"{path}: {label} demand exceeds node capacity")
-        return load
-    problems.append(f"{path}.kind: unknown user load kind {kind!r}")
-    return None
+# -- the schema -------------------------------------------------------------------------
+
+RUN = (
+    field("until", INT, REQUIRED, POSITIVE, "run_until"),
+    field("seed", INT, 0),
+)
+
+CHURN = _tagged("churn", {
+    "stochastic": (
+        (field("up", DIST, attr="up_duration"), field("down", DIST, attr="down_duration")),
+        ChurnModel,
+    ),
+    "scripted": ((field("transitions", _steps(_id, "[time_ms, state]"), ()),), ScriptedChurn),
+}, default_tag="stochastic")
+
+USER_LOAD = _tagged("user load", {
+    "trace": (
+        (field("points", _steps(VECTOR.read, "[time_ms, demand]", VECTOR.write), ()),),
+        TraceLoad,
+    ),
+    "markov2": ((
+        field("idle_demand", VECTOR, ResourceVector()),
+        field("active_demand", VECTOR, ResourceVector()),
+        field("mean_idle_ms", FLOAT, REQUIRED, POSITIVE),
+        field("mean_active_ms", FLOAT, REQUIRED, POSITIVE),
+    ), MarkovLoad),
+})
+
+INTRUSIVENESS = (
+    _d("grace_ms", INT, NON_NEGATIVE),
+    _d("throttle_first", BOOL),
+    _d("max_violation_fraction", FLOAT, FRACTION),
+    _d("throttle_floor", FLOAT, FRACTION),
+    _d("enforce", BOOL),
+)
+
+NODE = (
+    field("node_id", ID),
+    field("capacity", VECTOR, ResourceVector()),
+    field("churn", CHURN, None),
+    field("user_load", USER_LOAD, None),
+    field("reserve_margin", VECTOR, None),  # None: capacity * defaults.margin_fraction
+    field("forecast_availability", FLOAT, None, FRACTION),
+    field("intrusiveness", _object(INTRUSIVENESS, IntrusivenessPolicy), SHARED),
+)
+
+POLICY = (
+    _d("target_replication", INT, AT_LEAST_ONE),
+    _d("heartbeat_interval_ms", INT, POSITIVE),
+    _d("timeout_multiplier", INT, (lambda v: v >= 2, "must be >= 2")),
+    _d("min_members", INT, NON_NEGATIVE),
+    _d("max_members", INT, AT_LEAST_ONE),
+    _d("scale_high_watermark", FLOAT, FRACTION),
+    _d("scale_low_watermark", FLOAT, FRACTION),
+)
+
+CLOUDLET = (
+    field("cloudlet_id", ID),
+    field("engine", ID, REQUIRED, _one_of(*ENGINE_KINDS)),
+    field("policy", _object(POLICY, CloudletPolicy), SHARED),
+    _d("element_allocation", VECTOR),
+    field("initial_placement", PLACEMENT, "auto"),
+)
+
+REQUEST = (
+    field("request_id", ID, None),  # None: "r<index>"
+    field("cloudlet_id", ID),
+    field("demand", VECTOR),
+    field("element_count", INT, 1, AT_LEAST_ONE),
+    field("window", WINDOW),
+    field("availability_target", FLOAT, 0.9, (lambda v: 0 < v <= 1, "must be in (0,1]")),
+)
+RESERVATION = REQUEST + (field("submit_ms", INT, 0, NON_NEGATIVE),)
+
+ARRIVAL = _tagged("arrival", {
+    "poisson": (
+        (field("rate_per_s", FLOAT, REQUIRED, POSITIVE),),
+        functools.partial(dict, kind="poisson"),
+    ),
+    "constant_interval": (
+        (field("interval_ms", INT, REQUIRED, POSITIVE),),
+        functools.partial(dict, kind="constant_interval"),
+    ),
+}, write=dict)
+
+WORKLOAD = (
+    field("workload_id", ID, None),  # None: "w<index>"
+    field("kind", ID, REQUIRED, _one_of("tasks", "kv_ops")),
+    field("cloudlet", ID),
+    field("arrival", ARRIVAL),
+    _d("start_ms", INT, NON_NEGATIVE, "workload_start_ms"),
+    field("count", INT, None, NON_NEGATIVE),
+    field("agreement_of", ID, OMITTED),
+)
+WORKLOAD_KINDS = {  # kind -> (its fields, the cloudlet engine it needs)
+    "tasks": (WORKLOAD + (field("work_units", DIST),), COMPUTE),
+    "kv_ops": (WORKLOAD + (
+        field("put_ratio", FLOAT, 0.5, FRACTION),
+        field("key_space", INT, 10, AT_LEAST_ONE),
+        field("value_size", DIST, Dist.constant(1024)),
+    ), KV_STORE),
+}
+
+QOS = (
+    field("mode", ID, Fallback("qos_mode"), _one_of(ORACLE, ESTIMATOR), "qos_mode"),
+    _d("trailing_window_ms", INT, POSITIVE),
+    _d("exhaustive_threshold", INT, NON_NEGATIVE),
+)
+
+ADAPTATION = (
+    _d("enabled", BOOL, name="adaptation_enabled"),
+    _d("epoch_ms", INT, POSITIVE),
+    _d("max_actions_per_epoch", INT, AT_LEAST_ONE),
+    _d("epsilon", FLOAT, NON_NEGATIVE),
+)
+
+WEIGHTS = tuple(_d(w, FLOAT, NON_NEGATIVE) for w in ("w_avail", "w_perf", "w_intr", "w_cost"))
+
+
+# conditions that span an object's fields: class -> ((holds(obj), diagnostic), ...)
+CHECKS = {
+    ChurnModel: (
+        (lambda m: m.up_duration.mean_value() > 0, "mean up duration must be > 0"),
+        (lambda m: m.down_duration.mean_value() >= 0, "mean down duration must be >= 0"),
+    ),
+    ScriptedChurn: (
+        (lambda c: all(s in (UP, DOWN) for _, s in c.transitions), "states must be 'up' or 'down'"),
+    ),
+    CloudletPolicy: (
+        (lambda p: p.min_members <= p.max_members, "min_members must be <= max_members"),
+        (lambda p: p.scale_low_watermark <= p.scale_high_watermark,
+         "scale_low_watermark must be <= scale_high_watermark"),
+    ),
+    ReservationRequest: (
+        (lambda r: r.window[0] < r.window[1], "window start must precede end"),
+        (lambda r: r.demand.any_positive(), "demand must be positive somewhere"),
+    ),
+    UtilityWeights: (
+        (lambda w: any((w.w_avail, w.w_perf, w.w_intr, w.w_cost)),
+         "at least one utility weight must be positive"),
+    ),
+}
+
+
+def _setting(key: str, kind: Kind, bound=None) -> Field:
+    return field(key, kind, DEFAULTS[key], bound)
+
+
+# The `defaults` section's table: the settings only it holds, then every
+# field above that falls back to it, under its `defaults` key.
+DEFAULTS_FIELDS = (
+    _setting("margin_fraction", FLOAT, FRACTION),
+    _setting("deploy_ms", INT, NON_NEGATIVE),
+    _setting("shutdown_ms", INT, NON_NEGATIVE),
+    _setting("network_latency", DIST),
+    _setting("op_timeout_ms", INT, POSITIVE),
+    _setting("copy_ms_per_mb", FLOAT, NON_NEGATIVE),
+    _setting("sample_interval_ms", INT, POSITIVE),
+) + tuple(
+    _setting(str(f.default), Kind(f.read, f.write), f.bound)
+    for table in (INTRUSIVENESS, POLICY, CLOUDLET, WORKLOAD, QOS, ADAPTATION, WEIGHTS)
+    for f in table
+    if type(f.default) is Fallback
+)
+
+# What an omitted field falls back to where the document's `defaults` section
+# leaves a setting out: its DEFAULTS value passed through its own coercion,
+# so the field is typed as if the document had given it.
+_FALLBACK = {f.key: f.read(f.write(f.default)) for f in DEFAULTS_FIELDS}
+
+SECTIONS = frozenset(
+    ("run", "defaults", "fleet", "cloudlets", "workloads", "reservations", "qos",
+     "adaptation", "weights")
+)
+
+
+# -- parsing ----------------------------------------------------------------------------
+
+
+def _section(doc: dict, name: str, id_key: str, id_prefix: str, fields, ctx: _Context,
+             check: Callable) -> tuple[set, list]:
+    """Read each entry of the list section `name` through `fields` (a table,
+    or a function of the entry that gives one); `check(v, path, entry)`
+    completes the values and adds what spans entries or sections. Returns
+    the id of every entry (so a bad entry does not also fail each reference
+    to it) and (path, values) of each entry that drew no diagnostic."""
+    ids, clean = set(), []
+    items = doc.get(name)
+    if items is not None and type(items) is not list:
+        ctx.problems.append(f"{name}: must be a list")
+    for i, raw in enumerate(items if type(items) is list else ()):
+        path = f"{name}[{i}]"
+        if type(raw) is not dict:
+            ctx.problems.append(f"{path}: must be an object")
+            continue
+        before = len(ctx.problems)
+        v = _read(raw, fields if type(fields) is tuple else fields(raw), path, ctx)
+        entry_id = v[id_key] = v.get(id_key) or f"{id_prefix}{i}"
+        if entry_id in ids:
+            ctx.problems.append(f"{path}.{id_key}: duplicate {entry_id!r}")
+        ids.add(entry_id)
+        check(v, path, raw)
+        if len(ctx.problems) == before:
+            clean.append((path, v))
+    return ids, clean
+
+
+def _refers(v: dict, key: str, known, what: str, path: str, problems: list) -> None:
+    if v.get(key) is not None and v[key] not in known:
+        problems.append(f"{path}.{key}: unknown {what} {v[key]!r}")
+
+
+def _demand_levels(load) -> list:
+    """Every owner demand a user-load model can reach."""
+    if isinstance(load, TraceLoad):
+        return [demand for _, demand in load.points]
+    if isinstance(load, MarkovLoad):
+        return [load.idle_demand, load.active_demand]
+    return []
+
+
+def _place(v: dict, path: str, node_ids: set, fleet: dict, ranked: list, committed: dict,
+           ctx: _Context) -> tuple:
+    """The cloudlet's initial nodes, each checked to exist and to have room
+    for one more element at t=0, after the elements placed before it."""
+    policy, placement = v.get("policy"), v.get("initial_placement")
+    if policy is None or placement is None:
+        return ()
+    if placement == "auto":
+        kv = v.get("engine") == KV_STORE
+        placement = ranked[:policy.target_replication if kv else max(1, policy.min_members)]
+    allocation = v.get("element_allocation")
+    for node_id in placement:
+        if node_id not in node_ids:
+            ctx.problems.append(f"{path}.initial_placement: unknown node {node_id!r}")
+        if node_id not in fleet or allocation is None:
+            continue
+        # what NodeInfrastructure.create_element finds: no owner demand yet
+        node, used = fleet[node_id], committed.get(node_id)
+        free = (node.capacity - node.reserve_margin).clamped()
+        free = free if used is None else (free - used).clamped()
+        if allocation.exceeds_any(free):
+            ctx.problems.append(
+                f"{path}.initial_placement: an element of {allocation.as_dict()} does not "
+                f"fit node {node_id!r}, which has {free.as_dict()} of headroom left"
+            )
+        committed[node_id] = allocation if used is None else used + allocation
+    return tuple(placement)
+
+
+def _workload_fields(raw: dict) -> tuple:
+    kind = raw.get("kind")
+    return WORKLOAD_KINDS[kind][0] if type(kind) is str and kind in WORKLOAD_KINDS else WORKLOAD
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -266,284 +604,90 @@ def parse_scenario(doc: dict) -> Scenario:
 
     Raises ScenarioValidationError carrying every diagnostic found.
     """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise ScenarioValidationError(["top level must be a JSON object"])
-
-    defaults = dict(DEFAULTS)
-    overrides = _object(doc, "defaults", problems)
-    unknown = set(overrides) - set(DEFAULTS)
-    if unknown:
-        problems.append(f"defaults: unknown keys {sorted(unknown)}")
-    defaults.update({k: v for k, v in overrides.items() if k in DEFAULTS})
-    latency = _dist(defaults["network_latency"], "defaults.network_latency", problems)
-
-    run = _object(doc, "run", problems)
-    run_until = _int(run, "until", 0, "run.until", problems)
-    seed = _int(run, "seed", 0, "run.seed", problems)
-    if run_until is not None and run_until <= 0:
-        problems.append("run.until: must be > 0")
-
-    fleet = []
-    seen_nodes = set()
-    for i, nd in _entries(doc, "fleet", problems):
-        path = f"fleet[{i}]"
-        node_id = str(nd.get("node_id", ""))
-        if not node_id:
-            problems.append(f"{path}.node_id: required")
-        if node_id in seen_nodes:
-            problems.append(f"{path}.node_id: duplicate {node_id!r}")
-        seen_nodes.add(node_id)
-        capacity = _vector(nd.get("capacity"), f"{path}.capacity", problems)
-        margin = (
-            _vector(nd["reserve_margin"], f"{path}.reserve_margin", problems)
-            if nd.get("reserve_margin") is not None
-            else capacity.scale(float(defaults["margin_fraction"]))
+    ctx = _Context(dict(_FALLBACK))
+    problems = ctx.problems
+    if doc.keys() - SECTIONS:
+        problems.append(f"unknown sections {sorted(doc.keys() - SECTIONS)}")
+    given = doc.get("defaults")
+    defaults = _read(given, DEFAULTS_FIELDS, "defaults", ctx)
+    if type(given) is dict:
+        ctx.fallback.update(
+            (key, defaults[key]) for key in given.keys() & defaults.keys() if given[key] is not None
         )
-        intr = nd.get("intrusiveness")
-        intr_policy = IntrusivenessPolicy(
-            grace_ms=int((intr or {}).get("grace_ms", defaults["grace_ms"])),
-            throttle_first=bool(
-                (intr or {}).get("throttle_first", defaults["throttle_first"])
-            ),
-            max_violation_fraction=float(
-                (intr or {}).get(
-                    "max_violation_fraction", defaults["max_violation_fraction"]
-                )
-            ),
-            throttle_floor=float(
-                (intr or {}).get("throttle_floor", defaults["throttle_floor"])
-            ),
-            enforce=bool((intr or {}).get("enforce", defaults["enforce"])),
-        )
-        if not 0 <= intr_policy.max_violation_fraction <= 1:
-            problems.append(f"{path}.intrusiveness.max_violation_fraction: not in [0,1]")
-        if intr_policy.grace_ms < 0:
-            problems.append(f"{path}.intrusiveness.grace_ms: must be >= 0")
-        fa = nd.get("forecast_availability")
-        if fa is not None and not 0 <= float(fa) <= 1:
-            problems.append(f"{path}.forecast_availability: not in [0,1]")
-        fleet.append(
-            NodeSpec(
-                node_id=node_id,
-                capacity=capacity,
-                churn=_parse_churn(nd.get("churn"), f"{path}.churn", problems),
-                user_load=_parse_user_load(
-                    nd.get("user_load"), f"{path}.user_load", capacity, problems
-                ),
-                reserve_margin=margin,
-                forecast_availability=float(fa) if fa is not None else None,
-                intrusiveness=intr_policy,
-            )
-        )
-    if not fleet:
+    run = _read(doc.get("run"), RUN, "run", ctx)
+
+    def check_node(v, path, raw):
+        capacity = v.get("capacity")
+        if capacity is None:
+            return
+        if v.get("reserve_margin") is None:
+            v["reserve_margin"] = capacity.scale(ctx.fallback["margin_fraction"])
+        for demand in _demand_levels(v.get("user_load")):
+            if not demand.le(capacity):
+                problems.append(f"{path}.user_load: owner demand exceeds node capacity")
+                break
+
+    node_ids, nodes = _section(doc, "fleet", "node_id", "", NODE, ctx, check_node)
+    if not node_ids:
         problems.append("fleet: at least one node required")
+    fleet = {v["node_id"]: NodeSpec(**v) for _, v in nodes}
+    ranked = sorted(fleet, key=lambda n: (-fleet[n].capacity.cpu, n))
+    committed: dict = {}
+    engines = {}
 
-    cloudlets = []
-    seen_cloudlets = set()
-    for i, cd in _entries(doc, "cloudlets", problems):
-        path = f"cloudlets[{i}]"
-        cid = str(cd.get("cloudlet_id", ""))
-        if not cid:
-            problems.append(f"{path}.cloudlet_id: required")
-        if cid in seen_cloudlets:
-            problems.append(f"{path}.cloudlet_id: duplicate {cid!r}")
-        seen_cloudlets.add(cid)
-        engine = cd.get("engine", "")
-        if engine not in ENGINE_KINDS:
-            problems.append(f"{path}.engine: must be one of {list(ENGINE_KINDS)}")
-        pol = cd.get("policy", {})
-        policy = CloudletPolicy(
-            target_replication=int(
-                pol.get("target_replication", defaults["target_replication"])
-            ),
-            heartbeat_interval_ms=int(
-                pol.get("heartbeat_interval_ms", defaults["heartbeat_interval_ms"])
-            ),
-            timeout_multiplier=int(
-                pol.get("timeout_multiplier", defaults["timeout_multiplier"])
-            ),
-            min_members=int(pol.get("min_members", defaults["min_members"])),
-            max_members=int(pol.get("max_members", defaults["max_members"])),
-            scale_high_watermark=float(
-                pol.get("scale_high_watermark", defaults["scale_high_watermark"])
-            ),
-            scale_low_watermark=float(
-                pol.get("scale_low_watermark", defaults["scale_low_watermark"])
-            ),
-        )
-        for msg in policy.problems():
-            problems.append(f"{path}.policy: {msg}")
-        allocation = (
-            _vector(cd["element_allocation"], f"{path}.element_allocation", problems)
-            if cd.get("element_allocation") is not None
-            else _vector(defaults["element_allocation"], f"{path}.element_allocation", problems)
-        )
-        placement = cd.get("initial_placement", "auto")
-        if placement != "auto":
-            placement = tuple(str(n) for n in placement)
-            for n in placement:
-                if n not in seen_nodes:
-                    problems.append(f"{path}.initial_placement: unknown node {n!r}")
-        cloudlets.append(
-            CloudletSpec(
-                cloudlet_id=cid,
-                engine=engine,
-                policy=policy,
-                element_allocation=allocation,
-                initial_placement=placement,
+    def check_cloudlet(v, path, raw):
+        engines[v["cloudlet_id"]] = v.get("engine")
+        policy = v.get("policy")
+        # the default asks for its replicas whatever the fleet; a document
+        # that asks for more than it has nodes is rejected
+        asked = [s for s in (raw.get("policy"), given) if type(s) is dict]
+        if (policy is not None and policy.target_replication > len(node_ids)
+                and any(s.get("target_replication") is not None for s in asked)):
+            problems.append(
+                f"{path}.policy.target_replication: {policy.target_replication} exceeds "
+                f"the fleet of {len(node_ids)} nodes"
             )
-        )
+        v["nodes"] = _place(v, path, node_ids, fleet, ranked, committed, ctx)
 
+    _, cloudlets = _section(doc, "cloudlets", "cloudlet_id", "", CLOUDLET, ctx, check_cloudlet)
+
+    request_ids, requests = _section(
+        doc, "reservations", "request_id", "r", RESERVATION, ctx,
+        lambda v, path, raw: _refers(v, "cloudlet_id", engines, "cloudlet", path, problems),
+    )
     reservations = []
-    seen_requests = set()
-    for i, rd in _entries(doc, "reservations", problems):
-        path = f"reservations[{i}]"
-        rid = str(rd.get("request_id", f"r{i}"))
-        if rid in seen_requests:
-            problems.append(f"{path}.request_id: duplicate {rid!r}")
-        seen_requests.add(rid)
-        cid = str(rd.get("cloudlet_id", ""))
-        if cid not in seen_cloudlets:
-            problems.append(f"{path}.cloudlet_id: unknown cloudlet {cid!r}")
-        window = rd.get("window", [0, 0])
-        try:
-            start_ms, end_ms = window
-            window = (int(start_ms), int(end_ms))
-        except (TypeError, ValueError, OverflowError):
-            problems.append(f"{path}.window: must be a [start_ms, end_ms] pair, got {window!r}")
-            window = (0, 0)
-        request = ReservationRequest(
-            request_id=rid,
-            cloudlet_id=cid,
-            demand=_vector(rd.get("demand"), f"{path}.demand", problems),
-            element_count=int(rd.get("element_count", 1)),
-            window=window,
-            availability_target=float(rd.get("availability_target", 0.9)),
-        )
-        for msg in request.problems():
-            problems.append(f"{path}: {msg}")
-        submit = int(rd.get("submit_ms", 0))
-        if submit < 0:
-            problems.append(f"{path}.submit_ms: must be >= 0")
-        reservations.append(ReservationSpec(submit_ms=submit, request=request))
+    for path, v in requests:
+        submit_ms = v.pop("submit_ms")
+        request = _checked(ReservationRequest(**v), path, problems)
+        reservations.append(ReservationSpec(submit_ms, request))
 
-    workloads = []
-    seen_workloads = set()
-    cloudlet_engines = {c.cloudlet_id: c.engine for c in cloudlets}
-    for i, wd in _entries(doc, "workloads", problems):
-        path = f"workloads[{i}]"
-        wid = str(wd.get("workload_id", f"w{i}"))
-        if wid in seen_workloads:
-            problems.append(f"{path}.workload_id: duplicate {wid!r}")
-        seen_workloads.add(wid)
-        kind = wd.get("kind", "")
-        cid = str(wd.get("cloudlet", ""))
-        if cid not in seen_cloudlets:
-            problems.append(f"{path}.cloudlet: unknown cloudlet {cid!r}")
-        arrival = wd.get("arrival", {})
-        akind = arrival.get("kind")
-        if akind == "poisson":
-            if float(arrival.get("rate_per_s", 0)) <= 0:
-                problems.append(f"{path}.arrival.rate_per_s: must be > 0")
-        elif akind == "constant_interval":
-            if int(arrival.get("interval_ms", 0)) <= 0:
-                problems.append(f"{path}.arrival.interval_ms: must be > 0")
-        else:
-            problems.append(f"{path}.arrival.kind: unknown arrival kind {akind!r}")
-        count = wd.get("count")
-        work_units = None
-        value_size = None
-        if kind == "tasks":
-            if cloudlet_engines.get(cid) not in (None, COMPUTE):
-                problems.append(f"{path}: tasks workload requires a compute cloudlet")
-            work_units = _dist(wd.get("work_units"), f"{path}.work_units", problems)
-        elif kind == "kv_ops":
-            if cloudlet_engines.get(cid) not in (None, KV_STORE):
-                problems.append(f"{path}: kv_ops workload requires a kv_store cloudlet")
-            if not 0 <= float(wd.get("put_ratio", 0.5)) <= 1:
-                problems.append(f"{path}.put_ratio: not in [0,1]")
-            if int(wd.get("key_space", 10)) < 1:
-                problems.append(f"{path}.key_space: must be >= 1")
-            value_size = (
-                _dist(wd["value_size"], f"{path}.value_size", problems)
-                if wd.get("value_size") is not None
-                else Dist.constant(1024)
-            )
-        else:
-            problems.append(f"{path}.kind: unknown workload kind {kind!r}")
-        agreement_of = wd.get("agreement_of")
-        if agreement_of is not None and agreement_of not in seen_requests:
-            problems.append(f"{path}.agreement_of: unknown reservation {agreement_of!r}")
-        workloads.append(
-            WorkloadSpec(
-                workload_id=wid,
-                kind=kind,
-                cloudlet=cid,
-                arrival=arrival,
-                start_ms=int(wd.get("start_ms", defaults["workload_start_ms"])),
-                count=int(count) if count is not None else None,
-                work_units=work_units,
-                agreement_of=agreement_of,
-                put_ratio=float(wd.get("put_ratio", 0.5)),
-                key_space=int(wd.get("key_space", 10)),
-                value_size=value_size,
-            )
-        )
+    def check_workload(v, path, raw):
+        cid, kind = v.get("cloudlet"), v.get("kind")
+        _refers(v, "cloudlet", engines, "cloudlet", path, problems)
+        _refers(v, "agreement_of", request_ids, "reservation", path, problems)
+        engine = WORKLOAD_KINDS[kind][1] if kind in WORKLOAD_KINDS else None
+        if engines.get(cid) not in (None, engine):
+            problems.append(f"{path}: {kind} workload requires a {engine} cloudlet")
 
-    qos = _object(doc, "qos", problems)
-    qos_mode = qos.get("mode", defaults["qos_mode"])
-    if qos_mode not in (ORACLE, ESTIMATOR):
-        problems.append(f"qos.mode: must be {ORACLE!r} or {ESTIMATOR!r}")
-    trailing_window_ms = _int(
-        qos, "trailing_window_ms", defaults["trailing_window_ms"],
-        "qos.trailing_window_ms", problems,
+    _, workloads = _section(
+        doc, "workloads", "workload_id", "w", _workload_fields, ctx, check_workload
     )
-    if trailing_window_ms is not None and trailing_window_ms <= 0:
-        problems.append("qos.trailing_window_ms: must be > 0")
-
-    ad = _object(doc, "adaptation", problems)
-    adaptation = AdaptationPolicy(
-        epoch_ms=int(ad.get("epoch_ms", defaults["epoch_ms"])),
-        max_actions_per_epoch=int(
-            ad.get("max_actions_per_epoch", defaults["max_actions_per_epoch"])
-        ),
-        epsilon=float(ad.get("epsilon", defaults["epsilon"])),
-        enabled=bool(ad.get("enabled", defaults["adaptation_enabled"])),
-    )
-    for msg in adaptation.problems():
-        problems.append(f"adaptation: {msg}")
-
-    wt = _object(doc, "weights", problems)
-    weights = UtilityWeights(
-        w_avail=float(wt.get("w_avail", defaults["w_avail"])),
-        w_perf=float(wt.get("w_perf", defaults["w_perf"])),
-        w_intr=float(wt.get("w_intr", defaults["w_intr"])),
-        w_cost=float(wt.get("w_cost", defaults["w_cost"])),
-    )
-    for msg in weights.problems():
-        problems.append(f"weights: {msg}")
-
-    if int(defaults["sample_interval_ms"]) <= 0:
-        problems.append("defaults.sample_interval_ms: must be > 0")
+    qos = _read(doc.get("qos"), QOS, "qos", ctx)
+    adaptation = _build(AdaptationPolicy, doc.get("adaptation"), ADAPTATION, "adaptation", ctx)
+    weights = _build(UtilityWeights, doc.get("weights"), WEIGHTS, "weights", ctx)
 
     if problems:
         raise ScenarioValidationError(problems)
-
-    defaults["network_latency"] = latency.to_json()
     return Scenario(
-        run_until=run_until,
-        seed=seed,
+        **run,
         defaults=defaults,
-        fleet=tuple(fleet),
-        cloudlets=tuple(cloudlets),
-        workloads=tuple(workloads),
+        fleet=tuple(fleet.values()),
+        cloudlets=tuple(CloudletSpec(**v) for _, v in cloudlets),
+        workloads=tuple(WorkloadSpec(**v) for _, v in workloads),
         reservations=tuple(reservations),
-        qos_mode=qos_mode,
-        trailing_window_ms=trailing_window_ms,
-        exhaustive_threshold=int(
-            qos.get("exhaustive_threshold", defaults["exhaustive_threshold"])
-        ),
+        **qos,
         adaptation=adaptation,
         weights=weights,
     )
@@ -564,133 +708,17 @@ def load_scenario(path: str) -> Scenario:
 # -- serialization (round-trips through parse_scenario) ----------------------------
 
 
-def _churn_json(churn):
-    if churn is None:
-        return None
-    if isinstance(churn, ChurnModel):
-        return {
-            "kind": "stochastic",
-            "up": churn.up_duration.to_json(),
-            "down": churn.down_duration.to_json(),
-        }
-    return {
-        "kind": "scripted",
-        "transitions": [[t, state] for t, state in churn.transitions],
-    }
-
-
-def _load_json(load):
-    if load is None:
-        return None
-    if isinstance(load, TraceLoad):
-        return {
-            "kind": "trace",
-            "points": [[t, rv.as_dict()] for t, rv in load.points],
-        }
-    return {
-        "kind": "markov2",
-        "idle_demand": load.idle_demand.as_dict(),
-        "active_demand": load.active_demand.as_dict(),
-        "mean_idle_ms": load.mean_idle_ms,
-        "mean_active_ms": load.mean_active_ms,
-    }
-
-
 def scenario_to_json(s: Scenario) -> dict:
     return {
-        "run": {"until": s.run_until, "seed": s.seed},
-        "defaults": dict(s.defaults),
-        "fleet": [
-            {
-                "node_id": n.node_id,
-                "capacity": n.capacity.as_dict(),
-                "churn": _churn_json(n.churn),
-                "user_load": _load_json(n.user_load),
-                "reserve_margin": n.reserve_margin.as_dict(),
-                "forecast_availability": n.forecast_availability,
-                "intrusiveness": {
-                    "grace_ms": n.intrusiveness.grace_ms,
-                    "throttle_first": n.intrusiveness.throttle_first,
-                    "max_violation_fraction": n.intrusiveness.max_violation_fraction,
-                    "throttle_floor": n.intrusiveness.throttle_floor,
-                    "enforce": n.intrusiveness.enforce,
-                },
-            }
-            for n in s.fleet
-        ],
-        "cloudlets": [
-            {
-                "cloudlet_id": c.cloudlet_id,
-                "engine": c.engine,
-                "policy": {
-                    "target_replication": c.policy.target_replication,
-                    "heartbeat_interval_ms": c.policy.heartbeat_interval_ms,
-                    "timeout_multiplier": c.policy.timeout_multiplier,
-                    "min_members": c.policy.min_members,
-                    "max_members": c.policy.max_members,
-                    "scale_high_watermark": c.policy.scale_high_watermark,
-                    "scale_low_watermark": c.policy.scale_low_watermark,
-                },
-                "element_allocation": c.element_allocation.as_dict(),
-                "initial_placement": (
-                    "auto" if c.initial_placement == "auto" else list(c.initial_placement)
-                ),
-            }
-            for c in s.cloudlets
-        ],
-        "workloads": [
-            {
-                "workload_id": w.workload_id,
-                "kind": w.kind,
-                "cloudlet": w.cloudlet,
-                "arrival": dict(w.arrival),
-                "start_ms": w.start_ms,
-                "count": w.count,
-                **(
-                    {"work_units": w.work_units.to_json()}
-                    if w.work_units is not None
-                    else {}
-                ),
-                **(
-                    {
-                        "put_ratio": w.put_ratio,
-                        "key_space": w.key_space,
-                        "value_size": w.value_size.to_json(),
-                    }
-                    if w.kind == "kv_ops"
-                    else {}
-                ),
-                **({"agreement_of": w.agreement_of} if w.agreement_of else {}),
-            }
-            for w in s.workloads
-        ],
+        "run": _write(s, RUN),
+        "defaults": {f.key: f.write(s.defaults[f.key]) for f in DEFAULTS_FIELDS},
+        "fleet": [_write(n, NODE) for n in s.fleet],
+        "cloudlets": [_write(c, CLOUDLET) for c in s.cloudlets],
+        "workloads": [_write(w, WORKLOAD_KINDS[w.kind][0]) for w in s.workloads],
         "reservations": [
-            {
-                "request_id": r.request.request_id,
-                "cloudlet_id": r.request.cloudlet_id,
-                "submit_ms": r.submit_ms,
-                "demand": r.request.demand.as_dict(),
-                "element_count": r.request.element_count,
-                "window": list(r.request.window),
-                "availability_target": r.request.availability_target,
-            }
-            for r in s.reservations
+            {**_write(r.request, REQUEST), "submit_ms": r.submit_ms} for r in s.reservations
         ],
-        "qos": {
-            "mode": s.qos_mode,
-            "trailing_window_ms": s.trailing_window_ms,
-            "exhaustive_threshold": s.exhaustive_threshold,
-        },
-        "adaptation": {
-            "enabled": s.adaptation.enabled,
-            "epoch_ms": s.adaptation.epoch_ms,
-            "max_actions_per_epoch": s.adaptation.max_actions_per_epoch,
-            "epsilon": s.adaptation.epsilon,
-        },
-        "weights": {
-            "w_avail": s.weights.w_avail,
-            "w_perf": s.weights.w_perf,
-            "w_intr": s.weights.w_intr,
-            "w_cost": s.weights.w_cost,
-        },
+        "qos": _write(s, QOS),
+        "adaptation": _write(s.adaptation, ADAPTATION),
+        "weights": _write(s.weights, WEIGHTS),
     }

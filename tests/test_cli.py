@@ -82,6 +82,87 @@ def _reservation_window_one_bound(doc):
     ]
 
 
+def _with_workload(doc):
+    doc["workloads"] = [
+        {"workload_id": "w", "kind": "kv_ops", "cloudlet": "kv",
+         "arrival": {"kind": "poisson", "rate_per_s": 1.0}}
+    ]
+    return doc["workloads"][0]
+
+
+def _trace_point_without_demand(doc):
+    doc["fleet"][0]["user_load"] = {"kind": "trace", "points": [[0]]}
+
+
+def _min_members_not_numeric(doc):
+    doc["cloudlets"][0]["policy"] = {"min_members": "x"}
+
+
+def _policy_not_object(doc):
+    doc["cloudlets"][0]["policy"] = 5
+
+
+def _arrival_not_object(doc):
+    _with_workload(doc)["arrival"] = 5
+
+
+def _count_not_numeric(doc):
+    _with_workload(doc)["count"] = "x"
+
+
+def _deploy_ms_not_numeric(doc):
+    doc["defaults"] = {"deploy_ms": "x"}
+
+
+def _epoch_not_numeric(doc):
+    doc["adaptation"] = {"epoch_ms": "x"}
+
+
+def _placement_overfills_node(doc):
+    # four 1-cpu elements on a 4-cpu node that keeps 10% in reserve
+    doc["cloudlets"][0]["initial_placement"] = ["n1", "n1", "n1", "n1"]
+
+
+def _replication_exceeds_fleet(doc):
+    doc["cloudlets"][0]["policy"] = {"target_replication": 99}
+
+
+def _deploy_ms_negative(doc):
+    doc["defaults"] = {"deploy_ms": -1}
+
+
+def _shutdown_ms_negative(doc):
+    doc["defaults"] = {"shutdown_ms": -1}
+
+
+def _copy_cost_negative(doc):
+    doc["defaults"] = {"copy_ms_per_mb": -1.0}
+
+
+def _op_timeout_zero(doc):
+    doc["defaults"] = {"op_timeout_ms": 0}
+
+
+def _sample_interval_zero(doc):
+    doc["defaults"] = {"sample_interval_ms": 0}
+
+
+def _enabled_not_boolean(doc):
+    doc["adaptation"] = {"enabled": "no"}
+
+
+def _node_id_not_string(doc):
+    doc["fleet"][0]["node_id"] = [1]
+
+
+def _weight_not_finite(doc):
+    doc["weights"] = {"w_avail": float("nan")}
+
+
+def _unknown_node_key(doc):
+    doc["fleet"][0]["colour"] = "red"
+
+
 @pytest.mark.parametrize(
     "mutate, diagnostic",
     [
@@ -101,6 +182,27 @@ def _reservation_window_one_bound(doc):
         (_transitions_not_list, "invalid: fleet[0].churn.transitions: must be a list"),
         (_reservation_window_one_bound,
          "invalid: reservations[0].window: must be a [start_ms, end_ms] pair"),
+        (_trace_point_without_demand,
+         "invalid: fleet[0].user_load.points[0]: must be a [time_ms, demand] pair"),
+        (_min_members_not_numeric, "invalid: cloudlets[0].policy.min_members: must be an integer"),
+        (_policy_not_object, "invalid: cloudlets[0].policy: must be an object"),
+        (_arrival_not_object, "invalid: workloads[0].arrival: must be an object"),
+        (_count_not_numeric, "invalid: workloads[0].count: must be an integer"),
+        (_deploy_ms_not_numeric, "invalid: defaults.deploy_ms: must be an integer"),
+        (_epoch_not_numeric, "invalid: adaptation.epoch_ms: must be an integer"),
+        (_placement_overfills_node,
+         "invalid: cloudlets[0].initial_placement: an element of"),
+        (_replication_exceeds_fleet,
+         "invalid: cloudlets[0].policy.target_replication: 99 exceeds the fleet of 1 nodes"),
+        (_deploy_ms_negative, "invalid: defaults.deploy_ms: must be >= 0"),
+        (_shutdown_ms_negative, "invalid: defaults.shutdown_ms: must be >= 0"),
+        (_copy_cost_negative, "invalid: defaults.copy_ms_per_mb: must be >= 0"),
+        (_op_timeout_zero, "invalid: defaults.op_timeout_ms: must be > 0"),
+        (_sample_interval_zero, "invalid: defaults.sample_interval_ms: must be > 0"),
+        (_enabled_not_boolean, "invalid: adaptation.enabled: must be true or false"),
+        (_node_id_not_string, "invalid: fleet[0].node_id: must be a non-empty string"),
+        (_weight_not_finite, "invalid: weights.w_avail: must be a finite number"),
+        (_unknown_node_key, "invalid: fleet[0]: unknown keys ['colour']"),
     ],
 )
 def test_malformed_scenario_exits_1_with_diagnostic(mutate, diagnostic, tmp_path, capsys):
@@ -109,11 +211,14 @@ def test_malformed_scenario_exits_1_with_diagnostic(mutate, diagnostic, tmp_path
     path = tmp_path / "scenario.json"
     # an overflowing literal, as a hand-written document would carry it
     path.write_text(json.dumps(doc).replace("Infinity", "1e309"))
-    code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_INVALID
-    assert diagnostic in err
-    assert "Traceback" not in err
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        try:
+            code = cli.main(command + ["--scenario", str(path)])
+        except Exception as exc:  # a traceback, which the contract forbids
+            pytest.fail(f"{command[0]} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert diagnostic in err
 
 
 def test_valid_scenario_runs(tmp_path, capsys):

@@ -1,0 +1,109 @@
+"""Scenario schema: malformed documents are rejected with diagnostics only,
+valid ones survive a serialise-and-parse round trip, the summary echo is
+pinned, and the defaults table is the single source of every default."""
+
+import copy
+import hashlib
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adhoc_sim.adaptation import AdaptationPolicy, UtilityWeights
+from adhoc_sim.defaults import DEFAULTS
+from adhoc_sim.errors import ScenarioValidationError
+from adhoc_sim.infrastructure import IntrusivenessPolicy
+from adhoc_sim.membership import CloudletPolicy
+from adhoc_sim.runner import build_simulation
+from adhoc_sim.scenario import DEFAULTS_FIELDS, parse_scenario, scenario_to_json
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+# sha256 of json.dumps(scenario_to_json(s), sort_keys=True), the `scenario`
+# block of summary.json, recorded before the schema became a field table
+ECHO_DIGESTS = {
+    "kv_churn_crash": "4eff17bbc8bf37575e1c898587f136105c513c0b794241944bc0c994873ba60e",
+    "mixed": "61dec9df0e67de6faf29cdb0eda35e9eb5ae3f7916a2607839e0ab3991dc92f2",
+    "mixed_window": "f3d33fa073c01025d371fb9d774ae800ca73fb908d0133e17797d60f665399cf",
+}
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _paths(node, prefix=()):
+    """The path of every value in a document, containers included."""
+    if prefix:
+        yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+MIXED = _golden("mixed")
+MIXED_PATHS = list(_paths(MIXED))
+
+wrong_values = st.one_of(
+    st.text(max_size=5),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.none(),
+    st.just(float("nan")),
+    st.just(float("inf")),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MIXED_PATHS), wrong_values)
+def test_wrong_typed_value_is_rejected_or_builds(path, value):
+    doc = copy.deepcopy(MIXED)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        scenario = parse_scenario(doc)
+    except ScenarioValidationError as exc:
+        assert exc.diagnostics
+        return
+    build_simulation(scenario)
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_DIGESTS))
+def test_round_trip_and_pinned_echo(name):
+    scenario = parse_scenario(_golden(name))
+    echo = scenario_to_json(scenario)
+    assert parse_scenario(echo) == scenario
+    digest = hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
+    assert digest == ECHO_DIGESTS[name]
+
+
+def test_defaults_table_covers_every_default_once():
+    keys = [f.key for f in DEFAULTS_FIELDS]
+    assert sorted(keys) == sorted(DEFAULTS)
+    assert len(set(keys)) == len(keys)
+
+
+def test_constructor_defaults_match_an_empty_document():
+    scenario = parse_scenario({
+        "run": {"until": 1000},
+        "fleet": [
+            {"node_id": "n1",
+             "capacity": {"cpu": 4, "memory": 8192, "storage": 1e5, "network": 100}}
+        ],
+        "cloudlets": [{"cloudlet_id": "c", "engine": "compute"}],
+    })
+    assert scenario.fleet[0].intrusiveness == IntrusivenessPolicy()
+    assert scenario.cloudlets[0].policy == CloudletPolicy()
+    assert scenario.cloudlets[0].element_allocation == DEFAULTS["element_allocation"]
+    assert scenario.adaptation == AdaptationPolicy()
+    assert scenario.weights == UtilityWeights()
+    assert scenario.defaults == dict(DEFAULTS)
