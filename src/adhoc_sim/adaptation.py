@@ -16,7 +16,7 @@ figures; the report is exactly recomputable from the log alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .defaults import DEFAULTS
@@ -371,6 +371,16 @@ def _predicted_availability(plan: Plan, snapshot: CloudStateSnapshot) -> float:
         elif isinstance(a, Rereplicate):
             retargeted[(a.cloudlet_id, a.key)] = a.target_element
 
+    # many keys share a replica node set: rate each distinct set once
+    memo: dict[frozenset, float] = {}
+
+    def at_least_one_up(nodes) -> float:
+        key = frozenset(nodes)
+        p = memo.get(key)
+        if p is None:
+            p = memo[key] = _at_least_one_up(sorted(key), snapshot)
+        return p
+
     terms = []
     for cid in sorted(snapshot.cloudlets):
         cloudlet = snapshot.cloudlets[cid]
@@ -393,11 +403,9 @@ def _predicted_availability(plan: Plan, snapshot: CloudStateSnapshot) -> float:
                 # a freshly added member is the prospective host for the
                 # pending re-replication of deficient keys
                 nodes.add(added_node_by_cloudlet[cid])
-            terms.append(
-                _at_least_one_up(sorted(nodes), snapshot)
-            )
+            terms.append(at_least_one_up(nodes))
     for ag in snapshot.agreements:
-        terms.append(_at_least_one_up(sorted(set(ag.reserved_nodes)), snapshot))
+        terms.append(at_least_one_up(ag.reserved_nodes))
     if not terms:
         return 1.0
     return sum(terms) / len(terms)

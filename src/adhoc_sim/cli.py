@@ -80,6 +80,10 @@ def cmd_validate(args) -> int:
 
 def _run_one(scenario_path, out_dir, seed=None, until=None, fmt="both",
              events=False) -> int:
+    if until is not None and until <= 0:
+        # the bound a document's run.until has
+        print(f"invalid: --until: must be > 0, got {until}", file=sys.stderr)
+        return EXIT_INVALID
     scenario = _load(scenario_path)
     if scenario is None:
         return EXIT_INVALID

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Callable, Optional
 

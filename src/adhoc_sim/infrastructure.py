@@ -10,8 +10,8 @@ straight to eviction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from .defaults import DEFAULTS
 from .errors import InsufficientHeadroom, NodeDown, UnknownElement

@@ -10,13 +10,13 @@ process never perturbs the draws seen by another.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from heapq import heappop as _heappop, heappush as _heappush
+from typing import Any, Callable
 
 
 class SimulationAbort(Exception):
@@ -36,8 +36,16 @@ class SimulationAbort(Exception):
 # Random streams and distribution specs
 
 
+_sha256 = hashlib.sha256
+_from_bytes = int.from_bytes
+# scales a 53-bit draw into [0, 1); a power of two, so the product is exact
+_TWO_POW_MINUS_53 = 2.0**-53
+
+
 class RngStream:
     """Named reproducible stream: draw i is sha256(seed|stream_id|i)."""
+
+    __slots__ = ("seed", "stream_id", "counter", "_prefix")
 
     def __init__(self, seed: int, stream_id: str):
         self.seed = seed
@@ -46,13 +54,13 @@ class RngStream:
         self._prefix = f"{seed}|{stream_id}|".encode()
 
     def next_u64(self) -> int:
-        digest = hashlib.sha256(self._prefix + str(self.counter).encode()).digest()
-        self.counter += 1
-        return int.from_bytes(digest[:8], "big")
+        counter = self.counter
+        self.counter = counter + 1
+        return _from_bytes(_sha256(self._prefix + b"%d" % counter).digest()[:8], "big")
 
     def uniform01(self) -> float:
         # 53-bit mantissa; result in [0, 1)
-        return (self.next_u64() >> 11) / float(1 << 53)
+        return (self.next_u64() >> 11) * _TWO_POW_MINUS_53
 
 
 # the parameters each distribution kind takes
@@ -117,16 +125,17 @@ class Dist:
         return out
 
     def sample(self, stream: RngStream) -> float:
-        if self.kind == "constant":
+        kind = self.kind
+        if kind == "constant":
             return self.value
-        u = stream.uniform01()
-        if self.kind == "exponential":
+        u = (stream.next_u64() >> 11) * _TWO_POW_MINUS_53  # uniform01, inlined
+        if kind == "exponential":
             return -self.mean * math.log(1.0 - u)
-        if self.kind == "uniform":
+        if kind == "uniform":
             return self.a + u * (self.b - self.a)
-        if self.kind == "two_point":
+        if kind == "two_point":
             return self.hi if u < self.p else self.lo
-        raise ValueError(f"unknown distribution kind {self.kind!r}")
+        raise ValueError(f"unknown distribution kind {kind!r}")
 
     def mean_value(self) -> float:
         """Analytic mean, used by capacity forecasting."""
@@ -275,7 +284,7 @@ class StepHistory:
 # Event queue and log
 
 
-@dataclass
+@dataclass(slots=True)
 class EventHandle:
     fire_at: int
     seq: int
@@ -284,20 +293,26 @@ class EventHandle:
     cancelled: bool = False
 
     def cancel(self) -> None:
+        # dropping the payload frees what it holds (a round, its closures)
+        # now, not when the cancelled event reaches the head of the queue
         self.cancelled = True
+        self.payload = None
 
 
-@dataclass
+# sorted keys, no spaces: the one encoder every log line goes through
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@dataclass(slots=True)
 class LogEntry:
     t: int
     component: str
     record: dict
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {"t": self.t, "component": self.component, "record": self.record},
-            sort_keys=True,
-            separators=(",", ":"),
+        # the object {"t", "component", "record"} with its keys in sorted order
+        return '{"component":%s,"record":%s,"t":%d}' % (
+            _encode(self.component), _encode(self.record), self.t
         )
 
 
@@ -365,9 +380,11 @@ class Simulator:
     def schedule(self, payload: Any, target: str, delay: int) -> EventHandle:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        handle = EventHandle(self.now + int(delay), self._seq, target, payload)
-        heapq.heappush(self._heap, (handle.fire_at, handle.seq, handle))
-        self._seq += 1
+        fire_at = self.now + int(delay)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(fire_at, seq, target, payload)
+        _heappush(self._heap, (fire_at, seq, handle))
         return handle
 
     def cancel(self, handle: EventHandle) -> None:
@@ -381,8 +398,9 @@ class Simulator:
     def run_until(self, t_end: int) -> EventLog:
         if t_end < self.now:
             raise ValueError(f"t_end={t_end} is before now={self.now}")
-        while self._heap and self._heap[0][0] <= t_end:
-            fire_at, seq, handle = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= t_end:
+            fire_at, seq, handle = _heappop(heap)
             if handle.cancelled:
                 continue
             self.now = fire_at

@@ -8,7 +8,7 @@ use: capacity minus user demand minus a reserve margin, clamped at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .defaults import DEFAULTS

@@ -13,12 +13,12 @@ greedy (availability desc, headroom desc, node id asc) beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
 from .defaults import DEFAULTS
-from .errors import NoLiveElement, UnknownAgreement
+from .errors import UnknownAgreement
 from .kernel import Simulator
 from .membership import CloudletRuntime
 from .nodes import ChurnModel, MarkovLoad, Node, TraceLoad

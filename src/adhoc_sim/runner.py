@@ -18,6 +18,7 @@ from .engines import (
     KvService,
     Task,
 )
+from .errors import AdhocSimError, NoLiveElement
 from .infrastructure import (
     DEAD,
     EVICTING,
@@ -28,7 +29,7 @@ from .infrastructure import (
     IntrusivenessPolicy,
     NodeInfrastructure,
 )
-from .kernel import Dist, Simulator
+from .kernel import Dist, Simulator, draw_ms
 from .membership import CloudletPolicy, CloudletRuntime
 from .network import Network
 from .nodes import Node
@@ -220,12 +221,11 @@ class Simulation:
 # -- scenario execution -----------------------------------------------------------
 
 
-def _interarrival_ms(arrival: dict, stream) -> int:
-    from .kernel import draw_ms
-
+def _interarrival(arrival: dict) -> Dist:
+    """The gap between two arrivals; a fixed interval draws nothing."""
     if arrival["kind"] == "poisson":
-        return draw_ms(stream, Dist.exponential(1000.0 / arrival["rate_per_s"]))
-    return arrival["interval_ms"]
+        return Dist.exponential(1000.0 / arrival["rate_per_s"])
+    return Dist.constant(arrival["interval_ms"])
 
 
 class TaskWorkload:
@@ -238,14 +238,13 @@ class TaskWorkload:
         self.issued = 0
         self.skipped = 0
         self._stream = simulation.sim.stream(f"arrivals/{spec.workload_id}")
+        self._gap = _interarrival(spec.arrival)
         self._work_stream = simulation.sim.stream(f"work/{spec.workload_id}")
         simulation.sim.schedule(
             self._fire, f"workload:{spec.workload_id}", spec.start_ms
         )
 
     def _fire(self):
-        from .errors import NoLiveElement
-
         s, spec = self.s, self.spec
         if spec.count is not None and self.issued >= spec.count:
             return
@@ -274,7 +273,7 @@ class TaskWorkload:
                 f"workload:{spec.workload_id}",
                 {"event": "task_skipped", "task": task.task_id},
             )
-        delay = _interarrival_ms(spec.arrival, self._stream)
+        delay = draw_ms(self._stream, self._gap)
         if now + delay <= self.horizon:
             s.sim.schedule(self._fire, f"workload:{spec.workload_id}", delay)
 
@@ -291,14 +290,13 @@ class KvWorkload:
         self.seq = 0
         self.bindings = {}
         self._stream = simulation.sim.stream(f"arrivals/{spec.workload_id}")
+        self._gap = _interarrival(spec.arrival)
         self._ops = simulation.sim.stream(f"ops/{spec.workload_id}")
         simulation.sim.schedule(
             self._fire, f"workload:{spec.workload_id}", spec.start_ms
         )
 
     def _fire(self):
-        from .errors import AdhocSimError
-
         s, spec = self.s, self.spec
         if spec.count is not None and self.issued >= spec.count:
             return
@@ -327,7 +325,7 @@ class KvWorkload:
                     self.bindings[key] = runtime.bind(spec.workload_id, key)
                 except AdhocSimError:
                     self.bindings.pop(key, None)
-        delay = _interarrival_ms(spec.arrival, self._stream)
+        delay = draw_ms(self._stream, self._gap)
         if now + delay <= self.horizon:
             s.sim.schedule(self._fire, f"workload:{spec.workload_id}", delay)
 

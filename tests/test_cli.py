@@ -227,3 +227,17 @@ def test_valid_scenario_runs(tmp_path, capsys):
     code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("until", ["-5", "0"])
+def test_until_not_positive_exits_1_with_diagnostic(until, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_doc()))
+    out = tmp_path / "out"
+    try:
+        code = cli.main(["run", "--scenario", str(path), "--out", str(out), "--until", until])
+    except Exception as exc:  # a traceback, which the contract forbids
+        pytest.fail(f"run raised {exc!r}")
+    assert code == cli.EXIT_INVALID
+    assert f"invalid: --until: must be > 0, got {until}" in capsys.readouterr().err
+    assert not out.exists()

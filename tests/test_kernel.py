@@ -1,6 +1,10 @@
-import pytest
+import json
 
-from adhoc_sim.kernel import Dist, RngStream, SimulationAbort, Simulator, draw, draw_ms
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adhoc_sim.kernel import Dist, LogEntry, RngStream, SimulationAbort, Simulator, draw, draw_ms
 
 
 def make_sim(seed=1):
@@ -56,6 +60,7 @@ class TestScheduling:
         sim.register("A", rec)
         h = sim.schedule("x", "A", 10)
         sim.cancel(h)
+        assert h.payload is None  # what the event held is released at once
         log = sim.run_until(100)
         assert rec.seen == []
         assert len(log) == 0
@@ -142,6 +147,81 @@ class TestLog:
             return sim.run_until(10_000).to_ndjson()
 
         assert run() == run()
+
+
+# JSON values a log record may hold, with floats whose shortest repr is long
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.1 + 0.2, 1e-7, 1e22, -0.0, 5e-324])
+    | st.text()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestLogLine:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.integers(min_value=0, max_value=2**62),
+        component=st.text(),
+        record=st.dictionaries(st.text(max_size=12), _json_values, max_size=6),
+    )
+    def test_line_is_sorted_compact_json(self, t, component, record):
+        expected = json.dumps(
+            {"t": t, "component": component, "record": record},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert LogEntry(t, component, record).to_json_line() == expected
+
+    def test_ndjson_is_one_line_per_entry(self):
+        sim = make_sim()
+        sim.record("kv:c1", {"event": "get_ok", "key": "k\u00e9", "version": 2})
+        sim.record("runner", {"x": [1.5, None, True]})
+        assert sim.log.to_ndjson() == (
+            '{"component":"kv:c1","record":{"event":"get_ok","key":"k\\u00e9","version":2},"t":0}\n'
+            '{"component":"runner","record":{"x":[1.5,null,true]},"t":0}\n'
+        )
+
+
+class TestPinnedDraws:
+    """Draw values recorded before the draw path was rewritten: a change to
+    the hash input, the bit selection or the scaling moves them."""
+
+    def test_next_u64(self):
+        s = RngStream(7, "net")
+        draws = [s.next_u64() for _ in range(1001)]
+        assert draws[:3] == [2183517074776288701, 8096669387352946426, 7529825434352729667]
+        assert draws[11] == 17917885822457176807
+        assert draws[1000] == 5332160370269262886
+        assert RngStream(0, "arrivals/w").next_u64() == 17538539077252439886
+
+    def test_uniform01(self):
+        s = RngStream(7, "net")
+        assert [s.uniform01() for _ in range(6)] == [
+            0.11836869780658221, 0.43892132698324704, 0.40819265471809174,
+            0.10312120548572068, 0.24167075949385486, 0.838856190147159,
+        ]
+
+    @pytest.mark.parametrize(
+        "dist, expected, draws_used",
+        [
+            (Dist.exponential(100.0), [13, 58, 52, 11, 28, 183], 6),
+            (Dist.uniform(10.0, 50.0), [15, 28, 26, 14, 20, 44], 6),
+            (Dist.constant(42.4), [42, 42, 42, 42, 42, 42], 0),
+            (Dist.two_point(0.3, 3.0, 900.0), [900, 3, 3, 900, 900, 3], 6),
+        ],
+    )
+    def test_draw_ms_per_kind(self, dist, expected, draws_used):
+        s = RngStream(7, "net")
+        assert [draw_ms(s, dist) for _ in range(6)] == expected
+        assert s.counter == draws_used
 
 
 class TestStreams:
