@@ -38,8 +38,6 @@ class SimulationAbort(Exception):
 
 _sha256 = hashlib.sha256
 _from_bytes = int.from_bytes
-# scales a 53-bit draw into [0, 1); a power of two, so the product is exact
-_TWO_POW_MINUS_53 = 2.0**-53
 
 
 class RngStream:
@@ -59,8 +57,8 @@ class RngStream:
         return _from_bytes(_sha256(self._prefix + b"%d" % counter).digest()[:8], "big")
 
     def uniform01(self) -> float:
-        # 53-bit mantissa; result in [0, 1)
-        return (self.next_u64() >> 11) * _TWO_POW_MINUS_53
+        # 53-bit mantissa; result in [0, 1); 2**-53 is exact, so is the product
+        return (self.next_u64() >> 11) * 2.0**-53
 
 
 # the parameters each distribution kind takes
@@ -128,7 +126,7 @@ class Dist:
         kind = self.kind
         if kind == "constant":
             return self.value
-        u = (stream.next_u64() >> 11) * _TWO_POW_MINUS_53  # uniform01, inlined
+        u = stream.uniform01()
         if kind == "exponential":
             return -self.mean * math.log(1.0 - u)
         if kind == "uniform":

@@ -142,7 +142,7 @@ class CloudletRuntime:
             self._schedule_beat(el)
 
         self._hb_handles[el.element_id] = self.sim.schedule(
-            beat, self.net.addresses(el.element_id)[0], self.policy.heartbeat_interval_ms
+            beat, f"element:{el.element_id}", self.policy.heartbeat_interval_ms
         )
 
     def _stop_heartbeats(self, eid: str) -> None:

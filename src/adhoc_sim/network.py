@@ -11,7 +11,7 @@ from typing import Any, Callable, Optional
 
 from .defaults import DEFAULTS
 from .infrastructure import CloudElement
-from .kernel import Dist, Simulator
+from .kernel import Dist, Simulator, draw_ms
 
 
 class Network:
@@ -19,21 +19,9 @@ class Network:
         self.sim = sim
         self.latency = latency
         self._stream = sim.stream("net")
-        self._addresses: dict[str, tuple[str, str]] = {}
 
     def delay(self) -> int:
-        # a whole non-negative number of milliseconds, as kernel.draw_ms
-        return max(0, round(self.latency.sample(self._stream)))
-
-    def addresses(self, element_id: str) -> tuple[str, str]:
-        """Event targets of messages to an element and of its round replies,
-        built once per element."""
-        names = self._addresses.get(element_id)
-        if names is None:
-            names = self._addresses[element_id] = (
-                f"element:{element_id}", f"round:reply:{element_id}"
-            )
-        return names
+        return draw_ms(self._stream, self.latency)
 
     def max_latency_ms(self) -> float:
         return self.latency.max_value()
@@ -58,7 +46,7 @@ class Network:
                 on_drop()
 
         self.sim.schedule(
-            deliver, self.addresses(element.element_id)[0], self.delay() + extra_delay
+            deliver, f"element:{element.element_id}", self.delay() + extra_delay
         )
 
 
@@ -102,15 +90,11 @@ class Round:
         self._check()  # quorum of zero completes immediately
 
     def _request(self, el: CloudElement) -> None:
-        eid = el.element_id
-        net = self.net
-        reply_target = net.addresses(eid)[1]
-
         def deliver():
             result = self.on_element(el)
-            net.send(reply_target, lambda: self._collect(eid, result))
+            self.net.send(f"round:reply:{el.element_id}", lambda: self._collect(el.element_id, result))
 
-        net.send_to_element(el, deliver)
+        self.net.send_to_element(el, deliver)
 
     def _collect(self, eid: str, result: Any) -> None:
         if self.done:
@@ -123,7 +107,7 @@ class Round:
     def _check(self) -> None:
         if not self.done and len(self.replies) >= self.quorum:
             self.done = True
-            self._timeout_handle.cancel()
+            self.net.sim.cancel(self._timeout_handle)
             self._timeout_handle = None
             self.on_success(dict(self.replies))
 
