@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .defaults import DEFAULTS
 from .errors import IncompleteLog, InconsistentPlan
@@ -112,8 +112,7 @@ class AdaptationPolicy:
 # -- snapshot (pure data, constructed by the controller or by tests) -----------
 
 
-@dataclass(frozen=True)
-class NodeSnapshot:
+class NodeSnapshot(NamedTuple):
     node_id: str
     up: bool
     availability: float  # forecast p
@@ -122,16 +121,14 @@ class NodeSnapshot:
     allocated_cpu: float  # committed element allocations
 
 
-@dataclass(frozen=True)
-class KeySnapshot:
+class KeySnapshot(NamedTuple):
     key: str
     live_replica_elements: tuple
     live_replica_nodes: tuple
     size: int
 
 
-@dataclass(frozen=True)
-class MemberSnapshot:
+class MemberSnapshot(NamedTuple):
     element_id: str
     node_id: str
     effective_cpu: float
@@ -501,6 +498,8 @@ def select_plan(
     noop_utility = evaluate_plan(NOOP_PLAN, snapshot, weights)
     best, best_u = NOOP_PLAN, noop_utility
     for plan in candidates:
+        if plan is NOOP_PLAN:  # generate_plans lists it first; scored above
+            continue
         u = evaluate_plan(plan, snapshot, weights)
         if u > best_u or (u == best_u and len(plan.actions) < len(best.actions)):
             best, best_u = plan, u
@@ -559,14 +558,9 @@ class AdaptationController:
                 p = forecast.per_node[node_id].availability
             else:
                 p = Forecaster._oracle_availability(node)
-            nodes[node_id] = NodeSnapshot(
-                node_id=node_id,
-                up=up,
-                availability=p,
-                headroom=headroom,
-                available_headroom=available,
-                allocated_cpu=allocated,
-            )
+            # records are built positionally: a NamedTuple built by keyword
+            # costs about twice as much, once per node, key and member
+            nodes[node_id] = NodeSnapshot(node_id, up, p, headroom, available, allocated)
         reserved = s.broker.reserved_element_ids() if s.broker else set()
         cloudlets = {}
         for cid in sorted(s.cloudlets):
@@ -606,27 +600,16 @@ class AdaptationController:
                 ]
                 for eid in live:
                     holders.setdefault(eid, []).append(key)
-                keys.append(
-                    KeySnapshot(
-                        key=key,
-                        live_replica_elements=tuple(live),
-                        live_replica_nodes=tuple(
-                            runtime.elements[eid].node_id for eid in live
-                        ),
-                        size=runtime.metadata.key_sizes.get(key, 0),
-                    )
-                )
+                live_nodes = tuple(runtime.elements[eid].node_id for eid in live)
+                keys.append(KeySnapshot(
+                    key, tuple(live), live_nodes, runtime.metadata.key_sizes.get(key, 0)
+                ))
         members = []
         for el in runtime.serving_members():
-            members.append(
-                MemberSnapshot(
-                    element_id=el.element_id,
-                    node_id=el.node_id,
-                    effective_cpu=el.effective_usage().cpu,
-                    allocation_cpu=el.allocation.cpu,
-                    hosts_keys=tuple(holders.get(el.element_id, ())),
-                )
-            )
+            members.append(MemberSnapshot(
+                el.element_id, el.node_id, el.effective_usage().cpu, el.allocation.cpu,
+                tuple(holders.get(el.element_id, ())),
+            ))
         utilization = 0.0
         arrival_rate = 0.0
         mean_work = 1.0

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .defaults import DEFAULTS
 from .errors import (
@@ -191,8 +191,7 @@ class ComputeElementEngine:
 # Cloudlet-level services
 
 
-@dataclass(frozen=True)
-class VersionedValue:
+class VersionedValue(NamedTuple):
     key: str
     value: object
     version: int

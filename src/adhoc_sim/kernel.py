@@ -147,18 +147,6 @@ class Dist:
             return self.p * self.hi + (1.0 - self.p) * self.lo
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
-    def max_value(self) -> float:
-        """Upper bound of the support; infinite for exponential."""
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "exponential":
-            return math.inf
-        if self.kind == "uniform":
-            return self.b
-        if self.kind == "two_point":
-            return max(self.lo, self.hi)
-        raise ValueError(f"unknown distribution kind {self.kind!r}")
-
     def to_json(self) -> dict:
         out = {"kind": self.kind}
         for name in _DIST_PARAMS[self.kind]:
@@ -183,11 +171,6 @@ class Dist:
         if dist.problems():
             raise ValueError("; ".join(dist.problems()))
         return dist
-
-
-def draw(stream: RngStream, dist: Dist) -> float:
-    """Sample dist on the stream, advancing its counter."""
-    return dist.sample(stream)
 
 
 def draw_ms(stream: RngStream, dist: Dist) -> int:
@@ -282,21 +265,6 @@ class StepHistory:
 # Event queue and log
 
 
-@dataclass(slots=True)
-class EventHandle:
-    fire_at: int
-    seq: int
-    target: str
-    payload: Any
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        # dropping the payload frees what it holds (a round, its closures)
-        # now, not when the cancelled event reaches the head of the queue
-        self.cancelled = True
-        self.payload = None
-
-
 # sorted keys, no spaces: the one encoder every log line goes through
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -344,19 +312,19 @@ class EventLog:
 class Simulator:
     """Single-logical-thread event kernel driving all state machines.
 
-    Components register a handler under their component id; an event's payload
-    is delivered to its target's handler. A payload that is itself callable
-    may be scheduled against an unregistered target and is invoked directly
-    (continuation style); the target id still attributes aborts and logs.
+    An event is a callable payload, invoked with no arguments when it fires;
+    its target id attributes aborts to a component. ``schedule`` returns the
+    queue entry ``[fire_at, seq, payload, target]`` itself as the handle:
+    ``cancel`` clears its payload slot, which frees what the payload held at
+    once, and the run loop skips an entry whose payload is ``None``.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0
         self.log = EventLog()
-        self._heap: list[tuple[int, int, EventHandle]] = []
+        self._heap: list[list] = []  # [fire_at, seq, payload, target]
         self._seq = 0
-        self._handlers: dict[str, Callable[[Any], None]] = {}
         self._streams: dict[str, RngStream] = {}
 
     # -- streams
@@ -370,23 +338,18 @@ class Simulator:
 
     # -- scheduling
 
-    def register(self, component_id: str, handler: Callable[[Any], None]) -> None:
-        if component_id in self._handlers:
-            raise ValueError(f"component {component_id!r} already registered")
-        self._handlers[component_id] = handler
-
-    def schedule(self, payload: Any, target: str, delay: int) -> EventHandle:
+    def schedule(self, payload: Callable[[], None], target: str, delay: int) -> list:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        fire_at = self.now + int(delay)
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(fire_at, seq, target, payload)
-        _heappush(self._heap, (fire_at, seq, handle))
-        return handle
+        # seq is unique, so heap order never compares payloads
+        entry = [self.now + int(delay), seq, payload, target]
+        _heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, handle: EventHandle) -> None:
-        handle.cancel()
+    def cancel(self, handle: list) -> None:
+        handle[2] = None
 
     def record(self, component: str, record: dict) -> None:
         self.log.append(self.now, component, record)
@@ -398,26 +361,18 @@ class Simulator:
             raise ValueError(f"t_end={t_end} is before now={self.now}")
         heap = self._heap
         while heap and heap[0][0] <= t_end:
-            fire_at, seq, handle = _heappop(heap)
-            if handle.cancelled:
+            entry = _heappop(heap)
+            if entry[2] is None:
                 continue
-            self.now = fire_at
+            self.now = entry[0]
             try:
-                self._dispatch(handle)
+                self._dispatch(entry)
             except SimulationAbort:
                 raise
             except Exception as exc:
-                raise SimulationAbort(self.now, handle.target, seq, exc) from exc
+                raise SimulationAbort(self.now, entry[3], entry[1], exc) from exc
         self.now = t_end
         return self.log
 
-    def _dispatch(self, handle: EventHandle) -> None:
-        handler = self._handlers.get(handle.target)
-        if handler is not None:
-            handler(handle.payload)
-        elif callable(handle.payload):
-            handle.payload()
-        else:
-            raise ValueError(
-                f"no handler for target {handle.target!r} and payload is not callable"
-            )
+    def _dispatch(self, entry: list) -> None:
+        entry[2]()

@@ -23,9 +23,6 @@ class Network:
     def delay(self) -> int:
         return draw_ms(self._stream, self.latency)
 
-    def max_latency_ms(self) -> float:
-        return self.latency.max_value()
-
     def send(self, target: str, action: Callable[[], None], extra_delay: int = 0) -> None:
         """Deliver to an always-reachable (harness-hosted) component."""
         self.sim.schedule(action, target, self.delay() + extra_delay)

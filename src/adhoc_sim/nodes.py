@@ -180,7 +180,11 @@ class Node:
                         t - self.sim.now,
                     )
         elif isinstance(self.user_load, MarkovLoad):
-            self._install_demand(self.user_load.idle_demand, log=False)
+            load = self.user_load
+            self._user_stream = self.sim.stream(f"user/{self.node_id}")
+            self._idle_sojourn = Dist.exponential(load.mean_idle_ms)
+            self._active_sojourn = Dist.exponential(load.mean_active_ms)
+            self._install_demand(load.idle_demand, log=False)
             self._schedule_markov_flip(active=True)
 
     def _schedule_next_churn(self) -> None:
@@ -193,10 +197,10 @@ class Node:
         )
 
     def _schedule_markov_flip(self, active: bool) -> None:
+        # the node turns active after an idle sojourn, and idle after an active one
         load = self.user_load
-        stream = self.sim.stream(f"user/{self.node_id}")
-        mean = load.mean_idle_ms if active else load.mean_active_ms
-        delay = draw_ms(stream, Dist.exponential(mean))
+        sojourn = self._idle_sojourn if active else self._active_sojourn
+        delay = draw_ms(self._user_stream, sojourn)
         demand = load.active_demand if active else load.idle_demand
 
         def flip():
@@ -254,9 +258,7 @@ class Node:
         if self.liveness != UP:
             raise NodeDown(f"node {self.node_id} is down")
         if self._headroom is None:
-            self._headroom = (
-                self.capacity - self._user_demand - self.reserve_margin
-            ).clamped()
+            self._headroom = self.capacity.headroom(self._user_demand, self.reserve_margin)
         return self._headroom
 
     # -- accounting ---------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .defaults import DEFAULTS
 from .errors import UnknownAgreement
@@ -75,8 +75,7 @@ class Rejection:
     predicted_availability: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class NodeForecast:
+class NodeForecast(NamedTuple):
     node_id: str
     availability: float
     expected_headroom: ResourceVector
@@ -108,17 +107,19 @@ class Forecaster:
 
     def forecast_capacity(self, window: tuple[int, int]) -> CapacityForecast:
         per_node = {}
+        oracle = self.mode == ORACLE
+        if not oracle:
+            now = self.now_fn()
+            start = max(0, now - self.trailing_window_ms)
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            if self.mode == ORACLE:
+            if oracle:
                 availability = self._oracle_availability(node)
                 mean_demand = self._model_mean_demand(node, window)
             else:
-                now = self.now_fn()
-                start = max(0, now - self.trailing_window_ms)
                 availability = node.uptime_fraction(start, now) if now > start else 1.0
                 mean_demand = node.mean_demand(start, now)
-            headroom = (node.capacity - mean_demand - node.reserve_margin).clamped()
+            headroom = node.capacity.headroom(mean_demand, node.reserve_margin)
             per_node[node_id] = NodeForecast(node_id, availability, headroom)
         return CapacityForecast(window=window, per_node=per_node)
 

@@ -13,9 +13,12 @@ re-records the digests and says so in CHANGES.md.
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
+import adhoc_sim
 from adhoc_sim import cli
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -39,3 +42,26 @@ def test_event_log_digest(name, tmp_path):
     assert code == cli.EXIT_OK
     with open(tmp_path / "events.ndjson", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == DIGESTS[name]
+
+
+def test_event_log_independent_of_hash_seed(tmp_path):
+    """String hashes are salted per process: two processes with different
+    PYTHONHASHSEED values write the same log only if no event order or
+    record depends on the order in which a set iterates."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adhoc_sim.__file__)))
+    digests = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "adhoc_sim.cli", "run",
+                "--scenario", os.path.join(GOLDEN_DIR, "mixed.json"),
+                "--out", str(out), "--format", "json", "--events",
+            ],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        with open(out / "events.ndjson", "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    assert digests == [DIGESTS["mixed"]] * 2

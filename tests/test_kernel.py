@@ -1,10 +1,11 @@
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhoc_sim.kernel import Dist, LogEntry, RngStream, SimulationAbort, Simulator, draw, draw_ms
+from adhoc_sim.kernel import Dist, LogEntry, RngStream, SimulationAbort, Simulator, draw_ms
 
 
 def make_sim(seed=1):
@@ -12,33 +13,32 @@ def make_sim(seed=1):
 
 
 class Recorder:
-    """Handler that appends (t, payload) for assertions."""
+    """Collects (t, tag) for assertions; ``event(tag)`` is a payload that
+    records its tag when it fires."""
 
     def __init__(self, sim):
         self.sim = sim
         self.seen = []
 
-    def __call__(self, payload):
-        self.seen.append((self.sim.now, payload))
+    def event(self, tag):
+        return lambda: self.seen.append((self.sim.now, tag))
 
 
 class TestScheduling:
     def test_delay_adds_to_now(self):
         sim = make_sim()
         rec = Recorder(sim)
-        sim.register("A", rec)
-        sim.schedule(lambda: sim.schedule("x", "A", 10), "boot", 5)
+        sim.schedule(lambda: sim.schedule(rec.event("x"), "A", 10), "boot", 5)
         sim.run_until(100)
         assert rec.seen == [(15, "x")]
 
     def test_zero_delay_fires_after_already_queued_same_tick(self):
         sim = make_sim()
         rec = Recorder(sim)
-        sim.register("A", rec)
-        sim.schedule("first", "A", 5)
+        sim.schedule(rec.event("first"), "A", 5)
 
         def at_five():
-            sim.schedule("second", "A", 0)
+            sim.schedule(rec.event("second"), "A", 0)
 
         # boot event also lands at t=5, after "first" is queued
         sim.schedule(at_five, "boot", 5)
@@ -48,27 +48,40 @@ class TestScheduling:
     def test_equal_time_fires_in_seq_order(self):
         sim = make_sim()
         rec = Recorder(sim)
-        sim.register("A", rec)
-        sim.schedule("seq0", "A", 7)
-        sim.schedule("seq1", "A", 7)
+        sim.schedule(rec.event("seq0"), "A", 7)
+        sim.schedule(rec.event("seq1"), "A", 7)
         sim.run_until(7)
         assert [p for _, p in rec.seen] == ["seq0", "seq1"]
 
     def test_cancelled_event_never_fires_and_leaves_no_log(self):
         sim = make_sim()
         rec = Recorder(sim)
-        sim.register("A", rec)
-        h = sim.schedule("x", "A", 10)
+        h = sim.schedule(rec.event("x"), "A", 10)
         sim.cancel(h)
-        assert h.payload is None  # what the event held is released at once
         log = sim.run_until(100)
         assert rec.seen == []
         assert len(log) == 0
 
+    def test_cancel_releases_the_payload_at_once(self):
+        sim = make_sim()
+
+        class Payload:
+            def __call__(self):
+                raise AssertionError("a cancelled event fired")
+
+        payload = Payload()
+        alive = weakref.ref(payload)
+        h = sim.schedule(payload, "A", 10)
+        del payload
+        assert alive() is not None  # the queue holds it until cancelled
+        sim.cancel(h)
+        assert alive() is None  # freed before the entry reaches the queue head
+        sim.run_until(100)
+
     def test_negative_delay_rejected(self):
         sim = make_sim()
         with pytest.raises(ValueError):
-            sim.schedule("x", "A", -1)
+            sim.schedule(lambda: None, "A", -1)
 
     def test_empty_queue_advances_clock(self):
         sim = make_sim()
@@ -79,9 +92,8 @@ class TestScheduling:
     def test_run_until_is_inclusive_of_t_end(self):
         sim = make_sim()
         rec = Recorder(sim)
-        sim.register("A", rec)
-        sim.schedule("at_end", "A", 50)
-        sim.schedule("beyond", "A", 51)
+        sim.schedule(rec.event("at_end"), "A", 50)
+        sim.schedule(rec.event("beyond"), "A", 51)
         sim.run_until(50)
         assert [p for _, p in rec.seen] == ["at_end"]
         sim.run_until(51)
@@ -98,34 +110,47 @@ class TestProcessingOrder:
     def test_total_order_strictly_increasing(self):
         sim = make_sim()
         order = []
-        sim.register("A", lambda p: order.append(p))
         # interleaved times, insertion order deliberately scrambled
         for delay, tag in [(9, 0), (3, 1), (9, 2), (3, 3), (1, 4)]:
-            sim.schedule((delay, tag), "A", delay)
+            sim.schedule(lambda key=(delay, tag): order.append(key), "A", delay)
         sim.run_until(20)
-        keys = [(d, t) for d, t in order]
-        assert keys == sorted(keys)
+        assert order == sorted(order)
 
     def test_handler_exception_aborts_with_event_identified(self):
         sim = make_sim()
 
-        def boom(payload):
+        def boom():
             raise RuntimeError("invariant breached")
 
-        sim.register("broken", boom)
-        sim.schedule("x", "broken", 42)
+        sim.schedule(lambda: None, "quiet", 1)
+        sim.schedule(boom, "broken", 42)
         with pytest.raises(SimulationAbort) as ei:
             sim.run_until(100)
         assert ei.value.at == 42
         assert ei.value.target == "broken"
+        assert ei.value.seq == 1
+        assert isinstance(ei.value.cause, RuntimeError)
+
+    def test_non_callable_payload_aborts_with_target_and_seq(self):
+        sim = make_sim()
+        sim.schedule(lambda: None, "quiet", 1)
+        sim.schedule("not a callable", "A", 3)
+        with pytest.raises(SimulationAbort) as ei:
+            sim.run_until(10)
+        assert (ei.value.at, ei.value.target, ei.value.seq) == (3, "A", 1)
+        assert isinstance(ei.value.cause, TypeError)
+        assert "'A'" in str(ei.value) and "seq=1" in str(ei.value)
 
 
 class TestLog:
     def test_log_is_append_only_and_time_ordered(self):
         sim = make_sim()
-        sim.register("A", lambda p: sim.record("A", {"event": "tick", "p": p}))
-        sim.schedule(1, "A", 5)
-        sim.schedule(2, "A", 9)
+
+        def tick(p):
+            return lambda: sim.record("A", {"event": "tick", "p": p})
+
+        sim.schedule(tick(1), "A", 5)
+        sim.schedule(tick(2), "A", 9)
         log = sim.run_until(10)
         times = [e.t for e in log]
         assert times == sorted(times)
@@ -140,10 +165,9 @@ class TestLog:
                 d = draw_ms(st, Dist.exponential(100))
                 sim.record("A", {"event": "tick", "draw": d, "n": p})
                 if p < 20:
-                    sim.schedule(p + 1, "A", d)
+                    sim.schedule(lambda: tick(p + 1), "A", d)
 
-            sim.register("A", tick)
-            sim.schedule(0, "A", 0)
+            sim.schedule(lambda: tick(0), "A", 0)
             return sim.run_until(10_000).to_ndjson()
 
         assert run() == run()
@@ -227,7 +251,9 @@ class TestPinnedDraws:
 class TestStreams:
     def test_constant_is_degenerate(self):
         sim = make_sim()
-        assert draw(sim.stream("s"), Dist.constant(5)) == 5.0
+        st = sim.stream("s")
+        assert Dist.constant(5).sample(st) == 5.0
+        assert st.counter == 0
 
     def test_same_seed_and_id_yield_identical_sequences(self):
         a = RngStream(9, "net")
