@@ -21,9 +21,9 @@ from typing import NamedTuple, Optional, Union
 
 from .defaults import DEFAULTS
 from .errors import IncompleteLog, InconsistentPlan
-from .infrastructure import DEAD, RUNNING
+from .infrastructure import RUNNING
 from .kernel import EventLog
-from .qos import Forecaster
+from .qos import availability_of, oracle_availability
 from .resources import ResourceVector
 
 ADD_COST = 1.0
@@ -38,11 +38,6 @@ class UtilityWeights:
     w_perf: float = DEFAULTS["w_perf"]
     w_intr: float = DEFAULTS["w_intr"]
     w_cost: float = DEFAULTS["w_cost"]
-
-    def scaled(self, c: float) -> "UtilityWeights":
-        return UtilityWeights(
-            self.w_avail * c, self.w_perf * c, self.w_intr * c, self.w_cost * c
-        )
 
 
 # -- plan actions (pure data) -------------------------------------------------
@@ -80,9 +75,6 @@ PlanAction = Union[AddElement, RemoveElement, Rereplicate, NoOp]
 @dataclass(frozen=True)
 class Plan:
     actions: tuple
-
-    def is_noop(self) -> bool:
-        return all(isinstance(a, NoOp) for a in self.actions)
 
     def describe(self) -> list:
         out = []
@@ -154,18 +146,10 @@ class CloudletSnapshot:
 
 
 @dataclass(frozen=True)
-class AgreementSnapshot:
-    agreement_id: str
-    reserved_nodes: tuple
-    reserved_elements: tuple
-
-
-@dataclass(frozen=True)
 class CloudStateSnapshot:
-    at: int
     nodes: dict
     cloudlets: dict
-    agreements: tuple = ()
+    agreements: tuple = ()  # reserved node ids of each active agreement
     reserved_elements: frozenset = frozenset()
 
 
@@ -376,7 +360,9 @@ def _predicted_availability(plan: Plan, snapshot: CloudStateSnapshot) -> float:
         key = frozenset(nodes)
         p = memo.get(key)
         if p is None:
-            p = memo[key] = _at_least_one_up(sorted(key), snapshot)
+            p = memo[key] = availability_of(
+                [_node_availability(snapshot, node_id) for node_id in sorted(key)]
+            )
         return p
 
     terms = []
@@ -402,18 +388,11 @@ def _predicted_availability(plan: Plan, snapshot: CloudStateSnapshot) -> float:
                 # pending re-replication of deficient keys
                 nodes.add(added_node_by_cloudlet[cid])
             terms.append(at_least_one_up(nodes))
-    for ag in snapshot.agreements:
-        terms.append(at_least_one_up(ag.reserved_nodes))
+    for reserved_nodes in snapshot.agreements:
+        terms.append(at_least_one_up(reserved_nodes))
     if not terms:
         return 1.0
     return sum(terms) / len(terms)
-
-
-def _at_least_one_up(node_ids, snapshot) -> float:
-    q = 1.0
-    for node_id in node_ids:
-        q *= 1.0 - _node_availability(snapshot, node_id)
-    return 1.0 - q
 
 
 def _predicted_performance(plan: Plan, snapshot: CloudStateSnapshot) -> float:
@@ -549,18 +528,15 @@ class AdaptationController:
             up = node.is_up()
             headroom = node.headroom() if up else ResourceVector.zero()
             available = infra.available_headroom() if up else ResourceVector.zero()
-            allocated = sum(
-                el.allocation.cpu
-                for el in infra.elements.values()
-                if el.state != DEAD
-            )
             if forecaster is not None:
-                p = forecast.per_node[node_id].availability
+                p = forecast[node_id].availability
             else:
-                p = Forecaster._oracle_availability(node)
+                p = oracle_availability(node)
             # records are built positionally: a NamedTuple built by keyword
             # costs about twice as much, once per node, key and member
-            nodes[node_id] = NodeSnapshot(node_id, up, p, headroom, available, allocated)
+            nodes[node_id] = NodeSnapshot(
+                node_id, up, p, headroom, available, infra.committed().cpu
+            )
         reserved = s.broker.reserved_element_ids() if s.broker else set()
         cloudlets = {}
         for cid in sorted(s.cloudlets):
@@ -570,15 +546,8 @@ class AdaptationController:
             for aid in sorted(s.broker.agreements):
                 ag = s.broker.agreements[aid]
                 if ag.state == "active":
-                    agreements.append(
-                        AgreementSnapshot(
-                            agreement_id=aid,
-                            reserved_nodes=tuple(ag.reserved_nodes()),
-                            reserved_elements=tuple(ag.reserved_elements()),
-                        )
-                    )
+                    agreements.append(tuple(ag.reserved_nodes()))
         return CloudStateSnapshot(
-            at=now,
             nodes=nodes,
             cloudlets=cloudlets,
             agreements=tuple(agreements),

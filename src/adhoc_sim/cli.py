@@ -110,23 +110,36 @@ def cmd_run(args) -> int:
 
 
 def _parse_seed_range(text):
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return range(int(a), int(b) + 1)
-    return [int(text)]
+    """The seeds of "A..B" (inclusive) or of a single seed; ValueError when
+    the text is neither or the range is empty."""
+    first, dots, last = text.partition("..")
+    try:
+        seeds = range(int(first), int(last if dots else first) + 1)
+    except ValueError:
+        raise ValueError(f"must be A..B or a single integer seed, got {text!r}") from None
+    if not seeds:
+        raise ValueError(f"range {text!r} is empty")
+    return seeds
 
 
 def cmd_batch(args) -> int:
-    names = sorted(
-        f for f in os.listdir(args.scenarios) if f.endswith(".json")
-    )
+    try:
+        seeds = _parse_seed_range(args.seeds)
+    except ValueError as exc:
+        print(f"invalid: --seeds: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        names = sorted(f for f in os.listdir(args.scenarios) if f.endswith(".json"))
+    except OSError as exc:
+        print(f"error: cannot read {args.scenarios}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if not names:
         print(f"error: no scenario files in {args.scenarios}", file=sys.stderr)
         return EXIT_INVALID
     worst = EXIT_OK
     for name in names:
         stem = name[: -len(".json")]
-        for seed in _parse_seed_range(args.seeds):
+        for seed in seeds:
             out_dir = os.path.join(args.out, f"{stem}-seed{seed}")
             code = _run_one(
                 os.path.join(args.scenarios, name), out_dir, seed=seed,
@@ -136,8 +149,18 @@ def cmd_batch(args) -> int:
     return worst
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which is the runtime-breach code here
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adhoc-sim",
         description="Deterministic simulator for ad hoc clouds on harvested machines",
     )
@@ -169,7 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     return args.func(args)
 
 

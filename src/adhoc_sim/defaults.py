@@ -38,7 +38,6 @@ DEFAULTS = MappingProxyType({
     # QoS broker
     "qos_mode": "oracle",
     "trailing_window_ms": 500_000_000,
-    "exhaustive_threshold": 10,
     # adaptation loop and its utility weights
     "adaptation_enabled": True,
     "epoch_ms": 30_000,

@@ -99,8 +99,6 @@ class Task:
     task_id: str
     work_units: float  # cpu-seconds at one core
     arrival: int
-    deadline: Optional[int] = None
-    agreement_id: Optional[str] = None
     retried: bool = False
 
 
@@ -236,7 +234,7 @@ class KvService:
     def put(self, key: str, value: object, size: int = 0) -> OpHandle:
         """Write value; acknowledged once a majority of the key's replica set
         holds it. The first put creates the key through the metadata order."""
-        handle = OpHandle("put")
+        handle = OpHandle()
         meta = self.runtime.metadata_quorum_update(("ensure_key", key, size))
 
         def after_meta(meta_handle: OpHandle):
@@ -281,7 +279,7 @@ class KvService:
     def get(self, key: str, binding: Optional[Binding] = None) -> OpHandle:
         """Read from a majority of the key's replica set; returns the highest
         version among responses and pushes it to stale responders."""
-        handle = OpHandle("get")
+        handle = OpHandle()
         if key not in self.runtime.metadata.replica_map:
             handle._finish(self.sim.now, error=UnknownKey(f"key {key!r} unknown"))
             return handle
@@ -352,7 +350,7 @@ class KvService:
     def repair_replicas(self, key: str, target_eid: str) -> OpHandle:
         """Copy the highest live version of key onto target and swap it into
         the replica set in place of the dead members."""
-        handle = OpHandle("repair")
+        handle = OpHandle()
         if key not in self.runtime.metadata.replica_map:
             handle._finish(self.sim.now, error=UnknownKey(f"key {key!r} unknown"))
             return handle
@@ -443,7 +441,7 @@ class ComputeService:
         self.sim.record(f"compute:{self.runtime.cloudlet_id}", record)
 
     def submit_task(self, task: Task, element_id: Optional[str] = None) -> OpHandle:
-        handle = OpHandle("task")
+        handle = OpHandle()
         self._handles[task.task_id] = handle
         self.submitted += 1
         self.total_work += task.work_units
@@ -505,16 +503,11 @@ class ComputeService:
             self._lose(task, "already retried once")
             return
         task.retried = True
-        candidates = [
-            el for el in self.runtime.serving_members() if el.element_id != exclude
-        ]
-        if not candidates:
+        try:
+            element = self.runtime.best_effort_pick(exclude=exclude)
+        except NoLiveElement:
             self._lose(task, "no live element for retry")
             return
-        element = min(
-            candidates,
-            key=lambda el: (-self.runtime.node_cpu_headroom(el.node_id), el.element_id),
-        )
         self._log(
             {"event": "task_retry", "task": task.task_id, "element": element.element_id}
         )

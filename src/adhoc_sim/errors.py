@@ -49,10 +49,6 @@ class TaskLost(AdhocSimError):
     """Task crashed and no live element remained for its single retry."""
 
 
-class UnknownAgreement(AdhocSimError):
-    """No active agreement with that id."""
-
-
 class InconsistentPlan(AdhocSimError):
     """Plan actions contradict each other or the snapshot."""
 

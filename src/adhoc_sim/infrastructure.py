@@ -15,7 +15,7 @@ from typing import Callable
 
 from .defaults import DEFAULTS
 from .errors import InsufficientHeadroom, NodeDown, UnknownElement
-from .kernel import Simulator, StepHistory, flag_area
+from .kernel import Simulator
 from .nodes import Node
 from .resources import ResourceVector
 
@@ -78,17 +78,6 @@ class IntrusivenessPolicy:
     enforce: bool = DEFAULTS["enforce"]
 
 
-@dataclass(frozen=True)
-class NodeReport:
-    node_id: str
-    at: int
-    headroom: ResourceVector
-    user_demand: ResourceVector
-    per_element_usage: dict
-    per_element_allocation: dict
-    violation_flag: bool
-
-
 class NodeInfrastructure:
     """Element manager plus node modeller/manager for one node."""
 
@@ -111,7 +100,6 @@ class NodeInfrastructure:
         # listeners receive (element, old_state, new_state, reason)
         self.on_element_transition: list[Callable] = []
         self.violating = False
-        self.violation_history = StepHistory(sim.now, False, flag_area)
         self._grace_handle = None
         self._pending: dict[str, object] = {}  # element_id -> scheduled transition handle
         self._component = f"infra:{node.node_id}"
@@ -120,14 +108,18 @@ class NodeInfrastructure:
 
     # -- element manager ----------------------------------------------------
 
-    def available_headroom(self) -> ResourceVector:
-        """Headroom not yet committed to elements (evicting ones still hold
-        their allocation until dead)."""
-        committed = ResourceVector.zero()
+    def committed(self) -> ResourceVector:
+        """Sum of the allocations of elements not yet dead (evicting ones
+        still hold theirs)."""
+        total = ResourceVector.zero()
         for el in self.elements.values():
             if el.state != DEAD:
-                committed = committed + el.allocation
-        return (self.node.headroom() - committed).clamped()
+                total = total + el.allocation
+        return total
+
+    def available_headroom(self) -> ResourceVector:
+        """Headroom not yet committed to elements."""
+        return (self.node.headroom() - self.committed()).clamped()
 
     def create_element(
         self, cloudlet_id: str, engine_kind: str, allocation: ResourceVector
@@ -262,7 +254,6 @@ class NodeInfrastructure:
 
     def _set_violating(self, value: bool) -> None:
         self.violating = value
-        self.violation_history.append(self.sim.now, value)
         self.sim.record(
             self._component,
             {
@@ -385,32 +376,6 @@ class NodeInfrastructure:
                 else:
                     el.throttle_factor = new_factor
                     self._transition(el, THROTTLED, "unthrottle")
-
-    # -- reporting ----------------------------------------------------------
-
-    def publish_node_report(self, t: int) -> NodeReport:
-        if not self.node.is_up():
-            raise NodeDown(f"node {self.node.node_id} is down")
-        usage = {}
-        alloc = {}
-        for eid in sorted(self.elements):
-            el = self.elements[eid]
-            if el.state in ACTIVE_STATES:
-                usage[eid] = el.effective_usage().as_dict()
-                alloc[eid] = el.allocation.as_dict()
-        return NodeReport(
-            node_id=self.node.node_id,
-            at=t,
-            headroom=self.node.headroom(),
-            user_demand=self.node.user_demand,
-            per_element_usage=usage,
-            per_element_allocation=alloc,
-            violation_flag=self.violating,
-        )
-
-    def violation_ms(self, start: int, end: int) -> int:
-        """Milliseconds in violation within [start, end)."""
-        return self.violation_history.integral(start, end)
 
     # -- internals ----------------------------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .defaults import DEFAULTS
 from .errors import EngineMismatch, MetadataQuorumUnavailable, NoLiveElement, UnknownKey
-from .infrastructure import DEAD, DEPLOYING, EVICTING, RUNNING, THROTTLED, CloudElement
+from .infrastructure import DEAD, DEPLOYING, EVICTING, RUNNING, CloudElement
 from .kernel import Simulator
 from .network import Network, OpHandle, Round
 from .nodes import Node
@@ -42,7 +42,7 @@ class CloudletPolicy:
 class MembershipView:
     def __init__(self):
         self.version = 0
-        self.members: dict[str, tuple[str, str]] = {}  # eid -> (node_id, state)
+        self.members: set[str] = set()
         self.last_heartbeat: dict[str, int] = {}  # eid -> send time
 
     def member_ids(self) -> list[str]:
@@ -72,8 +72,7 @@ class CloudletRuntime:
     """Coordinator for one cloudlet, harness-hosted.
 
     Composition knowledge arrives through simulated messages (joins, leaves,
-    heartbeats); the cosmetic member state field tracks element transitions
-    directly without a version bump.
+    heartbeats).
     """
 
     def __init__(
@@ -117,10 +116,6 @@ class CloudletRuntime:
             self._start_heartbeats(el)
             sent_at = self.sim.now
             self.net.send(self._component, lambda: self.join(el, sent_at=sent_at))
-        elif new == THROTTLED or (new == RUNNING and old == THROTTLED):
-            if eid in self.view.members:
-                node_id, _ = self.view.members[eid]
-                self.view.members[eid] = (node_id, new)
         elif new == EVICTING:
             self._stop_heartbeats(eid)
             self.net.send(self._component, lambda: self.leave(eid))
@@ -176,7 +171,7 @@ class CloudletRuntime:
             self.view.last_heartbeat[eid] = max(self.view.last_heartbeat.get(eid, 0), sent_at)
             return self.view  # idempotent re-join, version unchanged
         self.elements.setdefault(eid, element)
-        self.view.members[eid] = (element.node_id, element.state)
+        self.view.members.add(eid)
         self.view.last_heartbeat[eid] = sent_at
         self.view.version += 1
         self._arm_expiry(eid, sent_at)
@@ -186,7 +181,7 @@ class CloudletRuntime:
     def leave(self, eid: str) -> None:
         if eid not in self.view.members:
             return
-        del self.view.members[eid]
+        self.view.members.remove(eid)
         self.view.last_heartbeat.pop(eid, None)
         handle = self._expiry_handles.pop(eid, None)
         if handle is not None:
@@ -213,7 +208,7 @@ class CloudletRuntime:
             if t - sent > timeout
         }
         for eid in sorted(suspected):
-            del self.view.members[eid]
+            self.view.members.remove(eid)
             del self.view.last_heartbeat[eid]
             handle = self._expiry_handles.pop(eid, None)
             if handle is not None:
@@ -253,14 +248,17 @@ class CloudletRuntime:
             return 0.0
         return node.headroom().cpu
 
-    def best_effort_pick(self) -> CloudElement:
-        """Serving element whose node has the most cpu headroom, id ascending ties."""
-        candidates = self.serving_members()
-        if not candidates:
-            raise NoLiveElement(f"cloudlet {self.cloudlet_id} has no live element")
-        return min(
-            candidates, key=lambda el: (-self.node_cpu_headroom(el.node_id), el.element_id)
+    def best_effort_pick(self, exclude: Optional[str] = None) -> CloudElement:
+        """Serving element, other than `exclude`, whose node has the most cpu
+        headroom, id ascending ties."""
+        pick = min(
+            (el for el in self.serving_members() if el.element_id != exclude),
+            key=lambda el: (-self.node_cpu_headroom(el.node_id), el.element_id),
+            default=None,
         )
+        if pick is None:
+            raise NoLiveElement(f"cloudlet {self.cloudlet_id} has no live element")
+        return pick
 
     def bind(self, client_id: str, key: Optional[str] = None) -> Binding:
         if key is not None:
@@ -290,7 +288,7 @@ class CloudletRuntime:
         committed version (watermark) to the metadata replicas; the
         coordinator's map is the only copy. Commits once a majority of
         metadata replicas ack."""
-        handle = OpHandle("metadata_update")
+        handle = OpHandle()
         meta_set = self.metadata_replica_set()
         live = [
             eid
@@ -390,14 +388,3 @@ class CloudletRuntime:
                 if el.element_id not in chosen:
                     chosen.append(el.element_id)
         return chosen
-
-    def under_replicated_keys(self) -> dict[str, int]:
-        """key -> live replica count for keys below target replication."""
-        out = {}
-        for key in sorted(self.metadata.replica_map):
-            live = sum(
-                1 for eid in self.metadata.replica_map[key] if eid in self.view.members
-            )
-            if live < self.policy.target_replication:
-                out[key] = live
-        return out

@@ -118,8 +118,7 @@ class Round:
 class OpHandle:
     """Async operation outcome: result or error, filled at completion time."""
 
-    def __init__(self, kind: str):
-        self.kind = kind
+    def __init__(self):
         self.done = False
         self.result: Any = None
         self.error: Optional[Exception] = None

@@ -241,18 +241,6 @@ class Node:
     def is_up(self) -> bool:
         return self.liveness == UP
 
-    def advance_user_load(self, t: int) -> ResourceVector:
-        """Demand in force at t. For traces this is the step-function value
-        (installed as current); Markov demand is whatever the scheduled
-        transitions have installed."""
-        if t < self.sim.now:
-            raise ValueError(f"t={t} is in the past (now={self.sim.now})")
-        if isinstance(self.user_load, TraceLoad):
-            demand = self.user_load.demand_at(t)
-            self._install_demand(demand, log=False)
-            return demand
-        return self.user_demand
-
     def headroom(self) -> ResourceVector:
         """capacity - user_demand - reserve_margin, clamped at zero."""
         if self.liveness != UP:

@@ -7,18 +7,18 @@ before their window opens. The dispatcher routes reserved traffic to its
 agreement's elements first and falls back to best effort (most cpu headroom,
 element id ascending) otherwise.
 
-Search is exhaustive over node subsets up to a fleet-size threshold and
-greedy (availability desc, headroom desc, node id asc) beyond it.
+Placement is greedy: the k most available calendar-feasible nodes
+(availability desc, headroom desc, node id asc). Each node's feasibility is
+decided on its own and every factor 1 - p_i is at most the one it displaces,
+so no other k-subset has a smaller product: greedy top-k is optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
 from .defaults import DEFAULTS
-from .errors import UnknownAgreement
 from .kernel import Simulator
 from .membership import CloudletRuntime
 from .nodes import ChurnModel, MarkovLoad, Node, TraceLoad
@@ -32,7 +32,6 @@ REJECT_CAPACITY = "capacity_exhausted"
 
 ACTIVE = "active"
 EXPIRED = "expired"
-RELEASED = "released"
 
 
 def availability_of(node_availabilities) -> float:
@@ -81,10 +80,13 @@ class NodeForecast(NamedTuple):
     expected_headroom: ResourceVector
 
 
-@dataclass(frozen=True)
-class CapacityForecast:
-    window: tuple[int, int]
-    per_node: dict  # node_id -> NodeForecast
+def oracle_availability(node: Node) -> float:
+    """The node's long-run availability from its true churn parameters."""
+    if node.forecast_availability is not None:
+        return node.forecast_availability
+    if isinstance(node.churn, ChurnModel):
+        return node.churn.stationary_availability()
+    return 1.0  # no stochastic churn model: assumed always on
 
 
 class Forecaster:
@@ -105,7 +107,8 @@ class Forecaster:
         self.trailing_window_ms = trailing_window_ms
         self.now_fn = now_fn
 
-    def forecast_capacity(self, window: tuple[int, int]) -> CapacityForecast:
+    def forecast_capacity(self, window: tuple[int, int]) -> dict[str, NodeForecast]:
+        """node_id -> NodeForecast over the window, node id ascending."""
         per_node = {}
         oracle = self.mode == ORACLE
         if not oracle:
@@ -114,22 +117,14 @@ class Forecaster:
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             if oracle:
-                availability = self._oracle_availability(node)
+                availability = oracle_availability(node)
                 mean_demand = self._model_mean_demand(node, window)
             else:
                 availability = node.uptime_fraction(start, now) if now > start else 1.0
                 mean_demand = node.mean_demand(start, now)
             headroom = node.capacity.headroom(mean_demand, node.reserve_margin)
             per_node[node_id] = NodeForecast(node_id, availability, headroom)
-        return CapacityForecast(window=window, per_node=per_node)
-
-    @staticmethod
-    def _oracle_availability(node: Node) -> float:
-        if node.forecast_availability is not None:
-            return node.forecast_availability
-        if isinstance(node.churn, ChurnModel):
-            return node.churn.stationary_availability()
-        return 1.0  # no stochastic churn model: assumed always on
+        return per_node
 
     @staticmethod
     def _model_mean_demand(node: Node, window: tuple[int, int]) -> ResourceVector:
@@ -194,7 +189,6 @@ class Broker:
         ids,
         deploy_fn: Callable[[str, str, ResourceVector], str],
         deploy_ms: int = DEFAULTS["deploy_ms"],
-        exhaustive_threshold: int = DEFAULTS["exhaustive_threshold"],
     ):
         self.sim = sim
         self.nodes = nodes
@@ -202,7 +196,6 @@ class Broker:
         self.ids = ids
         self.deploy_fn = deploy_fn
         self.deploy_ms = deploy_ms
-        self.exhaustive_threshold = exhaustive_threshold
         self.calendar = ReservationCalendar()
         self.agreements: dict[str, Agreement] = {}
 
@@ -214,7 +207,7 @@ class Broker:
         pre-deploys on admission."""
         forecast = self.forecaster.forecast_capacity(request.window)
         ordered = sorted(
-            forecast.per_node.values(),
+            forecast.values(),
             key=lambda f: (-f.availability, -f.expected_headroom.cpu, f.node_id),
         )
         feasible = [
@@ -226,16 +219,8 @@ class Broker:
         ]
         if len(feasible) < request.element_count:
             return self._reject(request, REJECT_CAPACITY, None)
-        if len(self.nodes) <= self.exhaustive_threshold:
-            best, best_avail = None, -1.0
-            for subset in combinations(feasible, request.element_count):
-                avail = availability_of([f.availability for f in subset])
-                if avail > best_avail + 1e-12:
-                    best, best_avail = subset, avail
-            chosen, predicted = list(best), best_avail
-        else:
-            chosen = feasible[: request.element_count]
-            predicted = availability_of([f.availability for f in chosen])
+        chosen = feasible[: request.element_count]
+        predicted = availability_of([f.availability for f in chosen])
         if predicted < request.availability_target:
             return self._reject(request, REJECT_AVAILABILITY, predicted)
         agreement = Agreement(
@@ -320,28 +305,19 @@ class Broker:
 
     # -- lifecycle end ----------------------------------------------------------
 
-    def release(self, agreement_id: str) -> None:
-        agreement = self.agreements.get(agreement_id)
-        if agreement is None or agreement.state != ACTIVE:
-            raise UnknownAgreement(f"no active agreement {agreement_id}")
-        self._close(agreement, RELEASED)
-
     def _expire(self, agreement_id: str) -> None:
         agreement = self.agreements.get(agreement_id)
         if agreement is None or agreement.state != ACTIVE:
             return
-        self._close(agreement, EXPIRED)
-
-    def _close(self, agreement: Agreement, state: str) -> None:
-        agreement.state = state
-        self.calendar.remove_agreement(agreement.agreement_id)
+        agreement.state = EXPIRED
+        self.calendar.remove_agreement(agreement_id)
         # pre-deployed elements are handed over: they stay cloudlet members
         # and the adaptation loop decides whether to retain or remove them
         self.sim.record(
             "broker",
             {
-                "event": "agreement_released" if state == RELEASED else "agreement_expired",
-                "agreement": agreement.agreement_id,
+                "event": "agreement_expired",
+                "agreement": agreement_id,
                 "elements": agreement.reserved_elements(),
             },
         )

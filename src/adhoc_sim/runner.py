@@ -152,7 +152,6 @@ class Simulation:
         self,
         mode: str = DEFAULTS["qos_mode"],
         trailing_window_ms: int = DEFAULTS["trailing_window_ms"],
-        exhaustive_threshold: int = DEFAULTS["exhaustive_threshold"],
     ):
         """Create the broker and dispatcher for this instance."""
         from .qos import Broker, Dispatcher, Forecaster
@@ -170,7 +169,6 @@ class Simulation:
             self.ids,
             deploy_fn=self.deploy_element,
             deploy_ms=self.deploy_ms,
-            exhaustive_threshold=exhaustive_threshold,
         )
         self.dispatcher = Dispatcher(self.sim, self.cloudlets, self.broker)
         return self.broker
@@ -258,7 +256,6 @@ class TaskWorkload:
             task_id=s.ids.next("t"),
             work_units=max(1e-6, spec.work_units.sample(self._work_stream)),
             arrival=now,
-            agreement_id=agreement_id,
         )
         self.issued += 1
         service = s.compute_services[spec.cloudlet]
@@ -353,11 +350,7 @@ def build_simulation(scenario, seed: Optional[int] = None) -> Simulation:
             policy=spec.intrusiveness,
             forecast_availability=spec.forecast_availability,
         )
-    s.attach_qos(
-        mode=scenario.qos_mode,
-        trailing_window_ms=scenario.trailing_window_ms,
-        exhaustive_threshold=scenario.exhaustive_threshold,
-    )
+    s.attach_qos(mode=scenario.qos_mode, trailing_window_ms=scenario.trailing_window_ms)
     s.attach_adaptation(scenario.adaptation, scenario.weights)
     for spec in scenario.cloudlets:
         s.add_cloudlet(

@@ -82,7 +82,6 @@ class Scenario:
     reservations: tuple
     qos_mode: str
     trailing_window_ms: int
-    exhaustive_threshold: int
     adaptation: AdaptationPolicy
     weights: UtilityWeights
 
@@ -450,7 +449,6 @@ WORKLOAD_KINDS = {  # kind -> (its fields, the cloudlet engine it needs)
 QOS = (
     field("mode", ID, Fallback("qos_mode"), _one_of(ORACLE, ESTIMATOR), "qos_mode"),
     _d("trailing_window_ms", INT, POSITIVE),
-    _d("exhaustive_threshold", INT, NON_NEGATIVE),
 )
 
 ADAPTATION = (

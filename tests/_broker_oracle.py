@@ -55,8 +55,3 @@ def best_available_placement(per_node, calendar_snapshot, request):
         if avail > best_avail:
             best_nodes, best_avail = subset, avail
     return best_nodes, best_avail
-
-
-def oracle_admit(per_node, calendar_snapshot, request) -> bool:
-    _nodes, avail = best_available_placement(per_node, calendar_snapshot, request)
-    return avail is not None and avail >= request.availability_target

@@ -163,6 +163,10 @@ def _unknown_node_key(doc):
     doc["fleet"][0]["colour"] = "red"
 
 
+def _exhaustive_threshold_given(doc):
+    doc["qos"] = {"exhaustive_threshold": 10}
+
+
 @pytest.mark.parametrize(
     "mutate, diagnostic",
     [
@@ -203,6 +207,7 @@ def _unknown_node_key(doc):
         (_node_id_not_string, "invalid: fleet[0].node_id: must be a non-empty string"),
         (_weight_not_finite, "invalid: weights.w_avail: must be a finite number"),
         (_unknown_node_key, "invalid: fleet[0]: unknown keys ['colour']"),
+        (_exhaustive_threshold_given, "invalid: qos: unknown keys ['exhaustive_threshold']"),
     ],
 )
 def test_malformed_scenario_exits_1_with_diagnostic(mutate, diagnostic, tmp_path, capsys):
@@ -240,4 +245,40 @@ def test_until_not_positive_exits_1_with_diagnostic(until, tmp_path, capsys):
         pytest.fail(f"run raised {exc!r}")
     assert code == cli.EXIT_INVALID
     assert f"invalid: --until: must be > 0, got {until}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, diagnostic",
+    [
+        ("batch --scenarios {dir} --seeds x --out {out}",
+         "invalid: --seeds: must be A..B or a single integer seed, got 'x'"),
+        ("batch --scenarios {dir} --seeds 5..3 --out {out}",
+         "invalid: --seeds: range '5..3' is empty"),
+        ("batch --scenarios {missing} --seeds 1 --out {out}", "error: cannot read"),
+        ("run --scenario {doc} --seed abc --out {out}",
+         "invalid: adhoc-sim run: argument --seed: invalid int value: 'abc'"),
+        ("run --out {out}",
+         "invalid: adhoc-sim run: the following arguments are required: --scenario"),
+        ("", "invalid: adhoc-sim: the following arguments are required: command"),
+    ],
+)
+def test_bad_command_line_exits_1_with_one_line(args, diagnostic, tmp_path, capsys):
+    """Usage errors and bad batch arguments exit 1, not argparse's 2 (the
+    runtime-breach code), with one diagnostic line and nothing run."""
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    (scenarios / "doc.json").write_text(json.dumps(_doc()))
+    out = tmp_path / "out"
+    argv = args.format(
+        dir=scenarios, doc=scenarios / "doc.json", missing=tmp_path / "missing", out=out
+    ).split()
+    try:
+        code = cli.main(argv)
+    except BaseException as exc:  # a traceback or an argparse exit
+        pytest.fail(f"{argv} raised {exc!r}")
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert diagnostic in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()

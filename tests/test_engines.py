@@ -4,6 +4,7 @@ import pytest
 
 from _harness import check_quorum_safety, execute_schedule
 
+from adhoc_sim.adaptation import AdaptationController, AdaptationPolicy, UtilityWeights
 from adhoc_sim.engines import (
     COMPUTE,
     KV_STORE,
@@ -50,6 +51,12 @@ def kv_fabric(n_nodes=3, k=3, seed=1, latency=Dist.uniform(5, 50), churn=None):
     s.start()
     s.run_until(2100)
     return s, s.kv_services["c1"], eids
+
+
+def live_replica_counts(s, cloudlet_id="c1"):
+    """key -> live replica count, as the adaptation loop's snapshot sees it."""
+    snapshot = AdaptationController(s, AdaptationPolicy(), UtilityWeights()).build_snapshot()
+    return {ks.key: len(ks.live_replica_elements) for ks in snapshot.cloudlets[cloudlet_id].keys}
 
 
 def settle(s, ms=2000):
@@ -276,14 +283,14 @@ class TestRepair:
         s, kv, eids = self.repair_setup()
         s.run_until(70_000)  # n1 crashed and detected
         runtime = s.cloudlets["c1"]
-        assert runtime.under_replicated_keys() == {"x": 2}
+        assert live_replica_counts(s) == {"x": 2}
         fresh = s.deploy_element("n4", "c1", ALLOC)
         s.run_until(75_000)
         h = kv.repair_replicas("x", fresh)
         settle(s, 5000)
         assert h.ok()
         assert h.result == 1  # highest live version copied
-        assert runtime.under_replicated_keys() == {}
+        assert live_replica_counts(s) == {"x": 3}
         assert fresh in runtime.metadata.replica_map["x"]
         assert runtime.elements[fresh].engine.read("x") == (1, "v7")
 

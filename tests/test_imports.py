@@ -1,12 +1,17 @@
 """Every name a module of the package imports is read somewhere in that
-module: an import nothing uses is dead code that still costs a load."""
+module: an import nothing uses is dead code that still costs a load. Every
+function and class the package defines is named somewhere besides its own
+definition, in the package or in the benchmark that drives it."""
 
 import ast
 import os
+import re
+from collections import Counter
 
 import pytest
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "adhoc_sim")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 
 
@@ -59,3 +64,48 @@ def test_reports_an_unused_import():
     )
     read = _read(tree)
     assert [name for name, _ in _imported(tree) if name not in read] == ["Optional"]
+
+
+def _sources(directory):
+    out = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                out.append(fh.read())
+    return out
+
+
+def dead_definitions(package, readers):
+    """Non-dunder functions and classes defined in the `package` sources
+    whose name, as a whole word, occurs in `package` and `readers` only as
+    often as it is defined."""
+    defined = Counter(
+        node.name
+        for text in package
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    words = Counter(re.findall(r"\w+", "\n".join(package + readers)))
+    return sorted(name for name, n in defined.items() if words[name] <= n)
+
+
+def test_no_dead_definitions():
+    dead = dead_definitions(_sources(PACKAGE), _sources(PERFBENCH))
+    assert not dead, f"defined in adhoc_sim but never named elsewhere: {', '.join(dead)}"
+
+
+def test_reports_a_dead_definition():
+    package = [
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.v = helper()\n"
+        "    def unused(self):\n"
+        "        return self.v\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def read_by_benchmark():\n"
+        "    return Box()\n",
+    ]
+    readers = ["from m import read_by_benchmark\n"]
+    assert dead_definitions(package, readers) == ["unused"]

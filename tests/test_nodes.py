@@ -124,12 +124,11 @@ class TestUserLoad:
     def test_trace_value_before_breakpoint(self):
         sim, node = self.trace_node()
         sim.run_until(999)
-        assert node.advance_user_load(999).cpu == 1.5
+        assert node.user_demand.cpu == 1.5
 
     def test_trace_breakpoint_inclusive(self):
         sim, node = self.trace_node()
         sim.run_until(1000)
-        assert node.advance_user_load(1000).cpu == 3.0
         assert node.user_demand.cpu == 3.0
 
     def test_markov_equal_demands_is_constant(self):

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from _broker_oracle import oracle_admit
+from _broker_oracle import best_available_placement
 
 from adhoc_sim.engines import COMPUTE, KV_STORE
-from adhoc_sim.errors import NoLiveElement, UnknownAgreement
+from adhoc_sim.errors import NoLiveElement
 from adhoc_sim.kernel import Dist
 from adhoc_sim.membership import CloudletPolicy
 from adhoc_sim.nodes import DOWN, ChurnModel, MarkovLoad, ScriptedChurn, TraceLoad
@@ -51,17 +51,17 @@ class TestForecast:
     def test_oracle_closed_form(self):
         s = fleet()
         forecast = s.broker.forecaster.forecast_capacity((0, 1000))
-        assert forecast.per_node["n1"].availability == pytest.approx(0.9)
+        assert forecast["n1"].availability == pytest.approx(0.9)
 
     def test_no_down_time_means_full_availability(self):
         s = fleet(churn=ChurnModel(Dist.exponential(3_600_000), Dist.constant(0)))
         forecast = s.broker.forecaster.forecast_capacity((0, 1000))
-        assert forecast.per_node["n1"].availability == 1.0
+        assert forecast["n1"].availability == 1.0
 
     def test_no_churn_model_means_full_availability(self):
         s = fleet(churn=None)
         forecast = s.broker.forecaster.forecast_capacity((0, 1000))
-        assert forecast.per_node["n1"].availability == 1.0
+        assert forecast["n1"].availability == 1.0
 
     def test_estimator_converges_to_stationary(self):
         s = Simulation(seed=9)
@@ -73,7 +73,7 @@ class TestForecast:
         s.start()
         s.run_until(10**9)
         forecast = forecaster.forecast_capacity((s.sim.now, s.sim.now + 1000))
-        assert 0.89 <= forecast.per_node["n1"].availability <= 0.91
+        assert 0.89 <= forecast["n1"].availability <= 0.91
 
     def test_headroom_uses_user_load_means(self):
         s = Simulation(seed=1)
@@ -83,7 +83,7 @@ class TestForecast:
         s.attach_qos()
         forecast = s.broker.forecaster.forecast_capacity((0, 100_000))
         # mean demand over window = 3.0; capacity 8 - 3 - 0.5 margin
-        assert forecast.per_node["n1"].expected_headroom.cpu == pytest.approx(4.5)
+        assert forecast["n1"].expected_headroom.cpu == pytest.approx(4.5)
 
     def test_markov_stationary_mean(self):
         s = Simulation(seed=1)
@@ -92,7 +92,7 @@ class TestForecast:
         s.add_cloudlet("c1", COMPUTE, CloudletPolicy())
         s.attach_qos()
         forecast = s.broker.forecaster.forecast_capacity((0, 100_000))
-        assert forecast.per_node["n1"].expected_headroom.cpu == pytest.approx(6.0)
+        assert forecast["n1"].expected_headroom.cpu == pytest.approx(6.0)
 
 
 class TestNegotiate:
@@ -147,14 +147,16 @@ class TestNegotiate:
                 admitted.append(res)
         forecast = s.broker.forecaster.forecast_capacity((0, 10**6))
         for node_id in s.nodes:
-            limit = forecast.per_node[node_id].expected_headroom
+            limit = forecast[node_id].expected_headroom
             for t in range(0, 700_000, 10_000):
                 assert not s.broker.calendar.reserved_at(node_id, t).exceeds_any(limit)
 
     def test_matches_bruteforce_oracle(self):
+        # fleets on both sides of 10 nodes, where an exhaustive subset search
+        # once took over from the greedy placement
         rng = random.Random(314)
         for instance in range(40):
-            n_nodes = rng.randint(1, 5)
+            n_nodes = rng.randint(1, 5) if instance % 2 else rng.randint(11, 14)
             s = Simulation(seed=instance)
             for i in range(1, n_nodes + 1):
                 up = rng.randrange(600_000, 7_200_000)
@@ -170,7 +172,7 @@ class TestNegotiate:
                 start = rng.randrange(0, 400_000)
                 req = request(
                     rid=f"r{r}",
-                    count=rng.randint(1, max(1, n_nodes)),
+                    count=rng.randint(1, min(4, n_nodes)),
                     target=rng.choice([0.3, 0.8, 0.95, 0.999]),
                     demand=RV(round(rng.uniform(0.5, 6.0), 2), 512, 1024, 5),
                     window=(start, start + rng.randrange(20_000, 300_000)),
@@ -182,11 +184,17 @@ class TestNegotiate:
                 forecast = s.broker.forecaster.forecast_capacity(req.window)
                 per_node = {
                     nid: (f.availability, f.expected_headroom)
-                    for nid, f in forecast.per_node.items()
+                    for nid, f in forecast.items()
                 }
-                expected = oracle_admit(per_node, snapshot, req)
+                _nodes, best = best_available_placement(per_node, snapshot, req)
                 result = s.broker.negotiate(req)
-                assert isinstance(result, Agreement) == expected, (instance, req)
+                if best is None:
+                    assert isinstance(result, Rejection), (instance, req)
+                    assert result.reason == REJECT_CAPACITY
+                    continue
+                assert result.predicted_availability == pytest.approx(best, abs=1e-12)
+                admitted = best >= req.availability_target
+                assert isinstance(result, Agreement) == admitted, (instance, req)
 
 
 class TestDispatch:
@@ -244,24 +252,6 @@ class TestDispatch:
 
 
 class TestRelease:
-    def test_release_frees_calendar(self):
-        s = fleet(n_nodes=3)
-        result = s.broker.negotiate(request(count=3, target=0.5))
-        assert isinstance(result, Agreement)
-        node = result.reserved_nodes()[0]
-        t_mid = 150_000
-        assert s.broker.calendar.reserved_at(node, t_mid).cpu == pytest.approx(1.0)
-        s.broker.release(result.agreement_id)
-        assert s.broker.calendar.reserved_at(node, t_mid) == RV.zero()
-        assert result.state == "released"
-
-    def test_double_release_unknown(self):
-        s = fleet(n_nodes=3)
-        result = s.broker.negotiate(request(count=3, target=0.5))
-        s.broker.release(result.agreement_id)
-        with pytest.raises(UnknownAgreement):
-            s.broker.release(result.agreement_id)
-
     def test_window_end_auto_expires(self):
         s = fleet(n_nodes=3)
         result = s.broker.negotiate(request(count=3, target=0.5, window=(50_000, 90_000)))

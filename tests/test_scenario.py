@@ -22,11 +22,13 @@ from adhoc_sim.scenario import DEFAULTS_FIELDS, parse_scenario, scenario_to_json
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 # sha256 of json.dumps(scenario_to_json(s), sort_keys=True), the `scenario`
-# block of summary.json, recorded before the schema became a field table
+# block of summary.json, recorded before the schema became a field table and
+# re-recorded when `defaults.exhaustive_threshold` and `qos.exhaustive_threshold`
+# left the schema (the earlier echo with those two keys dropped)
 ECHO_DIGESTS = {
-    "kv_churn_crash": "4eff17bbc8bf37575e1c898587f136105c513c0b794241944bc0c994873ba60e",
-    "mixed": "61dec9df0e67de6faf29cdb0eda35e9eb5ae3f7916a2607839e0ab3991dc92f2",
-    "mixed_window": "f3d33fa073c01025d371fb9d774ae800ca73fb908d0133e17797d60f665399cf",
+    "kv_churn_crash": "14c530683f7f94ed26b64a42743cb4b876e244ee6fac3127308f7accdc79e070",
+    "mixed": "6305f39863e38b6fd373e9a9337b6f6a9793263ccfafac1e0a243964b74b835f",
+    "mixed_window": "63e9e14b7317d20f44fd06cbd254c6ecfec6ad823e318c84d0eaf73bbbf3894d",
 }
 
 

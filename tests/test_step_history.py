@@ -1,9 +1,8 @@
 """StepHistory against the interval scans it replaced.
 
 The reference functions below are the loops that ``Node.up_ms``,
-``Node.mean_demand``, ``NodeInfrastructure.violation_ms`` and
-``ComputeElementEngine.busy_ms`` ran over a plain list of ``(t, value)``
-breakpoints. Random histories (with repeated timestamps, so zero-length
+``Node.mean_demand`` and ``ComputeElementEngine.busy_ms`` ran over a plain
+list of ``(t, value)`` breakpoints. Random histories (with repeated timestamps, so zero-length
 segments) are queried on windows before, inside, straddling and after their
 breakpoints; integer results must be equal and mean demand ``==`` the
 reference vector, bit for bit.
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhoc_sim.engines import ComputeElementEngine
-from adhoc_sim.infrastructure import Ids, NodeInfrastructure
 from adhoc_sim.kernel import Simulator
 from adhoc_sim.nodes import DOWN, UP, Node
 from adhoc_sim.resources import ResourceVector as RV
@@ -89,18 +87,6 @@ def test_busy_ms_matches_scan(points, queries):
     # the scan started from an empty history
     for start, end in queries:
         assert engine.busy_ms(start, end) == ref_flag_ms(points, start, end, True)
-
-
-@settings(max_examples=150, deadline=None)
-@given(breakpoints(st.booleans()), windows)
-def test_violation_ms_matches_scan(points, queries):
-    sim = Simulator(seed=1)
-    infra = NodeInfrastructure(sim, Node(sim, "n1", RV(4)), Ids())
-    for t, flag in points:
-        infra.violation_history.append(t, flag)
-    hist = [(0, False)] + points
-    for start, end in queries:
-        assert infra.violation_ms(start, end) == ref_flag_ms(hist, start, end, True)
 
 
 @settings(max_examples=150, deadline=None)
