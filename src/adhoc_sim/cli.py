@@ -42,6 +42,9 @@ def _setup_logging() -> None:
 
 def write_outputs(out_dir, summary, series_rows, series_columns, event_log,
                   fmt="both", events=False) -> None:
+    """Write summary.json and series.csv as fmt selects, and events.ndjson
+    when events is set. Event lines are encoded and written one at a time,
+    so the log is never held as one string."""
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("json", "both"):
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
@@ -56,7 +59,7 @@ def write_outputs(out_dir, summary, series_rows, series_columns, event_log,
             writer.writerows(series_rows)
     if events:
         with open(os.path.join(out_dir, "events.ndjson"), "w", encoding="utf-8") as fh:
-            fh.write(event_log.to_ndjson())
+            fh.writelines(event_log.lines())
 
 
 def _load(path):

@@ -94,7 +94,7 @@ class KvReplicaEngine:
         self.metadata_watermark = max(self.metadata_watermark, version)
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     task_id: str
     work_units: float  # cpu-seconds at one core
@@ -218,6 +218,7 @@ class KvService:
         self.op_timeout_ms = op_timeout_ms
         self.copy_ms_per_mb = copy_ms_per_mb
         self.rebinds = 0
+        self._component = f"kv:{runtime.cloudlet_id}"
 
     def _replica_elements(self, replica_ids: list[str]) -> list[CloudElement]:
         return [
@@ -227,7 +228,7 @@ class KvService:
         ]
 
     def _log_op(self, record: dict) -> None:
-        self.sim.record(f"kv:{self.runtime.cloudlet_id}", record)
+        self.sim.record(self._component, record)
 
     # -- put ------------------------------------------------------------------
 
@@ -436,9 +437,10 @@ class ComputeService:
         self.in_transit = 0
         self._handles: dict[str, OpHandle] = {}
         self._arrival_times: list[int] = []  # sorted: a task arrives when submitted
+        self._component = f"compute:{runtime.cloudlet_id}"
 
     def _log(self, record: dict) -> None:
-        self.sim.record(f"compute:{self.runtime.cloudlet_id}", record)
+        self.sim.record(self._component, record)
 
     def submit_task(self, task: Task, element_id: Optional[str] = None) -> OpHandle:
         handle = OpHandle()

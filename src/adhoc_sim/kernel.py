@@ -96,10 +96,6 @@ class Dist:
     def constant(value: float) -> "Dist":
         return Dist(kind="constant", value=value)
 
-    @staticmethod
-    def two_point(p: float, lo: float, hi: float) -> "Dist":
-        return Dist(kind="two_point", p=p, lo=lo, hi=hi)
-
     def problems(self) -> list[str]:
         """Parameter diagnostics; empty means valid."""
         # a non-finite parameter would draw an infinite duration
@@ -283,7 +279,11 @@ class LogEntry:
 
 
 class EventLog:
-    """Append-only, time-ordered record of what the simulation did."""
+    """Append-only, time-ordered record of what the simulation did.
+
+    The log holds its entries, not their text: ``lines()`` encodes one entry
+    at a time, so writing the log out never holds it as one string.
+    """
 
     def __init__(self):
         self.entries: list[LogEntry] = []
@@ -295,8 +295,10 @@ class EventLog:
             )
         self.entries.append(LogEntry(t, component, record))
 
-    def to_ndjson(self) -> str:
-        return "".join(e.to_json_line() + "\n" for e in self.entries)
+    def lines(self):
+        """Each entry's ndjson line, newline included, encoded as it is read."""
+        for entry in self.entries:
+            yield entry.to_json_line() + "\n"
 
     def __iter__(self):
         return iter(self.entries)

@@ -116,20 +116,26 @@ class Round:
 
 
 class OpHandle:
-    """Async operation outcome: result or error, filled at completion time."""
+    """Async operation outcome: result or error, filled at completion time.
+
+    Clients keep their handles, so a handle has no ``__dict__`` and holds its
+    callbacks only until they have run.
+    """
+
+    __slots__ = ("done", "result", "error", "completed_at", "_callbacks")
 
     def __init__(self):
         self.done = False
         self.result: Any = None
         self.error: Optional[Exception] = None
         self.completed_at: Optional[int] = None
-        self._callbacks: list[Callable[["OpHandle"], None]] = []
+        self._callbacks: tuple[Callable[["OpHandle"], None], ...] = ()
 
     def on_complete(self, cb: Callable[["OpHandle"], None]) -> "OpHandle":
         if self.done:
             cb(self)
         else:
-            self._callbacks.append(cb)
+            self._callbacks += (cb,)
         return self
 
     def _finish(self, at: int, result: Any = None, error: Optional[Exception] = None) -> None:
@@ -139,7 +145,8 @@ class OpHandle:
         self.result = result
         self.error = error
         self.completed_at = at
-        for cb in self._callbacks:
+        callbacks, self._callbacks = self._callbacks, ()
+        for cb in callbacks:
             cb(self)
 
     def ok(self) -> bool:

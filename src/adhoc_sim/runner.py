@@ -286,6 +286,8 @@ class KvWorkload:
         self.issued = 0
         self.seq = 0
         self.bindings = {}
+        # one string per key index, shared by the log, the replica map and the stores
+        self._keys: dict[int, str] = {}
         self._stream = simulation.sim.stream(f"arrivals/{spec.workload_id}")
         self._gap = _interarrival(spec.arrival)
         self._ops = simulation.sim.stream(f"ops/{spec.workload_id}")
@@ -301,7 +303,10 @@ class KvWorkload:
         self.issued += 1
         service = s.kv_services[spec.cloudlet]
         runtime = s.cloudlets[spec.cloudlet]
-        key = f"k{int(self._ops.uniform01() * spec.key_space)}"
+        index = int(self._ops.uniform01() * spec.key_space)
+        key = self._keys.get(index)
+        if key is None:
+            key = self._keys[index] = f"k{index}"
         is_put = self._ops.uniform01() < spec.put_ratio
         if is_put:
             self.seq += 1

@@ -7,7 +7,7 @@ injected at step boundaries, which covers every partial-write and
 partial-read the message-level protocol can produce for a single client.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from adhoc_sim.engines import KvReplicaEngine, majority, merge_read_replies
 

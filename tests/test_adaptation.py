@@ -312,7 +312,7 @@ class TestAdaptStepInSim:
         snapshot = controller.build_snapshot()
         # hand-build a plan situation: force an AddElement on n2, then crash n2
         s.nodes["n2"]._apply_liveness(DOWN)
-        from adhoc_sim.adaptation import AddElement as AE, CloudStateSnapshot as CSS
+        from adhoc_sim.adaptation import AddElement as AE
 
         plan_snapshot = snapshot  # stale: still shows n2 up
         ok, reason = controller._execute_action(AE("c1", "n2", ALLOC))

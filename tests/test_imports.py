@@ -1,18 +1,25 @@
-"""Every name a module of the package imports is read somewhere in that
-module: an import nothing uses is dead code that still costs a load. Every
-function and class the package defines is named somewhere besides its own
-definition, in the package or in the benchmark that drives it."""
+"""Every name a module of the package or of its tests imports is read
+somewhere in that module: an import nothing uses is dead code that still
+costs a load. Every function and class the package defines is named
+somewhere besides its own definition, in the package or in the benchmark
+that drives it."""
 
 import ast
+import io
 import os
-import re
+import tokenize
 from collections import Counter
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "adhoc_sim")
-PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+TESTS = os.path.dirname(__file__)
+PACKAGE = os.path.join(TESTS, os.pardir, "src", "adhoc_sim")
+PERFBENCH = os.path.join(TESTS, os.pardir, "perfbench")
+# test id -> path; the package's modules keep their bare file names as ids
+SOURCES = {f: os.path.join(PACKAGE, f) for f in os.listdir(PACKAGE) if f.endswith(".py")}
+SOURCES.update(
+    (f"tests/{f}", os.path.join(TESTS, f)) for f in os.listdir(TESTS) if f.endswith(".py")
+)
 
 
 def _imported(tree):
@@ -46,9 +53,9 @@ def _read(tree):
     return names
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+    with open(SOURCES[module], encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=module)
     read = _read(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in read]
@@ -75,9 +82,17 @@ def _sources(directory):
     return out
 
 
+def _names(text):
+    """The Python name tokens of a source: words inside strings and comments
+    do not count. Before Python 3.12 an f-string is one string token, so a
+    name used only in its replacement fields does not count either."""
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    return [tok.string for tok in tokens if tok.type == tokenize.NAME]
+
+
 def dead_definitions(package, readers):
     """Non-dunder functions and classes defined in the `package` sources
-    whose name, as a whole word, occurs in `package` and `readers` only as
+    whose name occurs as a name token in `package` and `readers` only as
     often as it is defined."""
     defined = Counter(
         node.name
@@ -86,7 +101,7 @@ def dead_definitions(package, readers):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
     )
-    words = Counter(re.findall(r"\w+", "\n".join(package + readers)))
+    words = Counter(name for text in package + readers for name in _names(text))
     return sorted(name for name, n in defined.items() if words[name] <= n)
 
 
@@ -105,7 +120,10 @@ def test_reports_a_dead_definition():
         "def helper():\n"
         "    return 1\n"
         "def read_by_benchmark():\n"
-        "    return Box()\n",
+        "    return Box()\n"
+        "def tagged():\n"
+        "    return 2\n"
+        "KINDS = ('tagged',)  # tagged is named only in a string and a comment\n",
     ]
     readers = ["from m import read_by_benchmark\n"]
-    assert dead_definitions(package, readers) == ["unused"]
+    assert dead_definitions(package, readers) == ["tagged", "unused"]

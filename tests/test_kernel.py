@@ -168,7 +168,7 @@ class TestLog:
                     sim.schedule(lambda: tick(p + 1), "A", d)
 
             sim.schedule(lambda: tick(0), "A", 0)
-            return sim.run_until(10_000).to_ndjson()
+            return "".join(sim.run_until(10_000).lines())
 
         assert run() == run()
 
@@ -208,7 +208,7 @@ class TestLogLine:
         sim = make_sim()
         sim.record("kv:c1", {"event": "get_ok", "key": "k\u00e9", "version": 2})
         sim.record("runner", {"x": [1.5, None, True]})
-        assert sim.log.to_ndjson() == (
+        assert "".join(sim.log.lines()) == (
             '{"component":"kv:c1","record":{"event":"get_ok","key":"k\\u00e9","version":2},"t":0}\n'
             '{"component":"runner","record":{"x":[1.5,null,true]},"t":0}\n'
         )
@@ -239,7 +239,7 @@ class TestPinnedDraws:
             (Dist.exponential(100.0), [13, 58, 52, 11, 28, 183], 6),
             (Dist.uniform(10.0, 50.0), [15, 28, 26, 14, 20, 44], 6),
             (Dist.constant(42.4), [42, 42, 42, 42, 42, 42], 0),
-            (Dist.two_point(0.3, 3.0, 900.0), [900, 3, 3, 900, 900, 3], 6),
+            (Dist("two_point", p=0.3, lo=3.0, hi=900.0), [900, 3, 3, 900, 900, 3], 6),
         ],
     )
     def test_draw_ms_per_kind(self, dist, expected, draws_used):
@@ -291,7 +291,7 @@ class TestStreams:
 
     def test_two_point_hits_both_values(self):
         st = RngStream(5, "tp")
-        d = Dist.two_point(0.25, 1.0, 9.0)
+        d = Dist("two_point", p=0.25, lo=1.0, hi=9.0)
         xs = [d.sample(st) for _ in range(10_000)]
         frac_hi = sum(1 for x in xs if x == 9.0) / len(xs)
         assert set(xs) == {1.0, 9.0}
@@ -301,7 +301,7 @@ class TestStreams:
         assert Dist.exponential(0).problems()
         assert Dist.exponential(-3).problems()
         assert Dist.uniform(5, 4).problems()
-        assert Dist.two_point(1.5, 0, 1).problems()
+        assert Dist("two_point", p=1.5, lo=0, hi=1).problems()
         assert not Dist.uniform(4, 4).problems()
         assert not Dist.constant(-1).problems()  # durations validated at use sites
 
@@ -310,6 +310,6 @@ class TestStreams:
             Dist.exponential(3.5),
             Dist.uniform(0, 9),
             Dist.constant(2),
-            Dist.two_point(0.3, 1, 2),
+            Dist("two_point", p=0.3, lo=1, hi=2),
         ]:
             assert Dist.from_json(d.to_json()) == d

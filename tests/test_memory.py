@@ -1,0 +1,81 @@
+"""What a run holds in memory: the event log is written out one line at a
+time, an op handle is a slotted record that drops its callbacks once they
+have run, and the kv log records of a run share one component string and
+one string per key."""
+
+import dataclasses
+import os
+import tracemalloc
+
+from adhoc_sim import cli
+from adhoc_sim.kernel import EventLog
+from adhoc_sim.network import OpHandle
+from adhoc_sim.runner import run_scenario
+from adhoc_sim.scenario import load_scenario
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def test_writing_the_event_log_holds_no_copy_of_it(tmp_path):
+    log = EventLog()
+    for i in range(50_000):
+        log.append(i, "kv:c1", {"event": "get_ok", "key": f"k{i % 200}", "version": i})
+    tracemalloc.start()
+    try:
+        cli.write_outputs(tmp_path, {"seed": 1}, [[0, 1]], ["t", "x"], log, events=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole log as text is about 4 MB
+    assert peak < 1_000_000, f"writing the log peaked at {peak} bytes"
+    with open(tmp_path / "events.ndjson", "rb") as fh:
+        assert fh.read() == "".join(log.lines()).encode("utf-8")
+
+
+class TestOpHandle:
+    def test_has_no_instance_dict(self):
+        assert not hasattr(OpHandle(), "__dict__")
+
+    def test_callbacks_run_once_in_registration_order(self):
+        handle = OpHandle()
+        calls = []
+        for tag in ("a", "b", "c"):
+            handle.on_complete(lambda h, tag=tag: calls.append((tag, h.result)))
+        handle._finish(5, result="r")
+        handle._finish(6, result="again")
+        assert calls == [("a", "r"), ("b", "r"), ("c", "r")]
+
+    def test_callback_after_finish_runs_at_once(self):
+        handle = OpHandle()
+        handle._finish(3, error=ValueError("x"))
+        calls = []
+        assert handle.on_complete(calls.append) is handle
+        assert calls == [handle]
+
+    def test_second_finish_keeps_the_first_outcome(self):
+        handle = OpHandle()
+        error = ValueError("first")
+        handle._finish(3, error=error)
+        handle._finish(9, result="late")
+        assert (handle.done, handle.result, handle.error, handle.completed_at) == (
+            True, None, error, 3
+        )
+        assert not handle.ok()
+
+
+def test_kv_records_share_component_and_key_strings():
+    scenario = load_scenario(os.path.join(GOLDEN_DIR, "kv_churn_crash.json"))
+    scenario = dataclasses.replace(scenario, run_until=60_000)
+    _summary, _rows, simulation = run_scenario(scenario)
+    component = None
+    keys = {}
+    records = 0
+    for entry in simulation.sim.log:
+        if not entry.component.startswith("kv:"):
+            continue
+        records += 1
+        component = component or entry.component
+        assert entry.component is component
+        key = entry.record["key"]
+        assert keys.setdefault(key, key) is key, f"key {key!r} held as two strings"
+    assert records > 100 and len(keys) > 50

@@ -4,16 +4,15 @@ import pytest
 
 from _broker_oracle import best_available_placement
 
-from adhoc_sim.engines import COMPUTE, KV_STORE
+from adhoc_sim.engines import COMPUTE
 from adhoc_sim.errors import NoLiveElement
 from adhoc_sim.kernel import Dist
 from adhoc_sim.membership import CloudletPolicy
-from adhoc_sim.nodes import DOWN, ChurnModel, MarkovLoad, ScriptedChurn, TraceLoad
+from adhoc_sim.nodes import DOWN, ChurnModel, MarkovLoad, TraceLoad
 from adhoc_sim.qos import (
     Agreement,
     Forecaster,
     Rejection,
-    ReservationCalendar,
     ReservationRequest,
     REJECT_AVAILABILITY,
     REJECT_CAPACITY,
