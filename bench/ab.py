@@ -1,0 +1,208 @@
+"""A/B comparison of two revisions on one benchmark workload.
+
+    python3 bench/ab.py --base REV --head REV --workload NAME
+                        [--seed N] [--pairs N] [--replications N] [--out PATH]
+
+Checks each revision out into a temporary ``git worktree`` (both are removed
+on exit), generates the workload's documents once with the head's
+``perfbench/generate.py``, and runs each tree's ``perfbench/child.py
+--setups 3 --check`` on every document, one process at a time. A pair is
+one pass over the documents on both trees; the tree that runs first
+alternates from pair to pair. Per pair and tree:
+
+- ``host_s_per_sim_h``: summed wall seconds over summed simulated hours;
+- ``setup_s``: median of the load-and-build set-ups;
+- ``peak_rss_mb``: median of the children's peak RSS.
+
+Writes ``bench/BENCH_<workload>.json``: both revisions with the git tree of
+their ``src/``, the CPU count and the Python version, the sha256 of every
+document, each pair's values, each side's median and quartiles, the pairs
+the head won, and whether ``events.ndjson``, ``summary.json`` and
+``series.csv`` and the simulated outcomes were byte-identical between the
+trees. Run from the repository root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUTPUTS = ("events.ndjson", "summary.json", "series.csv")
+# what perfbench measures of the simulated run: equal on both trees when the
+# change leaves behaviour alone
+OUTCOMES = ("kv", "tasks", "summary_metrics", "counts")
+METRICS = {  # name -> (unit, better)
+    "host_s_per_sim_h": ("s/h", "lower"),
+    "setup_s": ("s", "lower"),
+    "peak_rss_mb": ("MB", "lower"),
+}
+SIDES = ("base", "head")
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs: list, better: str) -> dict:
+    """Each side's median and quartiles over the pairs, and the pairs the
+    head won; a tie counts for neither side."""
+    wins = ties = 0
+    for pair in pairs:
+        base, head = pair["base"], pair["head"]
+        if base == head:
+            ties += 1
+        elif (head < base) == (better == "lower"):
+            wins += 1
+    return {
+        "base": quartiles([p["base"] for p in pairs]),
+        "head": quartiles([p["head"] for p in pairs]),
+        "head_won": wins,
+        "ties": ties,
+        "pairs": len(pairs),
+    }
+
+
+def _pair_values(measures: list) -> dict:
+    """One tree's values over one pass of the documents."""
+    sim_h = sum(m["run_until_ms"] for m in measures) / 3_600_000
+    return {
+        "host_s_per_sim_h": sum(m["host_s"] for m in measures) / sim_h,
+        "setup_s": statistics.median(s for m in measures for s in m["setup_s"]),
+        "peak_rss_mb": statistics.median(m["peak_rss_mb"] for m in measures),
+    }
+
+
+def _run_child(tree: str, doc: str, out: str) -> dict:
+    os.makedirs(out)
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "child.py"),
+           "--doc", doc, "--out", out, "--setups", "3", "--check"]
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    path = os.path.join(out, "measure.json")
+    if proc.returncode != 0 or not os.path.exists(path):
+        raise RuntimeError(f"{cmd} exited {proc.returncode}:\n{proc.stderr}")
+    with open(path, encoding="utf-8") as fh:
+        m = json.load(fh)
+    if m["exit_code"] != 0 or m["problems"]:
+        raise RuntimeError(f"{doc} on {tree}: exit {m['exit_code']}, {m['problems']}")
+    m["outputs"] = {name: _sha256(os.path.join(out, name)) for name in OUTPUTS}
+    return m
+
+
+def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, dict]:
+    """Run the pairs; returns the per-pair values and what matched."""
+    rows = []
+    identical = dict.fromkeys(OUTPUTS + ("simulated_outcomes",), True)
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        measures = {side: [] for side in SIDES}
+        for side in order:
+            for j, doc in enumerate(docs):
+                out = os.path.join(workdir, f"pair{i}-{side}-{j}")
+                measures[side].append(_run_child(trees[side], doc, out))
+        for base, head in zip(measures["base"], measures["head"]):
+            for name in OUTPUTS:
+                identical[name] &= base["outputs"][name] == head["outputs"][name]
+            identical["simulated_outcomes"] &= all(base[k] == head[k] for k in OUTCOMES)
+        values = {side: _pair_values(measures[side]) for side in SIDES}
+        rows.append({"first": order[0], **values})
+        print(f"pair {i + 1}/{pairs} ({order[0]} first): "
+              + ", ".join(f"{name} {values['base'][name]:.4g} -> {values['head'][name]:.4g}"
+                          for name in METRICS), file=sys.stderr)
+    return rows, identical
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision of the parent")
+    parser.add_argument("--head", required=True, help="git revision of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=113)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--replications", type=int, default=5)
+    parser.add_argument("--out", default=None)
+    args = parser.parse_args(argv)
+    if args.pairs < 2 or args.replications < 1:
+        parser.error("quartiles need --pairs >= 2, and a pair at least one replication")
+
+    revs = {side: _git("rev-parse", "--verify", getattr(args, side) + "^{commit}")
+            for side in SIDES}
+    workdir = tempfile.mkdtemp(prefix="adhoc-ab-")
+    trees = {}
+    try:
+        for side in SIDES:
+            trees[side] = os.path.join(workdir, side)
+            _git("worktree", "add", "--detach", trees[side], revs[side])
+        sys.path.insert(0, os.path.join(trees["head"], "perfbench"))
+        import generate
+
+        docs, documents = [], []
+        for r in range(args.replications):
+            doc = generate.generate(args.workload, args.seed, r)
+            path = os.path.join(workdir, f"{args.workload}-{args.seed}-{r}.json")
+            with open(path, "wb") as fh:
+                fh.write(generate.dump(doc))
+            docs.append(path)
+            documents.append({"replication": r, "sha256": generate.digest(doc)})
+        rows, identical = compare(trees, docs, args.pairs, os.path.join(workdir, "runs"))
+    finally:
+        for tree in trees.values():
+            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
+                           capture_output=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(workdir, ignore_errors=True)
+
+    result = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "replications": args.replications,
+        **{side: {"rev": revs[side], "src_tree": _git("rev-parse", f"{revs[side]}:src")}
+           for side in SIDES},
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "documents": documents,
+        "identical": identical,
+        "metrics": {
+            name: {
+                "unit": unit,
+                "better": better,
+                "values": [{"first": row["first"], "base": row["base"][name],
+                            "head": row["head"][name]} for row in rows],
+                **summarize([{side: row[side][name] for side in SIDES} for row in rows],
+                            better),
+            }
+            for name, (unit, better) in METRICS.items()
+        },
+    }
+    out = args.out or os.path.join(ROOT, "bench", f"BENCH_{args.workload}.json")
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,20 +9,19 @@ allocation-to-headroom pressure, and C the summed action costs (deploy 1,
 destroy 0.2, re-replication proportional to bytes). Scaling every weight by
 the same positive factor leaves the selected plan unchanged.
 
-Also hosts the pure log aggregation that turns raw events into goal-level
-figures; the report is exactly recomputable from the log alone.
+``GoalSpec`` and ``aggregate_metrics``, the log aggregation of metrics.py,
+stay importable from here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
+from . import metrics
 from .defaults import DEFAULTS
-from .errors import IncompleteLog, InconsistentPlan
+from .errors import InconsistentPlan
 from .infrastructure import RUNNING
-from .kernel import EventLog
 from .qos import availability_of, oracle_availability
 from .resources import ResourceVector
 
@@ -672,213 +671,7 @@ class AdaptationController:
         return False, "unknown_action"
 
 
-# -- goal-level aggregation from the raw event log ------------------------------------
+# -- perfbench recomputes the summary from a log through these names
 
-
-@dataclass(frozen=True)
-class GoalSpec:
-    window: tuple[int, int]
-
-
-def _fraction(num: int, den: int) -> dict:
-    return {"num": num, "den": den, "value": (num / den) if den else 0.0}
-
-
-def nearest_rank(sorted_values: list, q: float):
-    if not sorted_values:
-        return None
-    idx = max(0, math.ceil(q * len(sorted_values)) - 1)
-    return sorted_values[idx]
-
-
-def aggregate_metrics(log: EventLog, goal: GoalSpec) -> dict:
-    """Recompute goal-level figures purely from the event log.
-
-    Raises IncompleteLog when the queried window extends past the logged run
-    end. All time fractions are exact integer ratios.
-    """
-    start, end = goal.window
-    run_end = None
-    for entry in log:
-        if entry.record.get("event") == "run_end":
-            run_end = entry.t
-    if run_end is None or end > run_end:
-        raise IncompleteLog(
-            f"window [{start},{end}) not covered by the log (run_end={run_end})"
-        )
-
-    window_ms = end - start
-    node_up_since: dict[str, int] = {}
-    node_up_ms: dict[str, int] = {}
-    serving: dict[str, set] = {}  # cloudlet -> serving element ids
-    serving_since: dict[str, int] = {}
-    cloudlet_live_ms: dict[str, int] = {}
-    element_serving: dict[str, bool] = {}
-    element_intervals: dict[str, list] = {}
-    element_open: dict[str, int] = {}
-    violation_since: dict[str, int] = {}
-    violation_ms: dict[str, int] = {}
-    node_ids: set = set()
-    latencies: dict[str, list] = {}
-    tasks: dict[str, dict] = {}
-    agreements: dict[str, dict] = {}
-    action_counts: dict[str, int] = {}
-    downgrades = 0
-
-    def clip(a: int, b: int) -> int:
-        return max(0, min(b, end) - max(a, start))
-
-    for entry in log:
-        rec = entry.record
-        event = rec.get("event")
-        t = entry.t
-        if event == "cloudlet_defined":
-            cloudlet_live_ms.setdefault(rec["cloudlet"], 0)
-        elif event == "element_state":
-            eid = rec["element"]
-            cid = rec["cloudlet"]
-            now_serving = rec["serving"]
-            was_serving = element_serving.get(eid, False)
-            if now_serving and not was_serving:
-                element_open[eid] = t
-                group = serving.setdefault(cid, set())
-                if not group:
-                    serving_since[cid] = t
-                group.add(eid)
-            elif was_serving and not now_serving:
-                element_intervals.setdefault(eid, []).append((element_open.pop(eid), t))
-                group = serving.setdefault(cid, set())
-                group.discard(eid)
-                if not group and cid in serving_since:
-                    cloudlet_live_ms[cid] = cloudlet_live_ms.get(cid, 0) + clip(
-                        serving_since.pop(cid), t
-                    )
-            element_serving[eid] = now_serving
-            cloudlet_live_ms.setdefault(cid, 0)
-        elif event == "violation_start":
-            violation_since[rec["node"]] = t
-            node_ids.add(rec["node"])
-        elif event == "violation_end":
-            node = rec["node"]
-            node_ids.add(node)
-            if node in violation_since:
-                violation_ms[node] = violation_ms.get(node, 0) + clip(
-                    violation_since.pop(node), t
-                )
-        elif event == "node_defined":
-            node_ids.add(rec["node"])
-            node_up_since[rec["node"]] = t  # nodes start up
-            node_up_ms.setdefault(rec["node"], 0)
-        elif event == "node_up":
-            node_ids.add(rec["node"])
-            node_up_since.setdefault(rec["node"], t)
-        elif event == "node_down":
-            node = rec["node"]
-            node_ids.add(node)
-            since = node_up_since.pop(node, None)
-            if since is not None:
-                node_up_ms[node] = node_up_ms.get(node, 0) + clip(since, t)
-        elif event == "task_completed":
-            cid = entry.component.split(":", 1)[1]
-            if start <= t < end:
-                latencies.setdefault(cid, []).append(rec["latency_ms"])
-            tasks.setdefault(cid, {"completed": 0, "lost": 0, "submitted": 0})
-            tasks[cid]["completed"] += 1
-        elif event == "task_lost":
-            cid = entry.component.split(":", 1)[1]
-            tasks.setdefault(cid, {"completed": 0, "lost": 0, "submitted": 0})
-            tasks[cid]["lost"] += 1
-        elif event == "task_submitted":
-            cid = entry.component.split(":", 1)[1]
-            tasks.setdefault(cid, {"completed": 0, "lost": 0, "submitted": 0})
-            tasks[cid]["submitted"] += 1
-        elif event == "agreement_admitted":
-            agreements[rec["agreement"]] = {
-                "window": tuple(rec["window"]),
-                "elements": set(),
-            }
-        elif event == "agreement_element":
-            if rec["agreement"] in agreements:
-                agreements[rec["agreement"]]["elements"].add(rec["element"])
-        elif event == "adapt_step":
-            for desc in rec["executed"]:
-                action_counts[desc[0]] = action_counts.get(desc[0], 0) + 1
-        elif event == "action_downgraded":
-            downgrades += 1
-
-    # close intervals still open at run end
-    for cid, since in serving_since.items():
-        cloudlet_live_ms[cid] = cloudlet_live_ms.get(cid, 0) + clip(since, run_end)
-    for eid, since in element_open.items():
-        element_intervals.setdefault(eid, []).append((since, run_end))
-    for node, since in violation_since.items():
-        violation_ms[node] = violation_ms.get(node, 0) + clip(since, run_end)
-    for node, since in node_up_since.items():
-        node_up_ms[node] = node_up_ms.get(node, 0) + clip(since, run_end)
-
-    availability = {
-        cid: _fraction(live, window_ms)
-        for cid, live in sorted(cloudlet_live_ms.items())
-    }
-    intrusiveness = {
-        node: _fraction(violation_ms.get(node, 0), window_ms)
-        for node in sorted(node_ids)
-    }
-
-    satisfaction = {}
-    for aid in sorted(agreements):
-        info = agreements[aid]
-        a_start, a_end = info["window"]
-        a_start, a_end = max(a_start, start), min(a_end, end)
-        if a_end <= a_start:
-            continue
-        covered = _union_covered(
-            [
-                iv
-                for eid in sorted(info["elements"])
-                for iv in element_intervals.get(eid, [])
-            ],
-            a_start,
-            a_end,
-        )
-        satisfaction[aid] = _fraction(covered, a_end - a_start)
-
-    task_latency = {}
-    for cid in sorted(latencies):
-        values = sorted(latencies[cid])
-        task_latency[cid] = {
-            "count": len(values),
-            "p50": nearest_rank(values, 0.50),
-            "p95": nearest_rank(values, 0.95),
-            "p99": nearest_rank(values, 0.99),
-        }
-
-    return {
-        "window": [start, end],
-        "cloudlet_availability": availability,
-        "agreement_satisfaction": satisfaction,
-        "intrusiveness": intrusiveness,
-        "node_uptime": {
-            node: _fraction(node_up_ms.get(node, 0), window_ms)
-            for node in sorted(node_ids)
-        },
-        "task_latency": task_latency,
-        "task_counts": {cid: dict(v) for cid, v in sorted(tasks.items())},
-        "adaptation_actions": dict(sorted(action_counts.items())),
-        "action_downgrades": downgrades,
-    }
-
-
-def _union_covered(intervals: list, start: int, end: int) -> int:
-    """Total length of [start,end) covered by the union of the intervals."""
-    clipped = sorted(
-        (max(a, start), min(b, end)) for a, b in intervals if b > start and a < end
-    )
-    covered = 0
-    cursor = start
-    for a, b in clipped:
-        if b <= cursor:
-            continue
-        covered += b - max(a, cursor)
-        cursor = max(cursor, b)
-    return covered
+GoalSpec = metrics.GoalSpec
+aggregate_metrics = metrics.aggregate_metrics

@@ -40,11 +40,9 @@ def _setup_logging() -> None:
     )
 
 
-def write_outputs(out_dir, summary, series_rows, series_columns, event_log,
-                  fmt="both", events=False) -> None:
-    """Write summary.json and series.csv as fmt selects, and events.ndjson
-    when events is set. Event lines are encoded and written one at a time,
-    so the log is never held as one string."""
+def write_outputs(out_dir, summary, series_rows, series_columns, fmt="both") -> None:
+    """Write summary.json and series.csv into out_dir as fmt selects.
+    events.ndjson is not written here: a run streams it while it records."""
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("json", "both"):
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
@@ -57,9 +55,6 @@ def write_outputs(out_dir, summary, series_rows, series_columns, event_log,
             writer = csv.writer(fh)
             writer.writerow(series_columns)
             writer.writerows(series_rows)
-    if events:
-        with open(os.path.join(out_dir, "events.ndjson"), "w", encoding="utf-8") as fh:
-            fh.writelines(event_log.lines())
 
 
 def _load(path):
@@ -92,15 +87,22 @@ def _run_one(scenario_path, out_dir, seed=None, until=None, fmt="both",
         return EXIT_INVALID
     if until is not None:
         scenario = dataclasses.replace(scenario, run_until=until)
+    events_path = None
+    made_out_dir = events and not os.path.isdir(out_dir)
+    if events:
+        # the run streams its event log here; a breach deletes the file
+        os.makedirs(out_dir, exist_ok=True)
+        events_path = os.path.join(out_dir, "events.ndjson")
     try:
-        summary, series_rows, sim = run_scenario(scenario, seed_override=seed)
+        summary, series_rows, sim = run_scenario(
+            scenario, seed_override=seed, events_path=events_path
+        )
     except SimulationAbort as exc:
         print(f"runtime invariant breach: {exc}", file=sys.stderr)
+        if made_out_dir:
+            os.rmdir(out_dir)  # a breach writes no output
         return EXIT_RUNTIME
-    write_outputs(
-        out_dir, summary, series_rows, sim.series_columns, sim.sim.log,
-        fmt=fmt, events=events,
-    )
+    write_outputs(out_dir, summary, series_rows, sim.series_columns, fmt=fmt)
     log.info("wrote %s (seed %s)", out_dir, summary["seed"])
     return EXIT_OK
 

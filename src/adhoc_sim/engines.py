@@ -12,7 +12,6 @@ once on another live element.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 import math
@@ -23,7 +22,6 @@ from .errors import (
     NoLiveElement,
     NoSourceReplica,
     QuorumUnavailable,
-    TaskLost,
     UnknownKey,
 )
 from .infrastructure import CloudElement
@@ -435,16 +433,16 @@ class ComputeService:
         self.lost = 0
         self.total_work = 0.0
         self.in_transit = 0
-        self._handles: dict[str, OpHandle] = {}
-        self._arrival_times: list[int] = []  # sorted: a task arrives when submitted
+        # submission times, oldest first, trimmed to the last window asked for
+        self._arrival_times: deque[int] = deque()
         self._component = f"compute:{runtime.cloudlet_id}"
 
     def _log(self, record: dict) -> None:
         self.sim.record(self._component, record)
 
-    def submit_task(self, task: Task, element_id: Optional[str] = None) -> OpHandle:
-        handle = OpHandle()
-        self._handles[task.task_id] = handle
+    def submit_task(self, task: Task, element_id: Optional[str] = None) -> None:
+        """Accept a task and send it to element_id, or to the best-effort
+        pick; its outcome is logged as task_completed or task_lost."""
         self.submitted += 1
         self.total_work += task.work_units
         self._arrival_times.append(task.arrival)
@@ -460,9 +458,8 @@ class ComputeService:
                 element = self.runtime.best_effort_pick()
         except NoLiveElement as exc:
             self._lose(task, str(exc))
-            return handle
+            return
         self._send_to(task, element)
-        return handle
 
     def _send_to(self, task: Task, element: CloudElement) -> None:
         self.in_transit += 1
@@ -488,9 +485,6 @@ class ComputeService:
                 "latency_ms": latency,
             }
         )
-        handle = self._handles.pop(task.task_id, None)
-        if handle is not None:
-            handle._finish(self.sim.now, result=(element.element_id, self.sim.now))
 
     def handle_element_failure(self, element: CloudElement) -> None:
         """Crash or eviction: recover the element's queued and running tasks."""
@@ -518,9 +512,6 @@ class ComputeService:
     def _lose(self, task: Task, reason: str) -> None:
         self.lost += 1
         self._log({"event": "task_lost", "task": task.task_id, "reason": reason})
-        handle = self._handles.pop(task.task_id, None)
-        if handle is not None:
-            handle._finish(self.sim.now, error=TaskLost(reason))
 
     def in_flight(self) -> int:
         """Tasks accepted but neither completed nor lost."""
@@ -531,8 +522,13 @@ class ComputeService:
         return queued + self.in_transit
 
     def arrival_rate_per_ms(self, window_ms: int, now: int) -> float:
+        """Submissions per ms over [now - window_ms, now]. Arrivals before
+        the window are dropped, so a later call may not ask for a longer
+        window."""
         start = max(0, now - window_ms)
+        arrivals = self._arrival_times
+        while arrivals and arrivals[0] < start:
+            arrivals.popleft()
         if now <= start:
             return 0.0
-        recent = len(self._arrival_times) - bisect_left(self._arrival_times, start)
-        return recent / (now - start)
+        return len(arrivals) / (now - start)

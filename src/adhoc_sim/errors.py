@@ -45,10 +45,6 @@ class NoSourceReplica(AdhocSimError):
     """All replicas of a key are lost; data cannot be re-created."""
 
 
-class TaskLost(AdhocSimError):
-    """Task crashed and no live element remained for its single retry."""
-
-
 class InconsistentPlan(AdhocSimError):
     """Plan actions contradict each other or the snapshot."""
 

@@ -11,7 +11,7 @@ straight to eviction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .defaults import DEFAULTS
 from .errors import InsufficientHeadroom, NodeDown, UnknownElement
@@ -103,6 +103,7 @@ class NodeInfrastructure:
         self._grace_handle = None
         self._pending: dict[str, object] = {}  # element_id -> scheduled transition handle
         self._component = f"infra:{node.node_id}"
+        self._committed: Optional[ResourceVector] = None  # cleared on element changes
         node.on_liveness_change.append(self._on_liveness_change)
         node.on_demand_change.append(lambda _n: self.reassess())
 
@@ -110,12 +111,15 @@ class NodeInfrastructure:
 
     def committed(self) -> ResourceVector:
         """Sum of the allocations of elements not yet dead (evicting ones
-        still hold theirs)."""
-        total = ResourceVector.zero()
-        for el in self.elements.values():
-            if el.state != DEAD:
-                total = total + el.allocation
-        return total
+        still hold theirs). Kept until an element is created or changes
+        state."""
+        if self._committed is None:
+            total = ResourceVector.zero()
+            for el in self.elements.values():
+                if el.state != DEAD:
+                    total = total + el.allocation
+            self._committed = total
+        return self._committed
 
     def available_headroom(self) -> ResourceVector:
         """Headroom not yet committed to elements."""
@@ -140,6 +144,7 @@ class NodeInfrastructure:
             allocation=allocation,
         )
         self.elements[element_id] = el
+        self._committed = None
         self._log_state(el, "deploy")
         self._pending[element_id] = self.sim.schedule(
             lambda: self._finish_deploy(element_id), self._component, self.deploy_ms
@@ -382,6 +387,7 @@ class NodeInfrastructure:
     def _transition(self, el: CloudElement, new_state: str, reason: str) -> None:
         old = el.state
         el.state = new_state
+        self._committed = None
         if new_state == RUNNING and el.throttle_factor >= 1.0:
             el.throttle_factor = 1.0
         self._log_state(el, reason)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 
 class SimulationAbort(Exception):
@@ -265,46 +266,100 @@ class StepHistory:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def json_line(t: int, component: str, record: dict) -> str:
+    """An entry's ndjson line, newline included: the object {"t",
+    "component", "record"} with its keys in sorted order."""
+    return '{"component":%s,"record":%s,"t":%d}\n' % (_encode(component), _encode(record), t)
+
+
+# a streamed log encodes and writes its entries this many at a time: encoding
+# them in one burst costs measurably less host time than one at a time
+# between events, and the entries held meanwhile are a few hundred KB at most
+_STREAM_BATCH = 512
+
+
 @dataclass(slots=True)
 class LogEntry:
     t: int
     component: str
     record: dict
 
-    def to_json_line(self) -> str:
-        # the object {"t", "component", "record"} with its keys in sorted order
-        return '{"component":%s,"record":%s,"t":%d}' % (
-            _encode(self.component), _encode(self.record), self.t
-        )
-
 
 class EventLog:
     """Append-only, time-ordered record of what the simulation did.
 
-    The log holds its entries, not their text: ``lines()`` encodes one entry
-    at a time, so writing the log out never holds it as one string.
+    In memory (no ``path``) the log keeps every entry as a ``LogEntry`` in
+    ``entries``, and iteration and ``len()`` read that list.
+
+    Streamed (``path`` given) the log writes each entry's ndjson line to the
+    file at ``path``, a batch of entries at a time, and keeps no entry once
+    it is written, so its size does not grow with the run. ``len()`` counts
+    the entries appended, and iteration writes what is pending and reads the
+    file back into ``LogEntry`` objects. ``close()`` writes what is pending
+    and closes the file; ``discard()`` closes and deletes it.
+
+    In both modes ``fold``, when given, is called with ``(t, component,
+    record)`` of each entry as it is appended, so a summary folded there
+    needs no second pass over the log.
     """
 
-    def __init__(self):
+    def __init__(self, path: Optional[str] = None,
+                 fold: Optional[Callable[[int, str, dict], None]] = None):
         self.entries: list[LogEntry] = []
+        self.path = path
+        self._fold = fold
+        self._file = None if path is None else open(path, "w", encoding="utf-8")
+        self._pending: list[tuple] = []  # (t, component, record) not yet written
+        self._count = 0
+        self._last_t = -math.inf
 
     def append(self, t: int, component: str, record: dict) -> None:
-        if self.entries and t < self.entries[-1].t:
-            raise ValueError(
-                f"log entry at t={t} is earlier than last entry at t={self.entries[-1].t}"
-            )
-        self.entries.append(LogEntry(t, component, record))
+        if t < self._last_t:
+            raise ValueError(f"log entry at t={t} is earlier than last entry at t={self._last_t}")
+        self._last_t = t
+        if self.path is None:
+            self.entries.append(LogEntry(t, component, record))
+        else:
+            pending = self._pending
+            pending.append((t, component, record))
+            self._count += 1
+            if len(pending) >= _STREAM_BATCH:
+                self._flush()
+        if self._fold is not None:
+            self._fold(t, component, record)
 
-    def lines(self):
-        """Each entry's ndjson line, newline included, encoded as it is read."""
-        for entry in self.entries:
-            yield entry.to_json_line() + "\n"
+    def _flush(self) -> None:
+        """Encode and write the pending entries."""
+        self._file.write("".join([json_line(t, c, r) for t, c, r in self._pending]))
+        self._pending.clear()
+
+    def close(self) -> None:
+        if self._file is not None and not self._file.closed:
+            self._flush()
+            self._file.close()
+
+    def discard(self) -> None:
+        """Close a streamed log without writing what is pending, and delete
+        its file."""
+        self._pending.clear()
+        self.close()
+        if self.path is not None:
+            os.remove(self.path)
+
+    def _read_back(self):
+        if not self._file.closed:
+            self._flush()
+            self._file.flush()
+        with open(self.path, encoding="utf-8") as fh:
+            for line in fh:
+                row = json.loads(line)
+                yield LogEntry(row["t"], row["component"], row["record"])
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self.entries) if self.path is None else self._read_back()
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.entries) if self.path is None else self._count
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +376,10 @@ class Simulator:
     once, and the run loop skips an entry whose payload is ``None``.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, log: Optional[EventLog] = None):
         self.seed = seed
         self.now = 0
-        self.log = EventLog()
+        self.log = EventLog() if log is None else log
         self._heap: list[list] = []  # [fire_at, seq, payload, target]
         self._seq = 0
         self._streams: dict[str, RngStream] = {}

@@ -99,6 +99,7 @@ class CloudletRuntime:
         self._hb_handles: dict[str, object] = {}
         self._expiry_handles: dict[str, object] = {}
         self._component = f"cloudlet:{cloudlet_id}"
+        self._serving: Optional[list[CloudElement]] = None  # cleared on view or state changes
 
     # -- element attachment and transition routing ---------------------------
 
@@ -109,8 +110,10 @@ class CloudletRuntime:
                 f"cloudlet {self.cloudlet_id} runs {self.engine_kind!r}"
             )
         self.elements[element.element_id] = element
+        self._serving = None
 
     def element_transition(self, el: CloudElement, old: str, new: str, reason: str) -> None:
+        self._serving = None
         eid = el.element_id
         if new == RUNNING and old == DEPLOYING:
             self._start_heartbeats(el)
@@ -172,6 +175,7 @@ class CloudletRuntime:
             return self.view  # idempotent re-join, version unchanged
         self.elements.setdefault(eid, element)
         self.view.members.add(eid)
+        self._serving = None
         self.view.last_heartbeat[eid] = sent_at
         self.view.version += 1
         self._arm_expiry(eid, sent_at)
@@ -182,6 +186,7 @@ class CloudletRuntime:
         if eid not in self.view.members:
             return
         self.view.members.remove(eid)
+        self._serving = None
         self.view.last_heartbeat.pop(eid, None)
         handle = self._expiry_handles.pop(eid, None)
         if handle is not None:
@@ -209,6 +214,7 @@ class CloudletRuntime:
         }
         for eid in sorted(suspected):
             self.view.members.remove(eid)
+            self._serving = None
             del self.view.last_heartbeat[eid]
             handle = self._expiry_handles.pop(eid, None)
             if handle is not None:
@@ -234,13 +240,15 @@ class CloudletRuntime:
     # -- queries -------------------------------------------------------------
 
     def serving_members(self) -> list[CloudElement]:
-        """View members that are actually serving right now, id ascending."""
-        out = []
-        for eid in self.view.member_ids():
-            el = self.elements.get(eid)
-            if el is not None and el.is_serving():
-                out.append(el)
-        return out
+        """View members that are actually serving right now, id ascending.
+        The list is kept, and shared between callers, until the view or an
+        element's state changes: callers must not modify it."""
+        if self._serving is None:
+            self._serving = [
+                el for el in map(self.elements.get, self.view.member_ids())
+                if el is not None and el.is_serving()
+            ]
+        return self._serving
 
     def node_cpu_headroom(self, node_id: str) -> float:
         node = self.nodes.get(node_id)
@@ -369,8 +377,10 @@ class CloudletRuntime:
         """Choose up to k serving members on distinct nodes: highest headroom
         first, node_id ascending on ties."""
         k = self.policy.target_replication
-        candidates = self.serving_members()
-        candidates.sort(key=lambda el: (-self.node_cpu_headroom(el.node_id), el.node_id))
+        candidates = sorted(
+            self.serving_members(),
+            key=lambda el: (-self.node_cpu_headroom(el.node_id), el.node_id),
+        )
         chosen: list[str] = []
         used_nodes: set[str] = set()
         for el in candidates:

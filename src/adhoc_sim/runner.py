@@ -29,8 +29,9 @@ from .infrastructure import (
     IntrusivenessPolicy,
     NodeInfrastructure,
 )
-from .kernel import Dist, Simulator, draw_ms
+from .kernel import Dist, EventLog, Simulator, draw_ms
 from .membership import CloudletPolicy, CloudletRuntime
+from .metrics import GoalSpec, MetricsFold
 from .network import Network
 from .nodes import Node
 from .resources import ResourceVector
@@ -47,8 +48,9 @@ class Simulation:
         shutdown_ms: int = DEFAULTS["shutdown_ms"],
         op_timeout_ms: int = DEFAULTS["op_timeout_ms"],
         copy_ms_per_mb: float = DEFAULTS["copy_ms_per_mb"],
+        log: Optional[EventLog] = None,
     ):
-        self.sim = Simulator(seed=seed)
+        self.sim = Simulator(seed=seed, log=log)
         self.net = Network(self.sim, latency)
         self.ids = Ids()
         self.deploy_ms = deploy_ms
@@ -332,8 +334,11 @@ class KvWorkload:
             s.sim.schedule(self._fire, f"workload:{spec.workload_id}", delay)
 
 
-def build_simulation(scenario, seed: Optional[int] = None) -> Simulation:
-    """Wire a Simulation instance from a validated Scenario."""
+def build_simulation(scenario, seed: Optional[int] = None,
+                     log: Optional[EventLog] = None) -> Simulation:
+    """Wire a Simulation instance from a validated Scenario. The simulation
+    records into ``log`` from its first record on; by default into a new
+    in-memory EventLog."""
     seed = scenario.seed if seed is None else seed
     d = scenario.defaults
     s = Simulation(
@@ -343,6 +348,7 @@ def build_simulation(scenario, seed: Optional[int] = None) -> Simulation:
         shutdown_ms=d["shutdown_ms"],
         op_timeout_ms=d["op_timeout_ms"],
         copy_ms_per_mb=d["copy_ms_per_mb"],
+        log=log,
     )
     s.sim.record("runner", {"event": "run_start", "seed": seed})
     for spec in scenario.fleet:
@@ -402,19 +408,32 @@ def build_simulation(scenario, seed: Optional[int] = None) -> Simulation:
     return s
 
 
-def run_scenario(scenario, seed_override: Optional[int] = None):
+def run_scenario(scenario, seed_override: Optional[int] = None,
+                 events_path: Optional[str] = None):
     """Execute a validated scenario to run_until; returns (summary, series
-    rows, simulation). Raises SimulationAbort on an invariant breach."""
+    rows, simulation). Raises SimulationAbort on an invariant breach.
 
-    from .adaptation import GoalSpec, aggregate_metrics
+    The summary metrics are folded from each record as it is logged. With
+    ``events_path`` the event log is streamed to that file as it is
+    recorded and closed when the run ends, and the simulation's log reads
+    the file back; a run that raises deletes the file. Without it the log
+    stays in memory."""
+
     from .qos import Agreement
     from .scenario import scenario_to_json
 
     seed = scenario.seed if seed_override is None else seed_override
-    s = build_simulation(scenario, seed)
-    s.run_until(scenario.run_until)
-    s.sim.record("runner", {"event": "run_end"})
-    metrics = aggregate_metrics(s.sim.log, GoalSpec(window=(0, scenario.run_until)))
+    fold = MetricsFold(GoalSpec(window=(0, scenario.run_until)))
+    log = EventLog(events_path, fold.add)
+    try:
+        s = build_simulation(scenario, seed, log=log)
+        s.run_until(scenario.run_until)
+        s.sim.record("runner", {"event": "run_end"})
+    except BaseException:
+        log.discard()
+        raise
+    log.close()
+    metrics = fold.metrics()
     reservations = {}
     for rid, result in sorted(s.reservation_results.items()):
         if isinstance(result, Agreement):

@@ -16,7 +16,6 @@ from adhoc_sim.engines import (
 from adhoc_sim.errors import (
     NoSourceReplica,
     QuorumUnavailable,
-    TaskLost,
     UnknownKey,
 )
 from adhoc_sim.kernel import Dist
@@ -63,15 +62,36 @@ def settle(s, ms=2000):
     s.run_until(s.sim.now + ms)
 
 
+def task_outcome(s, task_id):
+    """(time, record) of the task's task_completed or task_lost record, or
+    None while it is neither."""
+    for entry in s.sim.log:
+        rec = entry.record
+        if rec.get("task") == task_id and rec["event"] in ("task_completed", "task_lost"):
+            return entry.t, rec
+    return None
+
+
+def finished(s, task_id):
+    """(element, time) at which the task completed; fails unless it did."""
+    outcome = task_outcome(s, task_id)
+    assert outcome is not None and outcome[1]["event"] == "task_completed", outcome
+    return outcome[1]["element"], outcome[0]
+
+
+def was_lost(s, task_id):
+    outcome = task_outcome(s, task_id)
+    return outcome is not None and outcome[1]["event"] == "task_lost"
+
+
 class TestComputeTiming:
     def test_work_over_allocation(self):
         # 10 cpu-seconds on 2 cores, unthrottled, idle element -> 5000 ms
         s, service, eids = compute_fabric(n_nodes=1)
         t0 = s.sim.now
-        h = service.submit_task(Task("t1", 10.0, arrival=t0), element_id=eids[0])
+        service.submit_task(Task("t1", 10.0, arrival=t0), element_id=eids[0])
         s.run_until(t0 + 5000)
-        assert h.ok()
-        assert h.result == (eids[0], t0 + 5000)
+        assert finished(s, "t1") == (eids[0], t0 + 5000)
 
     def test_throttled_rate_doubles_duration(self):
         s, service, eids = compute_fabric(n_nodes=1)
@@ -80,45 +100,44 @@ class TestComputeTiming:
         s.infras["n1"].enforce_intrusiveness(s.sim.now)
         assert el.throttle_factor == pytest.approx(0.5)
         t0 = s.sim.now
-        h = service.submit_task(Task("t1", 10.0, arrival=t0), element_id=eids[0])
+        service.submit_task(Task("t1", 10.0, arrival=t0), element_id=eids[0])
         s.run_until(t0 + 10_000)
-        assert h.ok()
-        assert h.result[1] == t0 + 10_000
+        assert finished(s, "t1")[1] == t0 + 10_000
 
     def test_mid_task_throttle_rebases_remaining_work(self):
         s, service, eids = compute_fabric(n_nodes=1)
         el = s.infras["n1"].elements[eids[0]]
         t0 = s.sim.now
-        h = service.submit_task(Task("t1", 10.0, arrival=t0), element_id=eids[0])
+        service.submit_task(Task("t1", 10.0, arrival=t0), element_id=eids[0])
         s.run_until(t0 + 2500)  # 5 cpu-s consumed, 5 remain
         s.nodes["n1"].user_demand = RV(7.0)
         s.infras["n1"].enforce_intrusiveness(s.sim.now)
         s.run_until(t0 + 2500 + 5000)
-        assert h.ok()
-        assert h.result[1] == t0 + 7500
+        assert finished(s, "t1")[1] == t0 + 7500
 
     def test_latency_lower_bound(self):
         s, service, eids = compute_fabric(n_nodes=1)
         rng = random.Random(7)
         t0 = s.sim.now
-        handles = []
+        works = []
         for i in range(20):
             work = round(rng.uniform(0.5, 8.0), 3)
-            handles.append((work, service.submit_task(Task(f"t{i}", work, arrival=s.sim.now))))
+            service.submit_task(Task(f"t{i}", work, arrival=s.sim.now))
+            works.append(work)
         s.run_until(t0 + 600_000)
-        for work, h in handles:
-            assert h.ok()
-            duration = h.result[1] - t0
+        assert service.completed == 20
+        for i, work in enumerate(works):
+            duration = finished(s, f"t{i}")[1] - t0
             assert duration >= work * 1000.0 / ALLOC.cpu - 1e-6
 
     def test_fifo_per_element(self):
         s, service, eids = compute_fabric(n_nodes=1)
         t0 = s.sim.now
-        h1 = service.submit_task(Task("t1", 4.0, arrival=t0), element_id=eids[0])
-        h2 = service.submit_task(Task("t2", 2.0, arrival=t0), element_id=eids[0])
+        service.submit_task(Task("t1", 4.0, arrival=t0), element_id=eids[0])
+        service.submit_task(Task("t2", 2.0, arrival=t0), element_id=eids[0])
         s.run_until(t0 + 10_000)
-        assert h1.result[1] == t0 + 2000
-        assert h2.result[1] == t0 + 3000
+        assert finished(s, "t1")[1] == t0 + 2000
+        assert finished(s, "t2")[1] == t0 + 3000
 
 
 class TestComputeCrashRecovery:
@@ -127,10 +146,9 @@ class TestComputeCrashRecovery:
             n_nodes=2, churn={"n1": ScriptedChurn(((5000, DOWN),))}
         )
         t0 = s.sim.now
-        h = service.submit_task(Task("t1", 20.0, arrival=t0), element_id=eids[0])
+        service.submit_task(Task("t1", 20.0, arrival=t0), element_id=eids[0])
         s.run_until(60_000)
-        assert h.ok()
-        element_id, finish = h.result
+        element_id, finish = finished(s, "t1")
         assert element_id == eids[1]
         # re-executed from scratch: full 10s of work after the crash at t=5000
         assert finish == 5000 + 10_000
@@ -139,9 +157,10 @@ class TestComputeCrashRecovery:
         s, service, eids = compute_fabric(
             n_nodes=1, churn={"n1": ScriptedChurn(((5000, DOWN),))}
         )
-        h = service.submit_task(Task("t1", 20.0, arrival=s.sim.now), element_id=eids[0])
+        service.submit_task(Task("t1", 20.0, arrival=s.sim.now), element_id=eids[0])
         s.run_until(10_000)
-        assert isinstance(h.error, TaskLost)
+        assert was_lost(s, "t1")
+        assert (service.completed, service.lost) == (0, 1)
 
     def test_double_crash_loses_task_after_single_retry(self):
         s, service, eids = compute_fabric(
@@ -151,9 +170,9 @@ class TestComputeCrashRecovery:
                 "n2": ScriptedChurn(((8000, DOWN),)),
             },
         )
-        h = service.submit_task(Task("t1", 50.0, arrival=s.sim.now), element_id=eids[0])
+        service.submit_task(Task("t1", 50.0, arrival=s.sim.now), element_id=eids[0])
         s.run_until(30_000)
-        assert isinstance(h.error, TaskLost)
+        assert was_lost(s, "t1")
         assert service.lost == 1
 
     def test_conservation_under_churn(self):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhoc_sim.kernel import Dist, LogEntry, RngStream, SimulationAbort, Simulator, draw_ms
+from adhoc_sim.kernel import (
+    Dist, EventLog, RngStream, SimulationAbort, Simulator, draw_ms, json_line,
+)
+
+
+def ndjson(log):
+    return "".join(json_line(e.t, e.component, e.record) for e in log)
 
 
 def make_sim(seed=1):
@@ -168,7 +174,7 @@ class TestLog:
                     sim.schedule(lambda: tick(p + 1), "A", d)
 
             sim.schedule(lambda: tick(0), "A", 0)
-            return "".join(sim.run_until(10_000).lines())
+            return ndjson(sim.run_until(10_000))
 
         assert run() == run()
 
@@ -202,16 +208,64 @@ class TestLogLine:
             sort_keys=True,
             separators=(",", ":"),
         )
-        assert LogEntry(t, component, record).to_json_line() == expected
+        assert json_line(t, component, record) == expected + "\n"
 
     def test_ndjson_is_one_line_per_entry(self):
         sim = make_sim()
         sim.record("kv:c1", {"event": "get_ok", "key": "k\u00e9", "version": 2})
         sim.record("runner", {"x": [1.5, None, True]})
-        assert "".join(sim.log.lines()) == (
+        assert ndjson(sim.log) == (
             '{"component":"kv:c1","record":{"event":"get_ok","key":"k\\u00e9","version":2},"t":0}\n'
             '{"component":"runner","record":{"x":[1.5,null,true]},"t":0}\n'
         )
+
+
+class TestEventLogModes:
+    RECORDS = [
+        (0, "runner", {"event": "run_start", "seed": 1}),
+        (5, "kv:c1", {"event": "get_ok", "key": "k1", "version": 2}),
+        (5, "infra:n1", {"event": "violation_start", "node": "n1"}),
+    ]
+
+    def fill(self, log):
+        for t, component, record in self.RECORDS:
+            log.append(t, component, record)
+
+    def test_streamed_log_keeps_no_entry_and_reads_the_file_back(self, tmp_path):
+        path = tmp_path / "events.ndjson"
+        log = EventLog(str(path))
+        self.fill(log)
+        assert log.entries == [] and len(log) == 3
+        # iteration flushes what is written so far
+        assert [(e.t, e.component, e.record) for e in log] == self.RECORDS
+        log.close()
+        memory = EventLog()
+        self.fill(memory)
+        assert path.read_text(encoding="utf-8") == ndjson(memory)
+        assert list(log) == memory.entries
+
+    def test_both_modes_feed_the_fold_each_record_in_order(self, tmp_path):
+        for path in (None, str(tmp_path / "events.ndjson")):
+            folded = []
+            log = EventLog(path, lambda *entry: folded.append(entry))
+            self.fill(log)
+            log.close()
+            assert folded == self.RECORDS
+
+    def test_streamed_log_rejects_time_going_backwards(self, tmp_path):
+        log = EventLog(str(tmp_path / "events.ndjson"))
+        log.append(10, "A", {"event": "x"})
+        with pytest.raises(ValueError):
+            log.append(9, "A", {"event": "y"})
+        log.close()
+        assert len(log) == 1
+
+    def test_discard_closes_and_deletes_the_file(self, tmp_path):
+        path = tmp_path / "events.ndjson"
+        log = EventLog(str(path))
+        self.fill(log)
+        log.discard()
+        assert not path.exists()
 
 
 class TestPinnedDraws:

@@ -88,6 +88,21 @@ class TestFailureDetection:
         assert runtime.detect_failures(131_000) == {eid}
         assert eid not in runtime.view.members
 
+    def test_suspect_and_leave_drop_a_serving_member_at_once(self):
+        # the element still serves, so only the view change can drop it
+        s, runtime, eids = kv_fabric(n_nodes=2, h=10_000, m=3)
+        s.run_until(2100)
+        assert [el.element_id for el in runtime.serving_members()] == sorted(eids)
+        for handle in runtime._expiry_handles.values():
+            s.sim.cancel(handle)
+        runtime._expiry_handles.clear()
+        runtime.view.last_heartbeat[eids[0]] = 0
+        runtime.view.last_heartbeat[eids[1]] = 95_000
+        assert runtime.detect_failures(100_000) == {eids[0]}
+        assert [el.element_id for el in runtime.serving_members()] == [eids[1]]
+        runtime.leave(eids[1])
+        assert runtime.serving_members() == []
+
     def test_clean_leave_removes_without_timeout(self):
         s, runtime, eids = kv_fabric(n_nodes=3)
         s.run_until(2100)

@@ -1,5 +1,5 @@
-"""What a run holds in memory: the event log is written out one line at a
-time, an op handle is a slotted record that drops its callbacks once they
+"""What a run holds in memory: a streamed event log writes each line as it
+is appended and keeps none, an op handle is a slotted record that drops its callbacks once they
 have run, and the kv log records of a run share one component string and
 one string per key."""
 
@@ -7,8 +7,7 @@ import dataclasses
 import os
 import tracemalloc
 
-from adhoc_sim import cli
-from adhoc_sim.kernel import EventLog
+from adhoc_sim.kernel import EventLog, json_line
 from adhoc_sim.network import OpHandle
 from adhoc_sim.runner import run_scenario
 from adhoc_sim.scenario import load_scenario
@@ -16,20 +15,26 @@ from adhoc_sim.scenario import load_scenario
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def _record(i):
+    return {"event": "get_ok", "key": f"k{i % 200}", "version": i}
+
+
 def test_writing_the_event_log_holds_no_copy_of_it(tmp_path):
-    log = EventLog()
-    for i in range(50_000):
-        log.append(i, "kv:c1", {"event": "get_ok", "key": f"k{i % 200}", "version": i})
+    path = tmp_path / "events.ndjson"
     tracemalloc.start()
     try:
-        cli.write_outputs(tmp_path, {"seed": 1}, [[0, 1]], ["t", "x"], log, events=True)
+        log = EventLog(str(path))
+        for i in range(50_000):
+            log.append(i, "kv:c1", _record(i))
         peak = tracemalloc.get_traced_memory()[1]
+        log.close()
     finally:
         tracemalloc.stop()
-    # the whole log as text is about 4 MB
-    assert peak < 1_000_000, f"writing the log peaked at {peak} bytes"
-    with open(tmp_path / "events.ndjson", "rb") as fh:
-        assert fh.read() == "".join(log.lines()).encode("utf-8")
+    # the whole log as text is about 4 MB, as LogEntry objects and dicts more
+    assert peak < 1_000_000, f"streaming the log peaked at {peak} bytes"
+    assert len(log) == 50_000 and log.entries == []
+    expected = "".join(json_line(i, "kv:c1", _record(i)) for i in range(50_000))
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestOpHandle:
