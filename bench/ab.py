@@ -8,18 +8,24 @@ on exit), generates the workload's documents once with the head's
 ``perfbench/generate.py``, and runs each tree's ``perfbench/child.py
 --setups 3 --check`` on every document, one process at a time. A pair is
 one pass over the documents on both trees; the tree that runs first
-alternates from pair to pair. Per pair and tree:
+alternates from pair to pair. Before the pairs, one ``child.py --trace`` run
+per tree and document counts the kernel's events, which are deterministic.
+Per pair and tree:
 
 - ``host_s_per_sim_h``: summed wall seconds over summed simulated hours;
 - ``setup_s``: median of the load-and-build set-ups;
-- ``peak_rss_mb``: median of the children's peak RSS.
+- ``peak_rss_mb``: median of the children's peak RSS;
+- ``kernel.events_per_s``: summed event counts over the untraced runs'
+  summed event-loop seconds, each run's host seconds minus its load, build,
+  aggregate and write spans (perfbench's ``_kernel_loop_s``).
 
 Writes ``bench/BENCH_<workload>.json``: both revisions with the git tree of
 their ``src/``, the CPU count and the Python version, the sha256 of every
 document, each pair's values, each side's median and quartiles, the pairs
-the head won, and whether ``events.ndjson``, ``summary.json`` and
-``series.csv`` and the simulated outcomes were byte-identical between the
-trees. Run from the repository root.
+the head won, each document's event count per tree, and whether
+``events.ndjson``, ``summary.json`` and ``series.csv`` and the simulated
+outcomes were byte-identical between the trees. Run from the repository
+root.
 """
 
 from __future__ import annotations
@@ -44,7 +50,10 @@ METRICS = {  # name -> (unit, better)
     "host_s_per_sim_h": ("s/h", "lower"),
     "setup_s": ("s", "lower"),
     "peak_rss_mb": ("MB", "lower"),
+    "kernel.events_per_s": ("1/s", "higher"),
 }
+# the spans of an untraced child that are not its event loop
+NOT_LOOP = ("scenario.load", "runner.build", "adaptation.aggregate", "cli.write")
 SIDES = ("base", "head")
 
 
@@ -83,20 +92,28 @@ def summarize(pairs: list, better: str) -> dict:
     }
 
 
-def _pair_values(measures: list) -> dict:
-    """One tree's values over one pass of the documents."""
+def loop_s(m: dict) -> float:
+    """Host seconds of an untraced child's event loop."""
+    return m["host_s"] - sum(m["total_s"][name] for name in NOT_LOOP)
+
+
+def _pair_values(measures: list, events: list) -> dict:
+    """One tree's values over one pass of the documents, given each
+    document's event count."""
     sim_h = sum(m["run_until_ms"] for m in measures) / 3_600_000
     return {
         "host_s_per_sim_h": sum(m["host_s"] for m in measures) / sim_h,
         "setup_s": statistics.median(s for m in measures for s in m["setup_s"]),
         "peak_rss_mb": statistics.median(m["peak_rss_mb"] for m in measures),
+        "kernel.events_per_s": sum(events) / sum(loop_s(m) for m in measures),
     }
 
 
-def _run_child(tree: str, doc: str, out: str) -> dict:
+def _run_child(tree: str, doc: str, out: str, trace: bool = False) -> dict:
     os.makedirs(out)
     cmd = [sys.executable, os.path.join(tree, "perfbench", "child.py"),
-           "--doc", doc, "--out", out, "--setups", "3", "--check"]
+           "--doc", doc, "--out", out]
+    cmd += ["--trace"] if trace else ["--setups", "3", "--check"]
     env = dict(os.environ, PYTHONHASHSEED="0")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
@@ -111,8 +128,17 @@ def _run_child(tree: str, doc: str, out: str) -> dict:
     return m
 
 
-def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, dict]:
-    """Run the pairs; returns the per-pair values and what matched."""
+def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, dict, dict]:
+    """Run the pairs; returns the per-pair values, what matched and each
+    tree's event count per document."""
+    events = {
+        side: [
+            _run_child(trees[side], doc, os.path.join(workdir, f"trace-{side}-{j}"),
+                       trace=True)["calls"]["kernel.dispatch"]
+            for j, doc in enumerate(docs)
+        ]
+        for side in SIDES
+    }
     rows = []
     identical = dict.fromkeys(OUTPUTS + ("simulated_outcomes",), True)
     for i in range(pairs):
@@ -126,12 +152,12 @@ def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, di
             for name in OUTPUTS:
                 identical[name] &= base["outputs"][name] == head["outputs"][name]
             identical["simulated_outcomes"] &= all(base[k] == head[k] for k in OUTCOMES)
-        values = {side: _pair_values(measures[side]) for side in SIDES}
+        values = {side: _pair_values(measures[side], events[side]) for side in SIDES}
         rows.append({"first": order[0], **values})
         print(f"pair {i + 1}/{pairs} ({order[0]} first): "
               + ", ".join(f"{name} {values['base'][name]:.4g} -> {values['head'][name]:.4g}"
                           for name in METRICS), file=sys.stderr)
-    return rows, identical
+    return rows, identical, events
 
 
 def main(argv=None) -> int:
@@ -166,7 +192,8 @@ def main(argv=None) -> int:
                 fh.write(generate.dump(doc))
             docs.append(path)
             documents.append({"replication": r, "sha256": generate.digest(doc)})
-        rows, identical = compare(trees, docs, args.pairs, os.path.join(workdir, "runs"))
+        rows, identical, events = compare(trees, docs, args.pairs,
+                                          os.path.join(workdir, "runs"))
     finally:
         for tree in trees.values():
             subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
@@ -184,6 +211,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "documents": documents,
         "identical": identical,
+        "kernel_events": events,
         "metrics": {
             name: {
                 "unit": unit,

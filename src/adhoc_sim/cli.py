@@ -15,7 +15,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import logging
 import os
 import sys
 
@@ -24,20 +23,9 @@ from .kernel import SimulationAbort
 from .runner import run_scenario
 from .scenario import load_scenario
 
-log = logging.getLogger("adhoc_sim")
-
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RUNTIME = 2
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("ADHOC_SIM_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
 
 
 def write_outputs(out_dir, summary, series_rows, series_columns, fmt="both") -> None:
@@ -103,7 +91,6 @@ def _run_one(scenario_path, out_dir, seed=None, until=None, fmt="both",
             os.rmdir(out_dir)  # a breach writes no output
         return EXIT_RUNTIME
     write_outputs(out_dir, summary, series_rows, sim.series_columns, fmt=fmt)
-    log.info("wrote %s (seed %s)", out_dir, summary["seed"])
     return EXIT_OK
 
 
@@ -196,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:

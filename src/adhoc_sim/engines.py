@@ -26,8 +26,8 @@ from .errors import (
 )
 from .infrastructure import CloudElement
 from .kernel import Simulator, StepHistory, flag_area
-from .membership import Binding, CloudletRuntime
-from .network import Network, OpHandle, Round
+from .membership import CloudletRuntime
+from .network import Network, OpHandle, Round, majority
 
 COMPUTE = "compute"
 KV_STORE = "kv_store"
@@ -40,28 +40,18 @@ ENGINE_KINDS = (COMPUTE, KV_STORE)
 # synchronous interleaving harness in the test suite)
 
 
-def majority(n: int) -> int:
-    return n // 2 + 1
-
-
 def merge_read_replies(replies: dict) -> tuple[int, object, list[str]]:
     """Pick the winning (version, value) among read replies and list the
     stale responders that need repair. A replica without the key replies
-    (0, None)."""
-    best_version = 0
-    best_value = None
-    for eid in sorted(replies):
-        reply = replies[eid]
-        if reply is None:
-            continue
-        version, value = reply
+    None, which counts as version 0."""
+    best_version, best_value = 0, None
+    versions = []
+    for eid, reply in sorted(replies.items()):
+        version = reply[0] if reply is not None else 0
+        versions.append((eid, version))
         if version > best_version:
-            best_version, best_value = version, value
-    stale = [
-        eid
-        for eid in sorted(replies)
-        if (replies[eid][0] if replies[eid] is not None else 0) < best_version
-    ]
+            best_version, best_value = version, reply[1]
+    stale = [eid for eid, version in versions if version < best_version]
     return best_version, best_value, stale
 
 
@@ -70,11 +60,10 @@ def merge_read_replies(replies: dict) -> tuple[int, object, list[str]]:
 
 
 class KvReplicaEngine:
-    """Per-element persistent store fragment plus metadata replica."""
+    """Per-element persistent store fragment."""
 
     def __init__(self):
         self.store: dict[str, tuple[int, object, int]] = {}  # key -> (version, value, size)
-        self.metadata_watermark = 0
 
     def apply_write(self, key: str, version: int, value: object, size: int) -> int:
         current = self.store.get(key, (0, None, 0))[0]
@@ -87,9 +76,6 @@ class KvReplicaEngine:
         if entry is None:
             return None
         return (entry[0], entry[1])
-
-    def apply_metadata(self, version: int) -> None:
-        self.metadata_watermark = max(self.metadata_watermark, version)
 
 
 @dataclass(slots=True)
@@ -197,9 +183,9 @@ class VersionedValue(NamedTuple):
 class KvService:
     """Client-path quorum operations against one kv cloudlet.
 
-    A client holds a binding (live replica list plus view version) per key;
-    an operation presented with a stale binding re-binds exactly once and
-    proceeds against the fresh replica set.
+    A client's binding to a key is the view version it bound at; an
+    operation presented with a stale binding re-binds exactly once and
+    proceeds against the key's current replica set.
     """
 
     def __init__(
@@ -275,7 +261,7 @@ class KvService:
 
     # -- get ------------------------------------------------------------------
 
-    def get(self, key: str, binding: Optional[Binding] = None) -> OpHandle:
+    def get(self, key: str, binding: Optional[int] = None) -> OpHandle:
         """Read from a majority of the key's replica set; returns the highest
         version among responses and pushes it to stale responders."""
         handle = OpHandle()
@@ -287,7 +273,7 @@ class KvService:
             self.rebinds += 1
             self._log_op({"event": "rebind", "key": key})
             try:
-                binding = self.runtime.bind("kv-client", key)
+                self.runtime.bind(key)
             except (UnknownKey, NoLiveElement) as exc:
                 handle._finish(self.sim.now, error=exc)
                 return handle

@@ -44,11 +44,9 @@ _from_bytes = int.from_bytes
 class RngStream:
     """Named reproducible stream: draw i is sha256(seed|stream_id|i)."""
 
-    __slots__ = ("seed", "stream_id", "counter", "_prefix")
+    __slots__ = ("counter", "_prefix")
 
     def __init__(self, seed: int, stream_id: str):
-        self.seed = seed
-        self.stream_id = stream_id
         self.counter = 0
         self._prefix = f"{seed}|{stream_id}|".encode()
 
@@ -227,6 +225,11 @@ class StepHistory:
         self._times.append(t)
         self._values.append(value)
         self._prefix.append(total)
+
+    def value_at(self, t: int) -> Any:
+        """The value of the last breakpoint at or before t; the first value
+        for a t before the first breakpoint."""
+        return self._values[max(0, bisect_right(self._times, t) - 1)]
 
     def _integral_to(self, x: int) -> Any:
         """Integral from the first breakpoint up to x."""

@@ -9,22 +9,22 @@ latency of the crash.
 
 Service metadata (the per-key replica map and version counters) is sequenced
 by the coordinator, whose map is the only copy. Each mutation ships its
-committed version to the first min(k, members) elements, which advance
-their metadata watermark; it commits once a majority of those replicas
-acknowledge. Suspected elements are removed immediately (fail-stop); there is
-no rehabilitation phase.
+committed version to the first min(k, members) elements, which acknowledge
+it; it commits once a majority of those replicas acknowledge. A client's
+binding is the view version it bound at. Suspected elements are removed
+immediately (fail-stop); there is no rehabilitation phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .defaults import DEFAULTS
 from .errors import EngineMismatch, MetadataQuorumUnavailable, NoLiveElement, UnknownKey
 from .infrastructure import DEAD, DEPLOYING, EVICTING, RUNNING, CloudElement
 from .kernel import Simulator
-from .network import Network, OpHandle, Round
+from .network import Network, OpHandle, Round, majority
 from .nodes import Node
 
 
@@ -47,14 +47,6 @@ class MembershipView:
 
     def member_ids(self) -> list[str]:
         return sorted(self.members)
-
-
-@dataclass(frozen=True)
-class Binding:
-    cloudlet_id: str
-    view_version: int
-    elements: tuple[str, ...]
-    key: Optional[str] = None
 
 
 class MetadataState:
@@ -95,7 +87,6 @@ class CloudletRuntime:
         self.view = MembershipView()
         self.metadata = MetadataState()
         self.elements: dict[str, CloudElement] = {}
-        self.on_member_removed: list[Callable[[str], None]] = []
         self._hb_handles: dict[str, object] = {}
         self._expiry_handles: dict[str, object] = {}
         self._component = f"cloudlet:{cloudlet_id}"
@@ -193,8 +184,6 @@ class CloudletRuntime:
             self.sim.cancel(handle)
         self.view.version += 1
         self._log_membership("leave", eid)
-        for cb in self.on_member_removed:
-            cb(eid)
 
     def heartbeat(self, eid: str, sent_at: int) -> None:
         if eid not in self.view.members:
@@ -221,8 +210,6 @@ class CloudletRuntime:
                 self.sim.cancel(handle)
             self.view.version += 1
             self._log_membership("suspect", eid)
-            for cb in self.on_member_removed:
-                cb(eid)
         return suspected
 
     def _log_membership(self, change: str, eid: str) -> None:
@@ -268,21 +255,17 @@ class CloudletRuntime:
             raise NoLiveElement(f"cloudlet {self.cloudlet_id} has no live element")
         return pick
 
-    def bind(self, client_id: str, key: Optional[str] = None) -> Binding:
-        if key is not None:
-            if key not in self.metadata.replica_map:
-                raise UnknownKey(f"key {key!r} not in cloudlet {self.cloudlet_id}")
-            live = [
-                eid for eid in self.metadata.replica_map[key] if eid in self.view.members
-            ]
-            if not live:
-                raise NoLiveElement(f"no live replica of {key!r}")
-            return Binding(self.cloudlet_id, self.view.version, tuple(live), key)
-        pick = self.best_effort_pick()
-        return Binding(self.cloudlet_id, self.view.version, (pick.element_id,))
+    def bind(self, key: str) -> int:
+        """Bind a client to key: the view version it binds at, once the key
+        is known and a replica of it is a view member."""
+        if key not in self.metadata.replica_map:
+            raise UnknownKey(f"key {key!r} not in cloudlet {self.cloudlet_id}")
+        if not any(eid in self.view.members for eid in self.metadata.replica_map[key]):
+            raise NoLiveElement(f"no live replica of {key!r}")
+        return self.view.version
 
-    def binding_stale(self, binding: Binding) -> bool:
-        return binding.view_version < self.view.version
+    def binding_stale(self, binding: int) -> bool:
+        return binding < self.view.version
 
     # -- metadata quorum -----------------------------------------------------
 
@@ -293,8 +276,8 @@ class CloudletRuntime:
 
     def metadata_quorum_update(self, mutation: tuple) -> OpHandle:
         """Apply a mutation in the coordinator's total order and ship the
-        committed version (watermark) to the metadata replicas; the
-        coordinator's map is the only copy. Commits once a majority of
+        committed version to the metadata replicas, which acknowledge it;
+        the coordinator's map is the only copy. Commits once a majority of
         metadata replicas ack."""
         handle = OpHandle()
         meta_set = self.metadata_replica_set()
@@ -303,7 +286,7 @@ class CloudletRuntime:
             for eid in meta_set
             if eid in self.elements and self.elements[eid].is_serving()
         ]
-        need = len(meta_set) // 2 + 1
+        need = majority(len(meta_set))
         if not meta_set or len(live) < need:
             handle._finish(
                 self.sim.now,
@@ -325,17 +308,10 @@ class CloudletRuntime:
             },
         )
 
-        targets = [self.elements[eid] for eid in meta_set]
-
-        def apply_on(el: CloudElement):
-            if el.engine is not None:
-                el.engine.apply_metadata(version)
-            return version
-
         Round(
             self.net,
-            targets,
-            apply_on,
+            [self.elements[eid] for eid in meta_set],
+            lambda el: version,
             quorum=need,
             timeout_ms=self.metadata_timeout_ms,
             on_success=lambda replies: handle._finish(self.sim.now, result=result),

@@ -47,6 +47,11 @@ class Network:
         )
 
 
+def majority(n: int) -> int:
+    """The quorum of n replicas: more than half of them."""
+    return n // 2 + 1
+
+
 class Round:
     """Fan-out to target elements, collect replies until quorum or timeout.
 
@@ -71,7 +76,6 @@ class Round:
         on_late: Optional[Callable[[str, Any], None]] = None,
     ):
         self.net = net
-        self.targets = targets
         self.on_element = on_element
         self.quorum = quorum
         self.on_success = on_success

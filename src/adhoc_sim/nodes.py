@@ -9,6 +9,7 @@ use: capacity minus user demand minus a reserve margin, clamped at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .defaults import DEFAULTS
@@ -44,36 +45,28 @@ class ScriptedChurn:
 @dataclass(frozen=True)
 class TraceLoad:
     """Step-function user demand: value of the last breakpoint at or before t,
-    zero before the first breakpoint."""
+    zero before the first breakpoint. Breakpoint times are >= 0 and strictly
+    increasing, as the scenario schema requires; both queries read one
+    ``StepHistory`` of the breakpoints, built on first use."""
 
     points: tuple[tuple[int, ResourceVector], ...]
 
+    @cached_property
+    def _history(self) -> StepHistory:
+        zero = ResourceVector.zero()
+        history = StepHistory(0, zero, ResourceVector.scale, zero)
+        for t, demand in self.points:
+            history.append(t, demand)
+        return history
+
     def demand_at(self, t: int) -> ResourceVector:
-        current = ResourceVector.zero()
-        for pt, demand in self.points:
-            if pt <= t:
-                current = demand
-            else:
-                break
-        return current
+        return self._history.value_at(t)
 
     def mean_over(self, start: int, end: int) -> ResourceVector:
         """Exact time-weighted mean of the step function over [start, end)."""
         if end <= start:
             return self.demand_at(start)
-        total = ResourceVector.zero()
-        cursor = start
-        current = self.demand_at(start)
-        for pt, demand in self.points:
-            if pt <= start:
-                continue
-            if pt >= end:
-                break
-            total = total + current.scale(pt - cursor)
-            cursor = pt
-            current = demand
-        total = total + current.scale(end - cursor)
-        return total.scale(1.0 / (end - start))
+        return self._history.integral(start, end).scale(1.0 / (end - start))
 
 
 @dataclass(frozen=True)

@@ -312,13 +312,13 @@ class KvWorkload:
         is_put = self._ops.uniform01() < spec.put_ratio
         if is_put:
             self.seq += 1
-            size = max(0, round(spec.value_size.sample(self._ops)))
+            size = draw_ms(self._ops, spec.value_size)
             service.put(key, f"{spec.workload_id}:{self.seq}", size=size)
         else:
             binding = self.bindings.get(key)
             if binding is None:
                 try:
-                    binding = runtime.bind(spec.workload_id, key)
+                    binding = runtime.bind(key)
                     self.bindings[key] = binding
                 except AdhocSimError:
                     binding = None
@@ -326,7 +326,7 @@ class KvWorkload:
             service.get(key, binding)
             if was_stale:
                 try:
-                    self.bindings[key] = runtime.bind(spec.workload_id, key)
+                    self.bindings[key] = runtime.bind(key)
                 except AdhocSimError:
                     self.bindings.pop(key, None)
         delay = draw_ms(self._stream, self._gap)

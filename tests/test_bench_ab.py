@@ -1,8 +1,11 @@
 """The pair statistics of bench/ab.py: pairs won by direction, ties counted
-for neither side, and quartiles taken inclusively."""
+for neither side, quartiles taken inclusively, and events/s as traced event
+counts over untraced event-loop seconds."""
 
 import os
 import sys
+
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import ab  # noqa: E402
@@ -20,3 +23,18 @@ def test_pairs_won_follow_the_direction_and_ties_count_for_neither():
 
 def test_quartiles_are_inclusive():
     assert ab.quartiles([1, 2, 3, 4, 5]) == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+
+
+def test_events_per_s_divides_event_counts_by_loop_seconds():
+    spans = {"scenario.load": 0.25, "runner.build": 0.5, "adaptation.aggregate": 0.125,
+             "cli.write": 0.125}
+    measures = [
+        {"host_s": host_s, "total_s": spans, "run_until_ms": 1_800_000,
+         "setup_s": [0.01], "peak_rss_mb": 20.0}
+        for host_s in (3.0, 5.0)
+    ]
+    assert ab.loop_s(measures[0]) == 2.0
+    values = ab._pair_values(measures, [1000, 3000])
+    assert values["kernel.events_per_s"] == pytest.approx(4000 / 6.0)
+    assert values["host_s_per_sim_h"] == pytest.approx(8.0)
+    assert ab.METRICS["kernel.events_per_s"] == ("1/s", "higher")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _harness import check_quorum_safety, execute_schedule
 
@@ -333,6 +335,30 @@ class TestRepair:
         assert isinstance(h.error, NoSourceReplica)
 
 
+def ref_merge_read_replies(replies):
+    best_version = 0
+    best_value = None
+    for eid in sorted(replies):
+        reply = replies[eid]
+        if reply is None:
+            continue
+        version, value = reply
+        if version > best_version:
+            best_version, best_value = version, value
+    stale = [
+        eid
+        for eid in sorted(replies)
+        if (replies[eid][0] if replies[eid] is not None else 0) < best_version
+    ]
+    return best_version, best_value, stale
+
+
+read_replies = st.dictionaries(
+    st.sampled_from([f"e{i}" for i in range(8)]),
+    st.none() | st.tuples(st.integers(0, 4), st.integers(0, 99)),
+)
+
+
 class TestQuorumDecisionKernel:
     def test_majority(self):
         assert [majority(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 2, 3, 3]
@@ -342,6 +368,10 @@ class TestQuorumDecisionKernel:
         version, value, stale = merge_read_replies(replies)
         assert (version, value) == (2, "new")
         assert stale == ["e1", "e3"]
+
+    @given(read_replies)
+    def test_merge_read_replies_matches_reference(self, replies):
+        assert merge_read_replies(replies) == ref_merge_read_replies(replies)
 
     def test_exhaustive_interleaving_no_stale_reads(self):
         violations, runs = check_quorum_safety(k=3, max_ops=3, max_crashes=2)

@@ -2,9 +2,11 @@
 somewhere in that module: an import nothing uses is dead code that still
 costs a load. Every function and class the package defines is named
 somewhere besides its own definition, in the package or in the benchmark
-that drives it."""
+that drives it, and every attribute a package class stores on ``self`` is
+read there too."""
 
 import ast
+import builtins
 import io
 import os
 import tokenize
@@ -127,3 +129,82 @@ def test_reports_a_dead_definition():
     ]
     readers = ["from m import read_by_benchmark\n"]
     assert dead_definitions(package, readers) == ["tagged", "unused"]
+
+
+def _exception_classes(trees):
+    """Names of the classes in `trees` that derive from a built-in exception,
+    directly or through another class there."""
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name, seen=()):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        return name not in seen and any(
+            is_exception(base, seen + (name,)) for base in bases.get(name, ())
+        )
+
+    return {name for name in bases if is_exception(name)}
+
+
+def unread_attributes(package, readers):
+    """``Class.name`` for each attribute that a non-exception class of the
+    `package` sources stores on ``self`` and that no attribute load in
+    `package` or `readers` reads, nor a ``getattr(obj, "name")`` in
+    `readers`. An augmented assignment such as ``self.n += 1`` is a store."""
+    package_trees = [ast.parse(text) for text in package]
+    reader_trees = [ast.parse(text) for text in readers]
+    read = set()
+    for tree in package_trees + reader_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    for tree in reader_trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    exempt = _exception_classes(package_trees)
+    unread = set()
+    for tree in package_trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name in exempt:
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in read):
+                    unread.add(f"{cls.name}.{node.attr}")
+    return sorted(unread)
+
+
+def test_no_unread_attributes():
+    unread = unread_attributes(_sources(PACKAGE), _sources(PERFBENCH))
+    assert not unread, f"stored by adhoc_sim but never read: {', '.join(unread)}"
+
+
+def test_reports_an_unread_attribute():
+    package = [
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.kept = 1\n"
+        "        self.counted = 0\n"
+        "        self.planted = 2\n"
+        "        self.probed = 3\n"
+        "    def bump(self):\n"
+        "        self.counted += 1\n"
+        "        return self.kept\n"
+        "class Failure(ValueError):\n"
+        "    pass\n"
+        "class Abort(Failure):\n"
+        "    def __init__(self, at):\n"
+        "        self.at = at\n",
+    ]
+    readers = ["def probe(box):\n    return getattr(box, 'probed')\n"]
+    assert unread_attributes(package, readers) == ["Box.counted", "Box.planted"]

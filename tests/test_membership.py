@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from adhoc_sim import membership
 from adhoc_sim.adaptation import AdaptationController, AdaptationPolicy, UtilityWeights
-from adhoc_sim.engines import KV_STORE, KvReplicaEngine
+from adhoc_sim.engines import KV_STORE
 from adhoc_sim.errors import (
     EngineMismatch,
     MetadataQuorumUnavailable,
@@ -34,6 +35,22 @@ def kv_fabric(n_nodes=3, n_elements=None, k=3, h=10_000, m=3, seed=1,
     eids = [s.deploy_element(f"n{i}", "c1", ALLOC) for i in range(1, n_elements + 1)]
     s.start()
     return s, runtime, eids
+
+
+def record_metadata_acks(monkeypatch):
+    """The replies each metadata round decided on, in decision order."""
+    acks = []
+
+    class Recording(membership.Round):
+        def __init__(self, *args, on_success, **kwargs):
+            def success(replies):
+                acks.append(replies)
+                on_success(replies)
+
+            super().__init__(*args, on_success=success, **kwargs)
+
+    monkeypatch.setattr(membership, "Round", Recording)
+    return acks
 
 
 def live_replica_counts(s, cloudlet_id="c1"):
@@ -158,45 +175,54 @@ class TestBind:
         assert h.ok(), h.error
         return s, runtime, eids, service
 
-    def test_bind_returns_live_replicas(self):
+    def test_bind_returns_view_version(self):
         s, runtime, eids, _ = self.seeded()
-        binding = runtime.bind("client-1", key="x")
-        assert sorted(binding.elements) == sorted(eids)
-        assert binding.view_version == runtime.view.version
+        assert runtime.bind("x") == runtime.view.version
 
     def test_bind_filters_dead_replica(self):
+        # x's replicas sit on n1-n3; n4's element stays a member throughout
         s, runtime, eids, _ = self.seeded(
-            churn={"n1": ScriptedChurn(((10_000, DOWN),))}
+            n_nodes=4,
+            churn={
+                "n1": ScriptedChurn(((10_000, DOWN),)),
+                "n2": ScriptedChurn(((70_000, DOWN),)),
+                "n3": ScriptedChurn(((70_000, DOWN),)),
+            },
         )
+        replicas = runtime.metadata.replica_map["x"]
+        assert {runtime.elements[e].node_id for e in replicas} == {"n1", "n2", "n3"}
         v = runtime.view.version
-        s.run_until(60_000)  # past detection
-        binding = runtime.bind("client-1", key="x")
-        assert eids[0] not in binding.elements
-        assert len(binding.elements) == 2
+        s.run_until(60_000)  # n1 detected: two replicas are still members
         assert runtime.view.version > v
+        assert runtime.bind("x") == runtime.view.version
+        s.run_until(120_000)  # every replica detected
+        assert runtime.view.member_ids() == [eids[3]]
+        with pytest.raises(NoLiveElement):
+            runtime.bind("x")
 
     def test_bind_unknown_key(self):
         s, runtime, eids, _ = self.seeded()
         with pytest.raises(UnknownKey):
-            runtime.bind("client-1", key="nope")
+            runtime.bind("nope")
 
     def test_bind_empty_view(self):
-        s = Simulation(seed=1)
-        s.add_node("n1", CAPACITY)
-        runtime = s.add_cloudlet("c1", KV_STORE, CloudletPolicy())
-        s.start()
-        s.run_until(100)
+        s, runtime, eids, _ = self.seeded(
+            churn={f"n{i}": ScriptedChurn(((10_000, DOWN),)) for i in (1, 2, 3)}
+        )
+        s.run_until(60_000)
+        assert runtime.view.member_ids() == []
         with pytest.raises(NoLiveElement):
-            runtime.bind("client-1")
+            runtime.bind("x")
 
     def test_binding_staleness_detected(self):
         s, runtime, eids, _ = self.seeded(
             churn={"n1": ScriptedChurn(((10_000, DOWN),))}
         )
-        binding = runtime.bind("client-1", key="x")
+        binding = runtime.bind("x")
         assert not runtime.binding_stale(binding)
         s.run_until(60_000)
         assert runtime.binding_stale(binding)
+        assert not runtime.binding_stale(runtime.bind("x"))
 
 
 class TestMetadataQuorum:
@@ -222,43 +248,38 @@ class TestMetadataQuorum:
         s.run_until(13_000)
         assert isinstance(handle.error, MetadataQuorumUnavailable)
 
-    def test_committed_version_readable_from_majority(self):
+    def test_committed_version_readable_from_majority(self, monkeypatch):
+        acks = record_metadata_acks(monkeypatch)
         s, runtime, eids = kv_fabric()
         s.run_until(2100)
         handle = runtime.metadata_quorum_update(("ensure_key", "x", 64))
+        assert not handle.done  # commits only on the replicas' acks
         s.run_until(3000)
         assert handle.ok()
-        version = runtime.metadata.version
-        watermarks = [runtime.elements[e].engine.metadata_watermark for e in eids]
-        assert sum(1 for w in watermarks if w >= version) >= 2
+        [replies] = acks
+        assert len(replies) >= 2 and set(replies) <= set(eids)
+        assert set(replies.values()) == {runtime.metadata.version}
 
-    def test_mutations_totally_ordered_any_delivery_interleaving(self):
-        # the sequencer assigns versions; replicas receive committed versions
-        # in any order and must converge on the later one
-        from itertools import permutations
-
-        for order in permutations(range(6)):
-            replicas = [KvReplicaEngine() for _ in range(3)]
-            deliveries = [(r, 1) for r in range(3)] + [(r, 2) for r in range(3)]
-            for idx in order:
-                replica, version = deliveries[idx]
-                replicas[replica].apply_metadata(version)
-            for rep in replicas:
-                assert rep.metadata_watermark == 2
-
-        # the later version holds both mutations' effects, and a majority of
-        # the metadata replicas acknowledged it
-        s, runtime, eids = kv_fabric()
-        s.run_until(2100)
-        first = runtime.metadata_quorum_update(("ensure_key", "a", 8))
-        second = runtime.metadata_quorum_update(("ensure_key", "b", 8))
-        s.run_until(3000)
-        assert first.ok() and second.ok()
-        assert set(runtime.metadata.replica_map) == {"a", "b"}
-        version = runtime.metadata.version
-        assert version == 2
-        watermarks = [runtime.elements[e].engine.metadata_watermark for e in eids]
-        assert sum(1 for w in watermarks if w >= version) >= 2
+    def test_mutations_totally_ordered_any_delivery_interleaving(self, monkeypatch):
+        # the coordinator assigns versions in issue order; each round's acks
+        # carry its own version, whichever round the network decides first
+        acks = record_metadata_acks(monkeypatch)
+        orders = set()
+        for seed in range(1, 9):
+            acks.clear()
+            s, runtime, eids = kv_fabric(seed=seed)
+            s.run_until(2100)
+            first = runtime.metadata_quorum_update(("ensure_key", "a", 8))
+            second = runtime.metadata_quorum_update(("ensure_key", "b", 8))
+            s.run_until(3000)
+            assert first.ok() and second.ok()
+            assert set(runtime.metadata.replica_map) == {"a", "b"}
+            assert runtime.metadata.version == 2
+            versions = [set(replies.values()) for replies in acks]
+            assert all(len(replies) >= 2 for replies in acks)
+            assert sorted(versions, key=min) == [{1}, {2}]
+            orders.add(tuple(min(v) for v in versions))
+        assert orders == {(1, 2), (2, 1)}
 
 
 class TestReplicaPlacement:

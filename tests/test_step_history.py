@@ -2,7 +2,8 @@
 
 The reference functions below are the loops that ``Node.up_ms``,
 ``Node.mean_demand`` and ``ComputeElementEngine.busy_ms`` ran over a plain
-list of ``(t, value)`` breakpoints. Random histories (with repeated timestamps, so zero-length
+list of ``(t, value)`` breakpoints, and the loops ``TraceLoad`` ran over its
+points. Random histories (with repeated timestamps, so zero-length
 segments) are queried on windows before, inside, straddling and after their
 breakpoints; integer results must be equal and mean demand ``==`` the
 reference vector, bit for bit.
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from adhoc_sim.engines import ComputeElementEngine
 from adhoc_sim.kernel import Simulator
-from adhoc_sim.nodes import DOWN, UP, Node
+from adhoc_sim.nodes import DOWN, UP, Node, TraceLoad
 from adhoc_sim.resources import ResourceVector as RV
 
 
@@ -38,6 +39,34 @@ def ref_mean_demand(hist, start, end, current):
         seg_end = min(seg_end, end)
         if seg_end > seg_start:
             total = total + demand.scale(seg_end - seg_start)
+    return total.scale(1.0 / (end - start))
+
+
+def ref_trace_demand_at(points, t):
+    current = RV.zero()
+    for pt, demand in points:
+        if pt <= t:
+            current = demand
+        else:
+            break
+    return current
+
+
+def ref_trace_mean_over(points, start, end):
+    if end <= start:
+        return ref_trace_demand_at(points, start)
+    total = RV.zero()
+    cursor = start
+    current = ref_trace_demand_at(points, start)
+    for pt, demand in points:
+        if pt <= start:
+            continue
+        if pt >= end:
+            break
+        total = total + current.scale(pt - cursor)
+        cursor = pt
+        current = demand
+    total = total + current.scale(end - cursor)
     return total.scale(1.0 / (end - start))
 
 
@@ -100,3 +129,18 @@ def test_mean_demand_matches_scan(points, queries):
     for start, end in queries:
         expected = ref_mean_demand(hist, start, end, node.user_demand)
         assert node.mean_demand(start, end) == expected
+
+
+# trace points as the scenario schema admits them: times >= 0, strictly increasing
+trace_points = st.lists(
+    st.tuples(st.integers(0, 1200), demands), max_size=30, unique_by=lambda p: p[0]
+).map(lambda points: tuple(sorted(points, key=lambda p: p[0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_points, windows)
+def test_trace_load_matches_scan(points, queries):
+    trace = TraceLoad(points)
+    for start, end in queries:
+        assert trace.demand_at(start) == ref_trace_demand_at(points, start)
+        assert trace.mean_over(start, end) == ref_trace_mean_over(points, start, end)
