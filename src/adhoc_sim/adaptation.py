@@ -1,6 +1,7 @@
 """Autonomic control loop: each epoch, enumerate speculative plans, score
 them with a weighted multi-objective utility, and execute the best one under
-hard non-intrusiveness constraints re-checked at execution time.
+hard non-intrusiveness constraints re-checked at execution time. A plan is a
+tuple of actions; the empty plan ``NOOP_PLAN`` changes nothing.
 
 U = w_avail*A' + w_perf*P' - w_intr*I' - w_cost*C, where A' is the mean
 predicted availability over keys and agreements after the plan, P' the
@@ -16,13 +17,13 @@ stay importable from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import metrics
 from .defaults import DEFAULTS
 from .errors import InconsistentPlan
 from .infrastructure import RUNNING
-from .qos import availability_of, oracle_availability
+from .qos import availability_of
 from .resources import ResourceVector
 
 ADD_COST = 1.0
@@ -63,33 +64,20 @@ class Rereplicate:
     target_element: str
 
 
-@dataclass(frozen=True)
-class NoOp:
-    pass
+NOOP_PLAN = ()
 
 
-PlanAction = Union[AddElement, RemoveElement, Rereplicate, NoOp]
-
-
-@dataclass(frozen=True)
-class Plan:
-    actions: tuple
-
-    def describe(self) -> list:
-        out = []
-        for a in self.actions:
-            if isinstance(a, AddElement):
-                out.append(["add", a.cloudlet_id, a.node_id])
-            elif isinstance(a, RemoveElement):
-                out.append(["remove", a.cloudlet_id, a.element_id])
-            elif isinstance(a, Rereplicate):
-                out.append(["rereplicate", a.cloudlet_id, a.key, a.target_element])
-            else:
-                out.append(["noop"])
-        return out
-
-
-NOOP_PLAN = Plan(actions=(NoOp(),))
+def describe(plan: tuple) -> list:
+    """The plan as logged: one list per action; the empty plan is [["noop"]]."""
+    out = []
+    for a in plan:
+        if isinstance(a, AddElement):
+            out.append(["add", a.cloudlet_id, a.node_id])
+        elif isinstance(a, RemoveElement):
+            out.append(["remove", a.cloudlet_id, a.element_id])
+        else:
+            out.append(["rereplicate", a.cloudlet_id, a.key, a.target_element])
+    return out or [["noop"]]
 
 
 @dataclass(frozen=True)
@@ -155,11 +143,12 @@ class CloudStateSnapshot:
 # -- candidate generation -------------------------------------------------------
 
 
-def generate_plans(snapshot: CloudStateSnapshot, policy: AdaptationPolicy) -> list[Plan]:
-    """Deterministic candidate enumeration: NoOp, per-key re-replication (plus
-    a bundled repair plan), membership repair when no member can take a copy,
-    watermark-driven scale out (top-3 nodes by free headroom), and scale in."""
-    plans: list[Plan] = [NOOP_PLAN]
+def generate_plans(snapshot: CloudStateSnapshot, policy: AdaptationPolicy) -> list[tuple]:
+    """Deterministic candidate enumeration: the no-op plan, per-key
+    re-replication (plus a bundled repair plan), membership repair when no
+    member can take a copy, watermark-driven scale out (top-3 nodes by free
+    headroom), and scale in."""
+    plans: list[tuple] = [NOOP_PLAN]
     for cid in sorted(snapshot.cloudlets):
         cloudlet = snapshot.cloudlets[cid]
         if cloudlet.engine_kind == "kv_store":
@@ -181,7 +170,7 @@ def _feasible_nodes(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) ->
     return out
 
 
-def _repair_plans(snapshot, cloudlet, policy) -> list[Plan]:
+def _repair_plans(snapshot, cloudlet, policy) -> list[tuple]:
     deficient = [
         ks
         for ks in cloudlet.keys
@@ -205,25 +194,16 @@ def _repair_plans(snapshot, cloudlet, policy) -> list[Plan]:
             source_element=min(ks.live_replica_elements),
             target_element=target.element_id,
         )
-        plans.append(Plan(actions=(action,)))
+        plans.append((action,))
         repair_actions.append(action)
     if len(repair_actions) > 1:
-        bundle = tuple(repair_actions[: policy.max_actions_per_epoch])
-        plans.append(Plan(actions=bundle))
+        plans.append(tuple(repair_actions[: policy.max_actions_per_epoch]))
     if needs_new_member:
         feasible = _feasible_nodes(snapshot, cloudlet)
         if feasible and len(cloudlet.members) < cloudlet.max_members:
-            plans.append(
-                Plan(
-                    actions=(
-                        AddElement(
-                            cloudlet_id=cloudlet.cloudlet_id,
-                            node_id=feasible[0].node_id,
-                            allocation=cloudlet.element_allocation,
-                        ),
-                    )
-                )
-            )
+            plans.append((AddElement(
+                cloudlet.cloudlet_id, feasible[0].node_id, cloudlet.element_allocation
+            ),))
     return plans
 
 
@@ -241,39 +221,23 @@ def _repair_target(cloudlet, key_snapshot) -> Optional[MemberSnapshot]:
     return min(candidates, key=lambda m: (-m.effective_cpu, m.element_id))
 
 
-def _watermark_plans(snapshot, cloudlet, policy) -> list[Plan]:
+def _watermark_plans(snapshot, cloudlet, policy) -> list[tuple]:
     plans = []
     if (
         cloudlet.utilization > cloudlet.high_watermark
         and len(cloudlet.members) < cloudlet.max_members
     ):
         for ns in _feasible_nodes(snapshot, cloudlet)[:3]:
-            plans.append(
-                Plan(
-                    actions=(
-                        AddElement(
-                            cloudlet_id=cloudlet.cloudlet_id,
-                            node_id=ns.node_id,
-                            allocation=cloudlet.element_allocation,
-                        ),
-                    )
-                )
-            )
+            plans.append((AddElement(
+                cloudlet.cloudlet_id, ns.node_id, cloudlet.element_allocation
+            ),))
     if (
         cloudlet.utilization < cloudlet.low_watermark
         and len(cloudlet.members) > cloudlet.min_members
     ):
         victim = _scale_in_victim(snapshot, cloudlet)
         if victim is not None:
-            plans.append(
-                Plan(
-                    actions=(
-                        RemoveElement(
-                            cloudlet_id=cloudlet.cloudlet_id, element_id=victim.element_id
-                        ),
-                    )
-                )
-            )
+            plans.append((RemoveElement(cloudlet.cloudlet_id, victim.element_id),))
     return plans
 
 
@@ -298,7 +262,7 @@ def _scale_in_victim(snapshot, cloudlet) -> Optional[MemberSnapshot]:
 # -- evaluation -------------------------------------------------------------------
 
 
-def evaluate_plan(plan: Plan, snapshot: CloudStateSnapshot,
+def evaluate_plan(plan: tuple, snapshot: CloudStateSnapshot,
                   weights: UtilityWeights) -> float:
     _check_consistent(plan, snapshot)
     avail = _predicted_availability(plan, snapshot)
@@ -313,9 +277,9 @@ def evaluate_plan(plan: Plan, snapshot: CloudStateSnapshot,
     )
 
 
-def _check_consistent(plan: Plan, snapshot: CloudStateSnapshot) -> None:
-    removed = {a.element_id for a in plan.actions if isinstance(a, RemoveElement)}
-    for a in plan.actions:
+def _check_consistent(plan: tuple, snapshot: CloudStateSnapshot) -> None:
+    removed = {a.element_id for a in plan if isinstance(a, RemoveElement)}
+    for a in plan:
         if isinstance(a, Rereplicate) and (
             a.target_element in removed or a.source_element in removed
         ):
@@ -337,13 +301,13 @@ def _node_availability(snapshot, node_id: str) -> float:
     return ns.availability if ns else 0.0
 
 
-def _predicted_availability(plan: Plan, snapshot: CloudStateSnapshot) -> float:
+def _predicted_availability(plan: tuple, snapshot: CloudStateSnapshot) -> float:
     """Mean, over kv keys and active agreements, of 1 - prod(1 - p) across
     the replica/reserved nodes after the plan."""
     added_node_by_cloudlet: dict[str, str] = {}
     removed_elements = set()
     retargeted: dict[tuple[str, str], str] = {}
-    for a in plan.actions:
+    for a in plan:
         if isinstance(a, AddElement):
             added_node_by_cloudlet[a.cloudlet_id] = a.node_id
         elif isinstance(a, RemoveElement):
@@ -394,11 +358,11 @@ def _predicted_availability(plan: Plan, snapshot: CloudStateSnapshot) -> float:
     return sum(terms) / len(terms)
 
 
-def _predicted_performance(plan: Plan, snapshot: CloudStateSnapshot) -> float:
+def _predicted_performance(plan: tuple, snapshot: CloudStateSnapshot) -> float:
     """Mean over compute cloudlets of min(1, service_rate / arrival_rate)."""
     added = {}
     removed = set()
-    for a in plan.actions:
+    for a in plan:
         if isinstance(a, AddElement):
             added[a.cloudlet_id] = added.get(a.cloudlet_id, 0.0) + a.allocation.cpu
         elif isinstance(a, RemoveElement):
@@ -423,14 +387,14 @@ def _predicted_performance(plan: Plan, snapshot: CloudStateSnapshot) -> float:
     return sum(terms) / len(terms)
 
 
-def _predicted_intrusion(plan: Plan, snapshot: CloudStateSnapshot) -> float:
+def _predicted_intrusion(plan: tuple, snapshot: CloudStateSnapshot) -> float:
     """Mean over up nodes of allocated/headroom cpu pressure, clamped to [0,1]."""
     delta: dict[str, float] = {}
     element_alloc: dict[str, tuple[str, float]] = {}
     for cid, cloudlet in snapshot.cloudlets.items():
         for m in cloudlet.members:
             element_alloc[m.element_id] = (m.node_id, m.allocation_cpu)
-    for a in plan.actions:
+    for a in plan:
         if isinstance(a, AddElement):
             delta[a.node_id] = delta.get(a.node_id, 0.0) + a.allocation.cpu
         elif isinstance(a, RemoveElement) and a.element_id in element_alloc:
@@ -451,13 +415,13 @@ def _predicted_intrusion(plan: Plan, snapshot: CloudStateSnapshot) -> float:
     return sum(ratios) / len(ratios)
 
 
-def _plan_cost(plan: Plan, snapshot: CloudStateSnapshot) -> float:
+def _plan_cost(plan: tuple, snapshot: CloudStateSnapshot) -> float:
     sizes = {}
     for cid, cloudlet in snapshot.cloudlets.items():
         for ks in cloudlet.keys:
             sizes[(cid, ks.key)] = ks.size
     cost = 0.0
-    for a in plan.actions:
+    for a in plan:
         if isinstance(a, AddElement):
             cost += ADD_COST
         elif isinstance(a, RemoveElement):
@@ -469,9 +433,10 @@ def _plan_cost(plan: Plan, snapshot: CloudStateSnapshot) -> float:
 
 def select_plan(
     snapshot: CloudStateSnapshot, policy: AdaptationPolicy, weights: UtilityWeights
-) -> tuple[Plan, float, float]:
-    """Argmax-utility plan (ties: fewest actions, then enumeration order);
-    falls back to NoOp unless the winner beats NoOp by epsilon."""
+) -> tuple[tuple, float, float]:
+    """(plan, its utility, the no-op plan's utility) for the argmax-utility
+    plan (ties: fewest actions, then enumeration order); falls back to the
+    empty no-op plan unless the winner beats it by epsilon."""
     candidates = generate_plans(snapshot, policy)
     noop_utility = evaluate_plan(NOOP_PLAN, snapshot, weights)
     best, best_u = NOOP_PLAN, noop_utility
@@ -479,7 +444,7 @@ def select_plan(
         if plan is NOOP_PLAN:  # generate_plans lists it first; scored above
             continue
         u = evaluate_plan(plan, snapshot, weights)
-        if u > best_u or (u == best_u and len(plan.actions) < len(best.actions)):
+        if u > best_u or (u == best_u and len(plan) < len(best)):
             best, best_u = plan, u
     if best_u <= noop_utility + policy.epsilon:
         return NOOP_PLAN, noop_utility, noop_utility
@@ -517,9 +482,7 @@ class AdaptationController:
     def build_snapshot(self) -> CloudStateSnapshot:
         s = self.simulation
         now = self.sim.now
-        forecaster = s.broker.forecaster if s.broker else None
-        if forecaster is not None:
-            forecast = forecaster.forecast_capacity((now, now + self.policy.epoch_ms))
+        forecast = s.broker.forecaster.forecast_capacity((now, now + self.policy.epoch_ms))
         nodes = {}
         for node_id in sorted(s.nodes):
             node = s.nodes[node_id]
@@ -527,25 +490,21 @@ class AdaptationController:
             up = node.is_up()
             headroom = node.headroom() if up else ResourceVector.zero()
             available = infra.available_headroom() if up else ResourceVector.zero()
-            if forecaster is not None:
-                p = forecast[node_id].availability
-            else:
-                p = oracle_availability(node)
+            p = forecast[node_id].availability
             # records are built positionally: a NamedTuple built by keyword
             # costs about twice as much, once per node, key and member
             nodes[node_id] = NodeSnapshot(
                 node_id, up, p, headroom, available, infra.committed().cpu
             )
-        reserved = s.broker.reserved_element_ids() if s.broker else set()
+        reserved = s.broker.reserved_element_ids()
         cloudlets = {}
         for cid in sorted(s.cloudlets):
             cloudlets[cid] = self._cloudlet_snapshot(cid, now)
         agreements = []
-        if s.broker:
-            for aid in sorted(s.broker.agreements):
-                ag = s.broker.agreements[aid]
-                if ag.state == "active":
-                    agreements.append(tuple(ag.reserved_nodes()))
+        for aid in sorted(s.broker.agreements):
+            ag = s.broker.agreements[aid]
+            if ag.state == "active":
+                agreements.append(tuple(ag.reserved_nodes()))
         return CloudStateSnapshot(
             nodes=nodes,
             cloudlets=cloudlets,
@@ -610,14 +569,13 @@ class AdaptationController:
 
     # -- execution
 
-    def adapt_step(self, snapshot: CloudStateSnapshot) -> Plan:
-        """Select and execute the best plan for the snapshot; constraint
-        failures downgrade individual actions to NoOp."""
+    def adapt_step(self, snapshot: CloudStateSnapshot) -> tuple:
+        """Select and execute the best plan for the snapshot. An action whose
+        constraints fail at execution is skipped and logged as downgraded;
+        the empty no-op plan executes nothing."""
         plan, utility, noop_utility = select_plan(snapshot, self.policy, self.weights)
         executed = []
-        for action in plan.actions:
-            if isinstance(action, NoOp):
-                continue
+        for action in plan:
             ok, reason = self._execute_action(action)
             if ok:
                 executed.append(action)
@@ -626,7 +584,7 @@ class AdaptationController:
                     "adaptation",
                     {
                         "event": "action_downgraded",
-                        "action": Plan(actions=(action,)).describe()[0],
+                        "action": describe((action,))[0],
                         "reason": reason,
                     },
                 )
@@ -634,15 +592,15 @@ class AdaptationController:
             "adaptation",
             {
                 "event": "adapt_step",
-                "plan": plan.describe(),
-                "executed": Plan(actions=tuple(executed)).describe() if executed else [],
+                "plan": describe(plan),
+                "executed": describe(executed) if executed else [],
                 "utility": utility,
                 "noop_utility": noop_utility,
             },
         )
         return plan
 
-    def _execute_action(self, action: PlanAction) -> tuple[bool, str]:
+    def _execute_action(self, action) -> tuple[bool, str]:
         s = self.simulation
         if isinstance(action, AddElement):
             node = s.nodes.get(action.node_id)

@@ -183,9 +183,10 @@ class VersionedValue(NamedTuple):
 class KvService:
     """Client-path quorum operations against one kv cloudlet.
 
-    A client's binding to a key is the view version it bound at; an
-    operation presented with a stale binding re-binds exactly once and
-    proceeds against the key's current replica set.
+    A client's binding to a key is the view version it bound at, kept in
+    the client's key -> binding table. A get binds an unbound key; a get
+    presented with a stale binding re-binds exactly once and proceeds
+    against the key's current replica set.
     """
 
     def __init__(
@@ -205,11 +206,7 @@ class KvService:
         self._component = f"kv:{runtime.cloudlet_id}"
 
     def _replica_elements(self, replica_ids: list[str]) -> list[CloudElement]:
-        return [
-            self.runtime.elements[eid]
-            for eid in replica_ids
-            if eid in self.runtime.elements
-        ]
+        return [self.runtime.elements[eid] for eid in replica_ids]
 
     def _log_op(self, record: dict) -> None:
         self.sim.record(self._component, record)
@@ -261,33 +258,45 @@ class KvService:
 
     # -- get ------------------------------------------------------------------
 
-    def get(self, key: str, binding: Optional[int] = None) -> OpHandle:
+    def get(self, key: str, bindings: Optional[dict[str, int]] = None) -> OpHandle:
         """Read from a majority of the key's replica set; returns the highest
-        version among responses and pushes it to stale responders."""
+        version among responses and pushes it to stale responders.
+
+        With a client's ``bindings`` table, an unbound key is bound first;
+        if that fails it stays unbound and the read proceeds. A stale
+        binding re-binds exactly once; if that fails the entry is dropped
+        and the get fails with NoLiveElement."""
         handle = OpHandle()
         if key not in self.runtime.metadata.replica_map:
             handle._finish(self.sim.now, error=UnknownKey(f"key {key!r} unknown"))
             return handle
-        if binding is not None and self.runtime.binding_stale(binding):
-            # staleness signal: exactly one re-bind, then proceed
-            self.rebinds += 1
-            self._log_op({"event": "rebind", "key": key})
-            try:
-                self.runtime.bind(key)
-            except (UnknownKey, NoLiveElement) as exc:
-                handle._finish(self.sim.now, error=exc)
-                return handle
+        if bindings is not None:
+            binding = bindings.get(key)
+            if binding is None:
+                try:
+                    bindings[key] = self.runtime.bind(key)
+                except NoLiveElement:
+                    pass  # the key stays unbound and the read proceeds
+            elif self.runtime.binding_stale(binding):
+                # staleness signal: exactly one re-bind, then proceed
+                self.rebinds += 1
+                self._log_op({"event": "rebind", "key": key})
+                try:
+                    bindings[key] = self.runtime.bind(key)
+                except NoLiveElement as exc:
+                    del bindings[key]
+                    handle._finish(self.sim.now, error=exc)
+                    return handle
         replicas = list(self.runtime.metadata.replica_map[key])
         targets = self._replica_elements(replicas)
         need = majority(len(replicas))
         winner: dict = {}
 
         def push_repair(eid, version, value, size):
-            el = self.runtime.elements.get(eid)
-            if el is not None:
-                self.net.send_to_element(
-                    el, lambda: el.engine.apply_write(key, version, value, size)
-                )
+            el = self.runtime.elements[eid]
+            self.net.send_to_element(
+                el, lambda: el.engine.apply_write(key, version, value, size)
+            )
 
         def on_success(replies):
             version, value, stale = merge_read_replies(replies)
@@ -426,26 +435,17 @@ class ComputeService:
     def _log(self, record: dict) -> None:
         self.sim.record(self._component, record)
 
-    def submit_task(self, task: Task, element_id: Optional[str] = None) -> None:
-        """Accept a task and send it to element_id, or to the best-effort
-        pick; its outcome is logged as task_completed or task_lost."""
+    def submit_task(self, task: Task, element_id: str) -> None:
+        """Accept a task and send it to element_id, the element the
+        dispatcher routed it to; its outcome is logged as task_completed or
+        task_lost. A retry goes to the best-effort pick."""
         self.submitted += 1
         self.total_work += task.work_units
         self._arrival_times.append(task.arrival)
         self._log(
             {"event": "task_submitted", "task": task.task_id, "work": task.work_units}
         )
-        try:
-            if element_id is not None:
-                element = self.runtime.elements[element_id]
-                if not element.is_serving():
-                    raise NoLiveElement(f"element {element_id} not serving")
-            else:
-                element = self.runtime.best_effort_pick()
-        except NoLiveElement as exc:
-            self._lose(task, str(exc))
-            return
-        self._send_to(task, element)
+        self._send_to(task, self.runtime.elements[element_id])
 
     def _send_to(self, task: Task, element: CloudElement) -> None:
         self.in_transit += 1

@@ -163,12 +163,7 @@ class NodeInfrastructure:
         el = self.elements.get(element_id)
         if el is None or el.state == DEAD:
             raise UnknownElement(f"no live element {element_id} on {self.node.node_id}")
-        el.evict_requested = True
-        self._cancel_pending(element_id)
-        self._transition(el, EVICTING, "evict")
-        self._pending[element_id] = self.sim.schedule(
-            lambda: self._finish_shutdown(element_id), self._component, self.shutdown_ms
-        )
+        self._evict(el)
         self.reassess()
 
     def _finish_shutdown(self, element_id: str) -> None:

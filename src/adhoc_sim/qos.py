@@ -331,10 +331,12 @@ class Broker:
 
 
 class Dispatcher:
-    """Routes service requests: reserved elements first, best effort otherwise."""
+    """Routes each task to its first element: a serving element reserved by
+    the task's agreement, else the best-effort pick. The element returned
+    is serving at the time of the call."""
 
     def __init__(self, sim: Simulator, cloudlets: dict[str, CloudletRuntime],
-                 broker: Optional[Broker] = None):
+                 broker: Broker):
         self.sim = sim
         self.cloudlets = cloudlets
         self.broker = broker
@@ -342,9 +344,7 @@ class Dispatcher:
     def dispatch(self, cloudlet_id: str, agreement_id: Optional[str] = None) -> str:
         runtime = self.cloudlets[cloudlet_id]
         if agreement_id is not None:
-            agreement = (
-                self.broker.agreements.get(agreement_id) if self.broker else None
-            )
+            agreement = self.broker.agreements.get(agreement_id)
             if agreement is None or agreement.state != ACTIVE:
                 self.sim.record(
                     "dispatcher",

@@ -1,7 +1,9 @@
 """Wires one simulation instance: nodes, per-node infrastructure, cloudlet
 coordinators, engines, QoS, adaptation, and workload generators.
 
-Instances share nothing; a batch may run many of them independently.
+Every instance has its QoS layer (forecaster, broker and dispatcher); the
+adaptation controller is attached on demand. Instances share nothing; a
+batch may run many of them independently.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .engines import (
     KvService,
     Task,
 )
-from .errors import AdhocSimError, NoLiveElement
+from .errors import NoLiveElement
 from .infrastructure import (
     DEAD,
     EVICTING,
@@ -34,11 +36,16 @@ from .membership import CloudletPolicy, CloudletRuntime
 from .metrics import GoalSpec, MetricsFold
 from .network import Network
 from .nodes import Node
+from .qos import Agreement, Broker, Dispatcher, Forecaster
 from .resources import ResourceVector
 
 
 class Simulation:
-    """One deterministic instance: all state machines driven by one kernel."""
+    """One deterministic instance: all state machines driven by one kernel.
+
+    The broker forecasts in ``qos_mode`` over ``trailing_window_ms`` of
+    history, and the dispatcher routes every task through it.
+    ``attach_adaptation`` adds the autonomic controller."""
 
     def __init__(
         self,
@@ -49,6 +56,8 @@ class Simulation:
         op_timeout_ms: int = DEFAULTS["op_timeout_ms"],
         copy_ms_per_mb: float = DEFAULTS["copy_ms_per_mb"],
         log: Optional[EventLog] = None,
+        qos_mode: str = DEFAULTS["qos_mode"],
+        trailing_window_ms: int = DEFAULTS["trailing_window_ms"],
     ):
         self.sim = Simulator(seed=seed, log=log)
         self.net = Network(self.sim, latency)
@@ -62,8 +71,11 @@ class Simulation:
         self.cloudlets: dict[str, CloudletRuntime] = {}
         self.kv_services: dict[str, KvService] = {}
         self.compute_services: dict[str, ComputeService] = {}
-        self.broker = None
-        self.dispatcher = None
+        forecaster = Forecaster(self.nodes, mode=qos_mode, trailing_window_ms=trailing_window_ms,
+                                now_fn=lambda: self.sim.now)
+        self.broker = Broker(self.sim, self.nodes, forecaster, self.ids,
+                             deploy_fn=self.deploy_element, deploy_ms=deploy_ms)
+        self.dispatcher = Dispatcher(self.sim, self.cloudlets, self.broker)
         self.controller = None
         self.element_allocations: dict[str, ResourceVector] = {}
         self._started = False
@@ -149,31 +161,6 @@ class Simulation:
             service = self.compute_services[cloudlet_id]
             element.engine = ComputeElementEngine(self.sim, element, service.on_task_done)
         return eid
-
-    def attach_qos(
-        self,
-        mode: str = DEFAULTS["qos_mode"],
-        trailing_window_ms: int = DEFAULTS["trailing_window_ms"],
-    ):
-        """Create the broker and dispatcher for this instance."""
-        from .qos import Broker, Dispatcher, Forecaster
-
-        forecaster = Forecaster(
-            self.nodes,
-            mode=mode,
-            trailing_window_ms=trailing_window_ms,
-            now_fn=lambda: self.sim.now,
-        )
-        self.broker = Broker(
-            self.sim,
-            self.nodes,
-            forecaster,
-            self.ids,
-            deploy_fn=self.deploy_element,
-            deploy_ms=self.deploy_ms,
-        )
-        self.dispatcher = Dispatcher(self.sim, self.cloudlets, self.broker)
-        return self.broker
 
     def attach_adaptation(self, policy=None, weights=None):
         """Create the autonomic controller; epochs begin once the run starts."""
@@ -262,10 +249,7 @@ class TaskWorkload:
         self.issued += 1
         service = s.compute_services[spec.cloudlet]
         try:
-            element_id = None
-            if s.dispatcher is not None:
-                element_id = s.dispatcher.dispatch(spec.cloudlet, agreement_id)
-            service.submit_task(task, element_id)
+            service.submit_task(task, s.dispatcher.dispatch(spec.cloudlet, agreement_id))
         except NoLiveElement:
             self.skipped += 1
             s.sim.record(
@@ -279,7 +263,7 @@ class TaskWorkload:
 
 class KvWorkload:
     """Generates put/get traffic against one kv cloudlet, exercising the
-    bind/re-bind client path."""
+    bind/re-bind client path through its key -> binding table."""
 
     def __init__(self, simulation: Simulation, spec, horizon: int):
         self.s = simulation
@@ -304,7 +288,6 @@ class KvWorkload:
         now = s.sim.now
         self.issued += 1
         service = s.kv_services[spec.cloudlet]
-        runtime = s.cloudlets[spec.cloudlet]
         index = int(self._ops.uniform01() * spec.key_space)
         key = self._keys.get(index)
         if key is None:
@@ -315,20 +298,7 @@ class KvWorkload:
             size = draw_ms(self._ops, spec.value_size)
             service.put(key, f"{spec.workload_id}:{self.seq}", size=size)
         else:
-            binding = self.bindings.get(key)
-            if binding is None:
-                try:
-                    binding = runtime.bind(key)
-                    self.bindings[key] = binding
-                except AdhocSimError:
-                    binding = None
-            was_stale = binding is not None and runtime.binding_stale(binding)
-            service.get(key, binding)
-            if was_stale:
-                try:
-                    self.bindings[key] = runtime.bind(key)
-                except AdhocSimError:
-                    self.bindings.pop(key, None)
+            service.get(key, self.bindings)
         delay = draw_ms(self._stream, self._gap)
         if now + delay <= self.horizon:
             s.sim.schedule(self._fire, f"workload:{spec.workload_id}", delay)
@@ -349,6 +319,8 @@ def build_simulation(scenario, seed: Optional[int] = None,
         op_timeout_ms=d["op_timeout_ms"],
         copy_ms_per_mb=d["copy_ms_per_mb"],
         log=log,
+        qos_mode=scenario.qos_mode,
+        trailing_window_ms=scenario.trailing_window_ms,
     )
     s.sim.record("runner", {"event": "run_start", "seed": seed})
     for spec in scenario.fleet:
@@ -361,7 +333,6 @@ def build_simulation(scenario, seed: Optional[int] = None,
             policy=spec.intrusiveness,
             forecast_availability=spec.forecast_availability,
         )
-    s.attach_qos(mode=scenario.qos_mode, trailing_window_ms=scenario.trailing_window_ms)
     s.attach_adaptation(scenario.adaptation, scenario.weights)
     for spec in scenario.cloudlets:
         s.add_cloudlet(
@@ -419,7 +390,6 @@ def run_scenario(scenario, seed_override: Optional[int] = None,
     the file back; a run that raises deletes the file. Without it the log
     stays in memory."""
 
-    from .qos import Agreement
     from .scenario import scenario_to_json
 
     seed = scenario.seed if seed_override is None else seed_override

@@ -12,12 +12,11 @@ from adhoc_sim.adaptation import (
     MemberSnapshot,
     NodeSnapshot,
     NOOP_PLAN,
-    NoOp,
-    Plan,
     RemoveElement,
     Rereplicate,
     UtilityWeights,
     aggregate_metrics,
+    describe,
     evaluate_plan,
     generate_plans,
     select_plan,
@@ -106,7 +105,7 @@ class TestGeneratePlans:
         reps = [
             a
             for p in plans
-            for a in p.actions
+            for a in p
             if isinstance(a, Rereplicate)
         ]
         assert reps
@@ -117,14 +116,14 @@ class TestGeneratePlans:
         # all members hold the key: membership must grow before repair
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2])
         plans = generate_plans(snap, AdaptationPolicy())
-        adds = [a for p in plans for a in p.actions if isinstance(a, AddElement)]
+        adds = [a for p in plans for a in p if isinstance(a, AddElement)]
         assert len(adds) == 1
         assert adds[0].node_id == "n3"  # highest free headroom among non-members
 
     def test_high_watermark_top3_feasible_nodes(self):
         snap = compute_snapshot(utilization=0.95, n_members=2, n_nodes=6)
         plans = generate_plans(snap, AdaptationPolicy())
-        adds = [p.actions[0] for p in plans if isinstance(p.actions[0], AddElement)]
+        adds = [p[0] for p in plans if p and isinstance(p[0], AddElement)]
         assert len(adds) == 3
         # nodes 3..6 are feasible (1,2 host members); top-3 by free cpu
         assert [a.node_id for a in adds] == ["n5", "n3", "n6"]
@@ -132,14 +131,14 @@ class TestGeneratePlans:
     def test_low_watermark_remove_candidate(self):
         snap = compute_snapshot(utilization=0.1, n_members=2)
         plans = generate_plans(snap, AdaptationPolicy())
-        removes = [p.actions[0] for p in plans if isinstance(p.actions[0], RemoveElement)]
+        removes = [p[0] for p in plans if p and isinstance(p[0], RemoveElement)]
         assert len(removes) == 1
         assert removes[0].element_id == "e0001"  # most constrained node
 
     def test_low_watermark_respects_min_members(self):
         snap = compute_snapshot(utilization=0.1, n_members=2, min_members=2)
         plans = generate_plans(snap, AdaptationPolicy())
-        assert not [p for p in plans if isinstance(p.actions[0], RemoveElement)]
+        assert not [p for p in plans if p and isinstance(p[0], RemoveElement)]
 
     def test_reserved_elements_never_removal_victims(self):
         snap = compute_snapshot(utilization=0.1, n_members=2)
@@ -148,7 +147,7 @@ class TestGeneratePlans:
             reserved_elements=frozenset({"e0001"}),
         )
         plans = generate_plans(snap, AdaptationPolicy())
-        removes = [p.actions[0] for p in plans if isinstance(p.actions[0], RemoveElement)]
+        removes = [p[0] for p in plans if p and isinstance(p[0], RemoveElement)]
         assert [r.element_id for r in removes] == ["e0002"]
 
     def test_monotone_candidates(self):
@@ -161,12 +160,27 @@ class TestGeneratePlans:
         )
 
 
+class TestDescribe:
+    def test_each_action_kind_and_the_empty_plan(self):
+        plan = (
+            AddElement("c1", "n5", ALLOC),
+            RemoveElement("c1", "e0001"),
+            Rereplicate("c1", "x", "e0001", "e0004"),
+        )
+        assert describe(plan) == [
+            ["add", "c1", "n5"],
+            ["remove", "c1", "e0001"],
+            ["rereplicate", "c1", "x", "e0004"],
+        ]
+        assert describe(NOOP_PLAN) == describe(()) == [["noop"]]
+
+
 class TestEvaluatePlan:
     def test_rereplicate_raises_key_availability(self):
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
         w_only_avail = UtilityWeights(w_avail=1.0, w_perf=0, w_intr=0, w_cost=0)
-        noop_u = evaluate_plan(Plan(actions=(NoOp(),)), snap, w_only_avail)
-        repair = Plan(actions=(Rereplicate("c1", "x", "e0001", "e0004"),))
+        noop_u = evaluate_plan(NOOP_PLAN, snap, w_only_avail)
+        repair = (Rereplicate("c1", "x", "e0001", "e0004"),)
         repair_u = evaluate_plan(repair, snap, w_only_avail)
         assert noop_u == pytest.approx(0.99)  # 1 - 0.1^2
         assert repair_u == pytest.approx(0.999)  # 1 - 0.1^3
@@ -177,32 +191,30 @@ class TestEvaluatePlan:
             agreements=[("n1", "n2")],
         )
         w = UtilityWeights(w_avail=1.0, w_perf=0, w_intr=0, w_cost=0)
-        u = evaluate_plan(Plan(actions=(NoOp(),)), snap, w)
+        u = evaluate_plan(NOOP_PLAN, snap, w)
         assert u == pytest.approx((0.999 + 0.99) / 2)
 
     def test_inconsistent_remove_and_rereplicate(self):
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
-        bad = Plan(
-            actions=(
-                RemoveElement("c1", "e0004"),
-                Rereplicate("c1", "x", "e0001", "e0004"),
-            )
+        bad = (
+            RemoveElement("c1", "e0004"),
+            Rereplicate("c1", "x", "e0001", "e0004"),
         )
         with pytest.raises(InconsistentPlan):
             evaluate_plan(bad, snap, UtilityWeights())
 
     def test_add_element_over_headroom_inconsistent(self):
         snap = kv_snapshot()
-        bad = Plan(actions=(AddElement("c1", "n4", RV(99.0)),))
+        bad = (AddElement("c1", "n4", RV(99.0)),)
         with pytest.raises(InconsistentPlan):
             evaluate_plan(bad, snap, UtilityWeights())
 
     def test_cost_reduces_utility(self):
         snap = compute_snapshot(utilization=0.95)
         w = UtilityWeights(w_avail=0, w_perf=0, w_intr=0, w_cost=1.0)
-        add = Plan(actions=(AddElement("c1", "n5", ALLOC),))
+        add = (AddElement("c1", "n5", ALLOC),)
         assert evaluate_plan(add, snap, w) == pytest.approx(-1.0)
-        rem = Plan(actions=(RemoveElement("c1", "e0001"),))
+        rem = (RemoveElement("c1", "e0001"),)
         assert evaluate_plan(rem, snap, w) == pytest.approx(-0.2)
 
 
@@ -210,7 +222,7 @@ class TestSelectPlan:
     def test_replica_deficit_selects_repair(self):
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
         plan, utility, noop_u = select_plan(snap, AdaptationPolicy(), UtilityWeights())
-        assert any(isinstance(a, Rereplicate) for a in plan.actions)
+        assert any(isinstance(a, Rereplicate) for a in plan)
         assert utility > noop_u
 
     def test_selection_equals_exhaustive_argmax(self):
@@ -234,10 +246,10 @@ class TestSelectPlan:
             best, best_u = None, None
             for p in generate_plans(snap, policy):
                 u = evaluate_plan(p, snap, weights)
-                if best is None or u > best_u or (u == best_u and len(p.actions) < len(best.actions)):
+                if best is None or u > best_u or (u == best_u and len(p) < len(best)):
                     best, best_u = p, u
-            noop_ref = evaluate_plan(Plan(actions=(NoOp(),)), snap, weights)
-            expected = best if best_u > noop_ref + policy.epsilon else Plan(actions=(NoOp(),))
+            noop_ref = evaluate_plan(NOOP_PLAN, snap, weights)
+            expected = best if best_u > noop_ref + policy.epsilon else NOOP_PLAN
             assert chosen == expected, (trial, kind)
 
     def test_healthy_state_keeps_noop(self):

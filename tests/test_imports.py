@@ -3,10 +3,11 @@ somewhere in that module: an import nothing uses is dead code that still
 costs a load. Every function and class the package defines is named
 somewhere besides its own definition, in the package or in the benchmark
 that drives it, and every attribute a package class stores on ``self`` is
-read there too."""
+read there too. Every function the benchmark's tracer wraps still exists."""
 
 import ast
 import builtins
+import importlib.util
 import io
 import os
 import tokenize
@@ -208,3 +209,46 @@ def test_reports_an_unread_attribute():
     ]
     readers = ["def probe(box):\n    return getattr(box, 'probed')\n"]
     assert unread_attributes(package, readers) == ["Box.counted", "Box.planted"]
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unresolved_spans(spans, package="adhoc_sim"):
+    """Names of the spans whose function the benchmark's tracer would not
+    find: it follows the attribute path with getattr and takes the last
+    name from its owner's ``vars()``. A missing span reads as never called."""
+    missing = []
+    for name, module_name, path in spans:
+        owner = importlib.import_module(f"{package}.{module_name}")
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part, None)
+        if owner is None or vars(owner).get(attr) is None:
+            missing.append(name)
+    return missing
+
+
+def test_layer_spans_resolve():
+    tracing = _load_tracing()
+    assert unresolved_spans(tracing.LAYER_SPANS) == []
+    spans = {name for name, _module, _path in tracing.LAYER_SPANS}
+    assert sorted(set(tracing.RESULT_COUNTERS) - spans) == []
+
+
+def test_reports_an_unresolved_span():
+    spans = (
+        ("engines.submit_task", "engines", "ComputeService.submit_task"),
+        ("engines.planted", "engines", "ComputeService.no_such_method"),
+        ("engines.planted_owner", "engines", "NoSuchClass.submit_task"),
+        ("engines.planted_function", "engines", "no_such_function"),
+    )
+    assert unresolved_spans(spans) == [
+        "engines.planted", "engines.planted_owner", "engines.planted_function",
+    ]

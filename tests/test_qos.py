@@ -26,11 +26,10 @@ OFFICE_CHURN = ChurnModel(Dist.exponential(3_600_000), Dist.exponential(400_000)
 
 
 def fleet(n_nodes=3, churn=OFFICE_CHURN, seed=1, cloudlet_kind=COMPUTE):
-    s = Simulation(seed=seed)
+    s = Simulation(seed=seed, qos_mode="oracle")
     for i in range(1, n_nodes + 1):
         s.add_node(f"n{i}", CAPACITY, churn=churn, reserve_margin=RV.zero())
     s.add_cloudlet("c1", cloudlet_kind, CloudletPolicy(target_replication=1))
-    s.attach_qos(mode="oracle")
     return s
 
 
@@ -79,7 +78,6 @@ class TestForecast:
         trace = TraceLoad(((0, RV(2.0)), (50_000, RV(4.0))))
         s.add_node("n1", CAPACITY, user_load=trace, reserve_margin=RV(0.5))
         s.add_cloudlet("c1", COMPUTE, CloudletPolicy())
-        s.attach_qos()
         forecast = s.broker.forecaster.forecast_capacity((0, 100_000))
         # mean demand over window = 3.0; capacity 8 - 3 - 0.5 margin
         assert forecast["n1"].expected_headroom.cpu == pytest.approx(4.5)
@@ -89,7 +87,6 @@ class TestForecast:
         load = MarkovLoad(RV(1.0), RV(3.0), mean_idle_ms=10_000, mean_active_ms=10_000)
         s.add_node("n1", CAPACITY, user_load=load, reserve_margin=RV.zero())
         s.add_cloudlet("c1", COMPUTE, CloudletPolicy())
-        s.attach_qos()
         forecast = s.broker.forecaster.forecast_capacity((0, 100_000))
         assert forecast["n1"].expected_headroom.cpu == pytest.approx(6.0)
 
@@ -166,7 +163,6 @@ class TestNegotiate:
                     reserve_margin=RV.zero(),
                 )
             s.add_cloudlet("c1", COMPUTE, CloudletPolicy())
-            s.attach_qos()
             for r in range(rng.randint(1, 4)):
                 start = rng.randrange(0, 400_000)
                 req = request(
