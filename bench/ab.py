@@ -22,10 +22,10 @@ Per pair and tree:
 Writes ``bench/BENCH_<workload>.json``: both revisions with the git tree of
 their ``src/``, the CPU count and the Python version, the sha256 of every
 document, each pair's values, each side's median and quartiles, the pairs
-the head won, each document's event count per tree, and whether
-``events.ndjson``, ``summary.json`` and ``series.csv`` and the simulated
-outcomes were byte-identical between the trees. Run from the repository
-root.
+the head won, whether a gain claim holds (``summarize``), each document's
+event count per tree, and whether ``events.ndjson``, ``summary.json`` and
+``series.csv`` and the simulated outcomes were byte-identical between the
+trees. Run from the repository root.
 """
 
 from __future__ import annotations
@@ -74,8 +74,10 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(pairs: list, better: str) -> dict:
-    """Each side's median and quartiles over the pairs, and the pairs the
-    head won; a tie counts for neither side."""
+    """Each side's median and quartiles over the pairs, the pairs the head
+    won (a tie counts for neither side), and whether a gain claim holds: the
+    head won at least 9 of every 10 pairs, and its median is better than the
+    base's by more than the base's interquartile range."""
     wins = ties = 0
     for pair in pairs:
         base, head = pair["base"], pair["head"]
@@ -83,12 +85,17 @@ def summarize(pairs: list, better: str) -> dict:
             ties += 1
         elif (head < base) == (better == "lower"):
             wins += 1
+    sides = {side: quartiles([p[side] for p in pairs]) for side in SIDES}
+    gap = sides["base"]["median"] - sides["head"]["median"]
+    if better == "higher":
+        gap = -gap
     return {
-        "base": quartiles([p["base"] for p in pairs]),
-        "head": quartiles([p["head"] for p in pairs]),
+        **sides,
         "head_won": wins,
         "ties": ties,
         "pairs": len(pairs),
+        "claim_holds": 10 * wins >= 9 * len(pairs)
+        and gap > sides["base"]["q3"] - sides["base"]["q1"],
     }
 
 

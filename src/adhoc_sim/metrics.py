@@ -1,20 +1,26 @@
-"""Goal-level figures folded from the event log, one record at a time.
+"""Goal-level figures and reservation decisions folded from the event log,
+one record at a time.
 
 A ``MetricsFold`` takes each record in log order through a table keyed by
-event name and keeps only what the report needs: node up intervals, element
-serving intervals, violation intervals, task counts and latencies. A run
-feeds it every record as the log records it, so the summary needs no second
-pass over the log; ``aggregate_metrics`` feeds it a log that already exists.
-The report is exactly recomputable from the log alone, and all time
-fractions are exact integer ratios.
+event name. It keeps each node's liveness and violation, each cloudlet's
+"some element serves" and each element's serving as a flag
+``kernel.StepHistory``, plus task counts and latencies, the agreements'
+windows and elements, and each reservation request's admission or
+rejection. A run feeds it every record as the log records it, so the
+summary needs no second pass over the log; ``aggregate_metrics`` feeds it a
+log that already exists. Every summary figure is therefore exactly
+recomputable from the log alone, and all time fractions are exact integer
+ratios of flag-history integrals over the goal window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import IncompleteLog
+from .kernel import StepHistory, flag_area
 
 
 @dataclass(frozen=True)
@@ -38,30 +44,56 @@ def _cloudlet_of(component: str) -> str:
     return component.split(":", 1)[1]
 
 
+def _set_flag(histories: dict, key: str, t: int, flag: bool) -> None:
+    """Step the flag history of ``key`` to ``flag`` at t; the key's first
+    record starts its history, and a record that repeats the flag adds no
+    breakpoint."""
+    history = histories.get(key)
+    if history is None:
+        histories[key] = StepHistory(t, flag, flag_area)
+    elif history.value_at(t) != flag:
+        history.append(t, flag)
+
+
+def _any_holds(histories: list, start: int, end: int) -> int:
+    """The ms of [start, end) in which at least one of the flag histories
+    holds: the integral of a history with a breakpoint at each of theirs."""
+    points = sorted(
+        ((t, i, flag) for i, history in enumerate(histories) for t, flag in history),
+        key=itemgetter(0),
+    )
+    if not points:
+        return 0
+    holding = set()
+    any_history = StepHistory(points[0][0], False, flag_area)
+    for t, i, flag in points:
+        (holding.add if flag else holding.discard)(i)
+        any_history.append(t, bool(holding))
+    return any_history.integral(start, end)
+
+
 class MetricsFold:
-    """The summary metrics of one log over ``goal.window``, folded as each
-    record arrives through ``add(t, component, record)``. ``metrics()``
-    closes the intervals still open at the logged run end without changing
-    the fold, and raises IncompleteLog while no ``run_end`` record covers
-    the window."""
+    """The summary metrics of one log over ``goal.window`` and its
+    reservation decisions, folded as each record arrives through ``add(t,
+    component, record)``. Time in a state is kept only as flag histories,
+    which hold their last value past the last record, so ``metrics()`` reads
+    each as an integral over the window without closing anything; it raises
+    IncompleteLog while no ``run_end`` record covers the window.
+    ``reservations()`` gives each request's decision as logged by the
+    broker."""
 
     def __init__(self, goal: GoalSpec):
         self.start, self.end = goal.window
         self.run_end = None
-        self.node_up_since: dict[str, int] = {}
-        self.node_up_ms: dict[str, int] = {}
+        self.node_up: dict[str, StepHistory] = {}
+        self.violating: dict[str, StepHistory] = {}
+        self.cloudlet_live: dict[str, StepHistory] = {}  # some element serving
+        self.element_serving: dict[str, StepHistory] = {}
         self.serving: dict[str, set] = {}  # cloudlet -> serving element ids
-        self.serving_since: dict[str, int] = {}
-        self.cloudlet_live_ms: dict[str, int] = {}
-        self.element_serving: dict[str, bool] = {}
-        self.element_intervals: dict[str, list] = {}
-        self.element_open: dict[str, int] = {}
-        self.violation_since: dict[str, int] = {}
-        self.violation_ms: dict[str, int] = {}
-        self.node_ids: set = set()
         self.latencies: dict[str, list] = {}
         self.tasks: dict[str, dict] = {}
-        self.agreements: dict[str, dict] = {}
+        self.agreements: dict[str, tuple] = {}  # id -> (window, element ids)
+        self.decisions: dict[str, dict] = {}  # request id -> reservation decision
         self.action_counts: dict[str, int] = {}
         self.downgrades = 0
         self._handlers = {
@@ -70,13 +102,14 @@ class MetricsFold:
             "element_state": self._element_state,
             "violation_start": self._violation_start,
             "violation_end": self._violation_end,
-            "node_defined": self._node_defined,
+            "node_defined": self._node_up,  # nodes start up
             "node_up": self._node_up,
             "node_down": self._node_down,
             "task_completed": self._task_completed,
             "task_lost": self._task_lost,
             "task_submitted": self._task_submitted,
             "agreement_admitted": self._agreement_admitted,
+            "agreement_rejected": self._agreement_rejected,
             "agreement_element": self._agreement_element,
             "adapt_step": self._adapt_step,
             "action_downgraded": self._action_downgraded,
@@ -87,65 +120,33 @@ class MetricsFold:
         if handler is not None:
             handler(t, component, record)
 
-    def _clip(self, a: int, b: int) -> int:
-        return max(0, min(b, self.end) - max(a, self.start))
-
-    def _add_ms(self, totals: dict, key: str, since: int, t: int) -> None:
-        totals[key] = totals.get(key, 0) + self._clip(since, t)
-
     # -- one handler per event name
 
     def _run_end(self, t, component, rec):
         self.run_end = t
 
     def _cloudlet_defined(self, t, component, rec):
-        self.cloudlet_live_ms.setdefault(rec["cloudlet"], 0)
+        cid = rec["cloudlet"]
+        _set_flag(self.cloudlet_live, cid, t, bool(self.serving.get(cid)))
 
     def _element_state(self, t, component, rec):
-        eid = rec["element"]
-        cid = rec["cloudlet"]
-        now_serving = rec["serving"]
-        was_serving = self.element_serving.get(eid, False)
-        if now_serving and not was_serving:
-            self.element_open[eid] = t
-            group = self.serving.setdefault(cid, set())
-            if not group:
-                self.serving_since[cid] = t
-            group.add(eid)
-        elif was_serving and not now_serving:
-            self.element_intervals.setdefault(eid, []).append((self.element_open.pop(eid), t))
-            group = self.serving.setdefault(cid, set())
-            group.discard(eid)
-            if not group and cid in self.serving_since:
-                self._add_ms(self.cloudlet_live_ms, cid, self.serving_since.pop(cid), t)
-        self.element_serving[eid] = now_serving
-        self.cloudlet_live_ms.setdefault(cid, 0)
+        eid, cid, serving = rec["element"], rec["cloudlet"], rec["serving"]
+        group = self.serving.setdefault(cid, set())
+        (group.add if serving else group.discard)(eid)
+        _set_flag(self.element_serving, eid, t, serving)
+        _set_flag(self.cloudlet_live, cid, t, bool(group))
 
     def _violation_start(self, t, component, rec):
-        self.violation_since[rec["node"]] = t
-        self.node_ids.add(rec["node"])
+        _set_flag(self.violating, rec["node"], t, True)
 
     def _violation_end(self, t, component, rec):
-        node = rec["node"]
-        self.node_ids.add(node)
-        if node in self.violation_since:
-            self._add_ms(self.violation_ms, node, self.violation_since.pop(node), t)
-
-    def _node_defined(self, t, component, rec):
-        self.node_ids.add(rec["node"])
-        self.node_up_since[rec["node"]] = t  # nodes start up
-        self.node_up_ms.setdefault(rec["node"], 0)
+        _set_flag(self.violating, rec["node"], t, False)
 
     def _node_up(self, t, component, rec):
-        self.node_ids.add(rec["node"])
-        self.node_up_since.setdefault(rec["node"], t)
+        _set_flag(self.node_up, rec["node"], t, True)
 
     def _node_down(self, t, component, rec):
-        node = rec["node"]
-        self.node_ids.add(node)
-        since = self.node_up_since.pop(node, None)
-        if since is not None:
-            self._add_ms(self.node_up_ms, node, since, t)
+        _set_flag(self.node_up, rec["node"], t, False)
 
     def _task_count(self, component: str) -> dict:
         return self.tasks.setdefault(
@@ -164,11 +165,24 @@ class MetricsFold:
         self._task_count(component)["submitted"] += 1
 
     def _agreement_admitted(self, t, component, rec):
-        self.agreements[rec["agreement"]] = {"window": tuple(rec["window"]), "elements": set()}
+        self.agreements[rec["agreement"]] = (tuple(rec["window"]), set())
+        self.decisions[rec["request"]] = {
+            "admitted": True,
+            "agreement": rec["agreement"],
+            "predicted_availability": rec["predicted_availability"],
+            "nodes": list(rec["nodes"]),
+        }
+
+    def _agreement_rejected(self, t, component, rec):
+        self.decisions[rec["request"]] = {
+            "admitted": False,
+            "reason": rec["reason"],
+            "predicted_availability": rec["predicted_availability"],
+        }
 
     def _agreement_element(self, t, component, rec):
         if rec["agreement"] in self.agreements:
-            self.agreements[rec["agreement"]]["elements"].add(rec["element"])
+            self.agreements[rec["agreement"]][1].add(rec["element"])
 
     def _adapt_step(self, t, component, rec):
         for desc in rec["executed"]:
@@ -179,6 +193,10 @@ class MetricsFold:
 
     # -- the report
 
+    def reservations(self) -> dict:
+        """request id -> its admission or rejection, request id ascending."""
+        return dict(sorted(self.decisions.items()))
+
     def metrics(self) -> dict:
         start, end, run_end = self.start, self.end, self.run_end
         if run_end is None or end > run_end:
@@ -186,37 +204,24 @@ class MetricsFold:
                 f"window [{start},{end}) not covered by the log (run_end={run_end})"
             )
         window_ms = end - start
-        # close intervals still open at run end, on copies
-        cloudlet_live_ms = dict(self.cloudlet_live_ms)
-        for cid, since in self.serving_since.items():
-            self._add_ms(cloudlet_live_ms, cid, since, run_end)
-        element_intervals = {eid: list(ivs) for eid, ivs in self.element_intervals.items()}
-        for eid, since in self.element_open.items():
-            element_intervals.setdefault(eid, []).append((since, run_end))
-        violation_ms = dict(self.violation_ms)
-        for node, since in self.violation_since.items():
-            self._add_ms(violation_ms, node, since, run_end)
-        node_up_ms = dict(self.node_up_ms)
-        for node, since in self.node_up_since.items():
-            self._add_ms(node_up_ms, node, since, run_end)
+
+        def fraction_in(histories: dict, key: str) -> dict:
+            history = histories.get(key)
+            return _fraction(history.integral(start, end) if history else 0, window_ms)
 
         satisfaction = {}
         for aid in sorted(self.agreements):
-            info = self.agreements[aid]
-            a_start, a_end = info["window"]
+            (a_start, a_end), elements = self.agreements[aid]
             a_start, a_end = max(a_start, start), min(a_end, end)
             if a_end <= a_start:
                 continue
-            covered = _union_covered(
-                [
-                    iv
-                    for eid in sorted(info["elements"])
-                    for iv in element_intervals.get(eid, [])
-                ],
-                a_start,
-                a_end,
+            histories = [
+                self.element_serving[eid] for eid in sorted(elements)
+                if eid in self.element_serving
+            ]
+            satisfaction[aid] = _fraction(
+                _any_holds(histories, a_start, a_end), a_end - a_start
             )
-            satisfaction[aid] = _fraction(covered, a_end - a_start)
 
         task_latency = {}
         for cid in sorted(self.latencies):
@@ -228,20 +233,15 @@ class MetricsFold:
                 "p99": nearest_rank(values, 0.99),
             }
 
-        node_ids = sorted(self.node_ids)
+        node_ids = sorted(self.node_up.keys() | self.violating.keys())
         return {
             "window": [start, end],
             "cloudlet_availability": {
-                cid: _fraction(live, window_ms)
-                for cid, live in sorted(cloudlet_live_ms.items())
+                cid: fraction_in(self.cloudlet_live, cid) for cid in sorted(self.cloudlet_live)
             },
             "agreement_satisfaction": satisfaction,
-            "intrusiveness": {
-                node: _fraction(violation_ms.get(node, 0), window_ms) for node in node_ids
-            },
-            "node_uptime": {
-                node: _fraction(node_up_ms.get(node, 0), window_ms) for node in node_ids
-            },
+            "intrusiveness": {node: fraction_in(self.violating, node) for node in node_ids},
+            "node_uptime": {node: fraction_in(self.node_up, node) for node in node_ids},
             "task_latency": task_latency,
             "task_counts": {cid: dict(v) for cid, v in sorted(self.tasks.items())},
             "adaptation_actions": dict(sorted(self.action_counts.items())),
@@ -257,18 +257,3 @@ def aggregate_metrics(log, goal: GoalSpec) -> dict:
     for entry in log:
         fold.add(entry.t, entry.component, entry.record)
     return fold.metrics()
-
-
-def _union_covered(intervals: list, start: int, end: int) -> int:
-    """Total length of [start,end) covered by the union of the intervals."""
-    clipped = sorted(
-        (max(a, start), min(b, end)) for a, b in intervals if b > start and a < end
-    )
-    covered = 0
-    cursor = start
-    for a, b in clipped:
-        if b <= cursor:
-            continue
-        covered += b - max(a, cursor)
-        cursor = max(cursor, b)
-    return covered

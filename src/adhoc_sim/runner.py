@@ -36,7 +36,7 @@ from .membership import CloudletPolicy, CloudletRuntime
 from .metrics import GoalSpec, MetricsFold
 from .network import Network
 from .nodes import Node
-from .qos import Agreement, Broker, Dispatcher, Forecaster
+from .qos import Broker, Dispatcher, Forecaster
 from .resources import ResourceVector
 
 
@@ -384,7 +384,8 @@ def run_scenario(scenario, seed_override: Optional[int] = None,
     """Execute a validated scenario to run_until; returns (summary, series
     rows, simulation). Raises SimulationAbort on an invariant breach.
 
-    The summary metrics are folded from each record as it is logged. With
+    The summary's metrics and reservation decisions are folded from each
+    record as it is logged, so the event log alone recomputes them. With
     ``events_path`` the event log is streamed to that file as it is
     recorded and closed when the run ends, and the simulation's log reads
     the file back; a run that raises deletes the file. Without it the log
@@ -403,28 +404,12 @@ def run_scenario(scenario, seed_override: Optional[int] = None,
         log.discard()
         raise
     log.close()
-    metrics = fold.metrics()
-    reservations = {}
-    for rid, result in sorted(s.reservation_results.items()):
-        if isinstance(result, Agreement):
-            reservations[rid] = {
-                "admitted": True,
-                "agreement": result.agreement_id,
-                "predicted_availability": result.predicted_availability,
-                "nodes": result.reserved_nodes(),
-            }
-        else:
-            reservations[rid] = {
-                "admitted": False,
-                "reason": result.reason,
-                "predicted_availability": result.predicted_availability,
-            }
     summary = {
         "schema_version": 1,
         "seed": seed,
         "run_until": scenario.run_until,
         "scenario": scenario_to_json(scenario),
-        "reservations": reservations,
-        "metrics": metrics,
+        "reservations": fold.reservations(),
+        "metrics": fold.metrics(),
     }
     return summary, s.series_rows, s

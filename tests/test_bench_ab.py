@@ -1,6 +1,6 @@
 """The pair statistics of bench/ab.py: pairs won by direction, ties counted
-for neither side, quartiles taken inclusively, and events/s as traced event
-counts over untraced event-loop seconds."""
+for neither side, quartiles taken inclusively, the gain-claim rule, and
+events/s as traced event counts over untraced event-loop seconds."""
 
 import os
 import sys
@@ -19,6 +19,32 @@ def test_pairs_won_follow_the_direction_and_ties_count_for_neither():
     higher = ab.summarize(pairs, "higher")
     assert (higher["head_won"], higher["ties"]) == (1, 1)
     assert lower["base"]["median"] == 12.5 and lower["head"]["median"] == 10.5
+
+
+def test_claim_holds_when_the_head_wins_nine_of_ten_beyond_the_base_iqr():
+    pairs = [{"base": 10.0 + 0.1 * i, "head": 8.0 + 0.1 * i} for i in range(9)]
+    pairs.append({"base": 8.0, "head": 9.0})
+    lower = ab.summarize(pairs, "lower")
+    assert lower["head_won"] == 9 and lower["claim_holds"]
+    assert not ab.summarize(pairs, "higher")["claim_holds"]
+    flipped = [{"base": p["head"], "head": p["base"]} for p in pairs]
+    assert ab.summarize(flipped, "higher")["claim_holds"]
+
+
+def test_claim_fails_on_ties():
+    pairs = [{"base": 5.0, "head": 5.0}] * 10
+    summary = ab.summarize(pairs, "lower")
+    assert (summary["head_won"], summary["ties"], summary["claim_holds"]) == (0, 10, False)
+
+
+def test_claim_fails_when_the_median_gap_is_within_the_base_iqr():
+    # the head wins every pair, by less than the base's own spread
+    pairs = [{"base": float(b), "head": b - 0.5} for b in range(10, 20)]
+    summary = ab.summarize(pairs, "lower")
+    assert summary["head_won"] == 10
+    assert summary["base"]["median"] - summary["head"]["median"] == 0.5
+    assert summary["base"]["q3"] - summary["base"]["q1"] == 4.5
+    assert not summary["claim_holds"]
 
 
 def test_quartiles_are_inclusive():

@@ -9,6 +9,10 @@ re-records the digests and says so in CHANGES.md.
   owner load and churn.
 - mixed_window: mixed with the estimator's trailing window cut to 60 s, so
   its history queries start after the first breakpoint.
+- loss_and_rejection: scripted crashes of every compute node and of one
+  single-replica kv node, with adaptation off and one reservation too large
+  to admit, so the run loses and skips tasks, rejects a reservation and
+  fails stale re-binds; no other golden reaches those paths.
 """
 
 import hashlib
@@ -19,12 +23,16 @@ import sys
 import pytest
 
 import adhoc_sim
-from adhoc_sim import cli
+from adhoc_sim import cli, engines
+from adhoc_sim.errors import NoLiveElement
+from adhoc_sim.runner import run_scenario
+from adhoc_sim.scenario import load_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 DIGESTS = {
     "kv_churn_crash": "d23b527d42c6e3c140f947aa6e8d3014394c0730545ea8bd64007dbcfc6fae93",
+    "loss_and_rejection": "de34822ad74224cc17be2a6aad39634d5f72032dd23b543687b85ad6dced621c",
     "mixed": "2a6b715c42643a14a30817ababf39c86d2d17cf5860b40bcde76f08b19efaff6",
     "mixed_window": "b00619716a8c5d8d406379917f2b5fab45492e76b09023dbb3ea97d2a6851c80",
 }
@@ -42,6 +50,29 @@ def test_event_log_digest(name, tmp_path):
     assert code == cli.EXIT_OK
     with open(tmp_path / "events.ndjson", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == DIGESTS[name]
+
+
+def test_loss_and_rejection_reaches_the_paths_no_other_golden_does(monkeypatch):
+    get = engines.KvService.get
+    failed_rebinds = []
+
+    def counting_get(service, key, bindings=None):
+        rebinds = service.rebinds
+        handle = get(service, key, bindings)
+        if service.rebinds > rebinds and isinstance(handle.error, NoLiveElement):
+            failed_rebinds.append(key)
+        return handle
+
+    monkeypatch.setattr(engines.KvService, "get", counting_get)
+    scenario = load_scenario(os.path.join(GOLDEN_DIR, "loss_and_rejection.json"))
+    summary, _rows, simulation = run_scenario(scenario)
+    events = [entry.record["event"] for entry in simulation.sim.log]
+    for name in ("task_lost", "task_skipped", "agreement_rejected", "agreement_admitted"):
+        assert name in events, name
+    assert failed_rebinds
+    assert {rid: r["admitted"] for rid, r in summary["reservations"].items()} == {
+        "fits": True, "too_many": False,
+    }
 
 
 def test_event_log_independent_of_hash_seed(tmp_path):

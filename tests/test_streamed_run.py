@@ -1,7 +1,8 @@
 """A run with its event log streamed to a file: the same log, len and
-summary as a run that keeps the log in memory, no LogEntry held while the
-run streams, no file left by a breach, and the element and membership
-caches the run reads never stale."""
+summary as a run that keeps the log in memory, a summary whose metrics and
+reservations a fold of the file recomputes, no LogEntry held while the run
+streams, no file left by a breach, and the element and membership caches
+the run reads never stale."""
 
 import dataclasses
 import gc
@@ -16,12 +17,13 @@ from adhoc_sim.adaptation import GoalSpec, aggregate_metrics
 from adhoc_sim.infrastructure import DEAD
 from adhoc_sim.kernel import LogEntry, json_line
 from adhoc_sim.membership import CloudletRuntime
+from adhoc_sim.metrics import MetricsFold
 from adhoc_sim.resources import ResourceVector
 from adhoc_sim.runner import build_simulation, run_scenario
 from adhoc_sim.scenario import load_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-GOLDENS = ("kv_churn_crash", "mixed", "mixed_window")
+GOLDENS = ("kv_churn_crash", "loss_and_rejection", "mixed", "mixed_window")
 
 
 def _scenario(name):
@@ -53,10 +55,18 @@ def test_streamed_and_in_memory_logs_are_the_same(both_modes):
 
 
 def test_summary_folded_on_append_equals_aggregate_of_the_file(both_modes):
-    (summary, _rows, simulation), _path, _memory = both_modes
+    (summary, _rows, simulation), path, _memory = both_modes
+    goal = GoalSpec(window=(0, summary["run_until"]))
     # the streamed log's iteration reads the file back
-    recomputed = aggregate_metrics(simulation.sim.log, GoalSpec(window=(0, summary["run_until"])))
+    recomputed = aggregate_metrics(simulation.sim.log, goal)
     assert json.loads(json.dumps(recomputed)) == json.loads(json.dumps(summary["metrics"]))
+    fold = MetricsFold(goal)
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            entry = json.loads(line)
+            fold.add(entry["t"], entry["component"], entry["record"])
+    written = json.loads(json.dumps({k: summary[k] for k in ("metrics", "reservations")}))
+    assert {"metrics": fold.metrics(), "reservations": fold.reservations()} == written
 
 
 def _log_entries_alive():
