@@ -9,7 +9,9 @@ on exit), generates the workload's documents once with the head's
 --setups 3 --check`` on every document, one process at a time. A pair is
 one pass over the documents on both trees; the tree that runs first
 alternates from pair to pair. Before the pairs, one ``child.py --trace`` run
-per tree and document counts the kernel's events, which are deterministic.
+per tree and document counts the calls of every traced span, the kernel's
+events (``kernel.dispatch``) among them; the counts are deterministic, so
+equal counts show that both trees did the same work despite host noise.
 Per pair and tree:
 
 - ``host_s_per_sim_h``: summed wall seconds over summed simulated hours;
@@ -23,9 +25,9 @@ Writes ``bench/BENCH_<workload>.json``: both revisions with the git tree of
 their ``src/``, the CPU count and the Python version, the sha256 of every
 document, each pair's values, each side's median and quartiles, the pairs
 the head won, whether a gain claim holds (``summarize``), each document's
-event count per tree, and whether ``events.ndjson``, ``summary.json`` and
-``series.csv`` and the simulated outcomes were byte-identical between the
-trees. Run from the repository root.
+span call counts per tree, and whether ``events.ndjson``, ``summary.json``
+and ``series.csv``, the simulated outcomes and the span call counts were
+identical between the trees. Run from the repository root.
 """
 
 from __future__ import annotations
@@ -137,17 +139,19 @@ def _run_child(tree: str, doc: str, out: str, trace: bool = False) -> dict:
 
 def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, dict, dict]:
     """Run the pairs; returns the per-pair values, what matched and each
-    tree's event count per document."""
-    events = {
+    tree's span call counts per document."""
+    calls = {
         side: [
             _run_child(trees[side], doc, os.path.join(workdir, f"trace-{side}-{j}"),
-                       trace=True)["calls"]["kernel.dispatch"]
+                       trace=True)["calls"]
             for j, doc in enumerate(docs)
         ]
         for side in SIDES
     }
+    events = {side: [c["kernel.dispatch"] for c in calls[side]] for side in SIDES}
     rows = []
     identical = dict.fromkeys(OUTPUTS + ("simulated_outcomes",), True)
+    identical["span_calls"] = calls["base"] == calls["head"]
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         measures = {side: [] for side in SIDES}
@@ -164,7 +168,7 @@ def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, di
         print(f"pair {i + 1}/{pairs} ({order[0]} first): "
               + ", ".join(f"{name} {values['base'][name]:.4g} -> {values['head'][name]:.4g}"
                           for name in METRICS), file=sys.stderr)
-    return rows, identical, events
+    return rows, identical, calls
 
 
 def main(argv=None) -> int:
@@ -199,8 +203,8 @@ def main(argv=None) -> int:
                 fh.write(generate.dump(doc))
             docs.append(path)
             documents.append({"replication": r, "sha256": generate.digest(doc)})
-        rows, identical, events = compare(trees, docs, args.pairs,
-                                          os.path.join(workdir, "runs"))
+        rows, identical, calls = compare(trees, docs, args.pairs,
+                                         os.path.join(workdir, "runs"))
     finally:
         for tree in trees.values():
             subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
@@ -218,7 +222,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "documents": documents,
         "identical": identical,
-        "kernel_events": events,
+        "span_calls": calls,
         "metrics": {
             name: {
                 "unit": unit,

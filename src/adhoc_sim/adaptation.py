@@ -7,8 +7,11 @@ U = w_avail*A' + w_perf*P' - w_intr*I' - w_cost*C, where A' is the mean
 predicted availability over keys and agreements after the plan, P' the
 predicted service/arrival ratio capped at 1, I' the mean per-node
 allocation-to-headroom pressure, and C the summed action costs (deploy 1,
-destroy 0.2, re-replication proportional to bytes). Scaling every weight by
-the same positive factor leaves the selected plan unchanged.
+destroy 0.2, re-replication proportional to the bytes a ``Rereplicate``
+carries). Scaling every weight by the same positive factor leaves the
+selected plan unchanged.
+A plan is walked once (``_effect``); the predictors read that effect, and
+each cloudlet's snapshot carries its ``CloudletPolicy``.
 
 ``GoalSpec`` and ``aggregate_metrics``, the log aggregation of metrics.py,
 stay importable from here.
@@ -23,6 +26,7 @@ from . import metrics
 from .defaults import DEFAULTS
 from .errors import InconsistentPlan
 from .infrastructure import RUNNING
+from .membership import CloudletPolicy
 from .qos import availability_of
 from .resources import ResourceVector
 
@@ -62,6 +66,7 @@ class Rereplicate:
     key: str
     source_element: str
     target_element: str
+    size: int  # the key's bytes, which price the copy
 
 
 NOOP_PLAN = ()
@@ -121,11 +126,7 @@ class CloudletSnapshot:
     engine_kind: str
     members: tuple  # MemberSnapshot, id ascending
     keys: tuple  # KeySnapshot, key ascending
-    target_replication: int = DEFAULTS["target_replication"]
-    min_members: int = DEFAULTS["min_members"]
-    max_members: int = DEFAULTS["max_members"]
-    high_watermark: float = DEFAULTS["scale_high_watermark"]
-    low_watermark: float = DEFAULTS["scale_low_watermark"]
+    policy: CloudletPolicy  # replication target, member bounds, watermarks
     utilization: float = 0.0
     arrival_rate_per_ms: float = 0.0
     mean_work_units: float = 1.0
@@ -153,7 +154,7 @@ def generate_plans(snapshot: CloudStateSnapshot, policy: AdaptationPolicy) -> li
         cloudlet = snapshot.cloudlets[cid]
         if cloudlet.engine_kind == "kv_store":
             plans.extend(_repair_plans(snapshot, cloudlet, policy))
-        plans.extend(_watermark_plans(snapshot, cloudlet, policy))
+        plans.extend(_watermark_plans(snapshot, cloudlet))
     return plans
 
 
@@ -174,7 +175,7 @@ def _repair_plans(snapshot, cloudlet, policy) -> list[tuple]:
     deficient = [
         ks
         for ks in cloudlet.keys
-        if len(ks.live_replica_elements) < cloudlet.target_replication
+        if len(ks.live_replica_elements) < cloudlet.policy.target_replication
         and len(ks.live_replica_elements) > 0
     ]
     if not deficient:
@@ -189,10 +190,8 @@ def _repair_plans(snapshot, cloudlet, policy) -> list[tuple]:
             needs_new_member = True
             continue
         action = Rereplicate(
-            cloudlet_id=cloudlet.cloudlet_id,
-            key=ks.key,
-            source_element=min(ks.live_replica_elements),
-            target_element=target.element_id,
+            cloudlet.cloudlet_id, ks.key, min(ks.live_replica_elements), target.element_id,
+            ks.size,
         )
         plans.append((action,))
         repair_actions.append(action)
@@ -200,7 +199,7 @@ def _repair_plans(snapshot, cloudlet, policy) -> list[tuple]:
         plans.append(tuple(repair_actions[: policy.max_actions_per_epoch]))
     if needs_new_member:
         feasible = _feasible_nodes(snapshot, cloudlet)
-        if feasible and len(cloudlet.members) < cloudlet.max_members:
+        if feasible and len(cloudlet.members) < cloudlet.policy.max_members:
             plans.append((AddElement(
                 cloudlet.cloudlet_id, feasible[0].node_id, cloudlet.element_allocation
             ),))
@@ -221,19 +220,19 @@ def _repair_target(cloudlet, key_snapshot) -> Optional[MemberSnapshot]:
     return min(candidates, key=lambda m: (-m.effective_cpu, m.element_id))
 
 
-def _watermark_plans(snapshot, cloudlet, policy) -> list[tuple]:
+def _watermark_plans(snapshot, cloudlet) -> list[tuple]:
     plans = []
     if (
-        cloudlet.utilization > cloudlet.high_watermark
-        and len(cloudlet.members) < cloudlet.max_members
+        cloudlet.utilization > cloudlet.policy.scale_high_watermark
+        and len(cloudlet.members) < cloudlet.policy.max_members
     ):
         for ns in _feasible_nodes(snapshot, cloudlet)[:3]:
             plans.append((AddElement(
                 cloudlet.cloudlet_id, ns.node_id, cloudlet.element_allocation
             ),))
     if (
-        cloudlet.utilization < cloudlet.low_watermark
-        and len(cloudlet.members) > cloudlet.min_members
+        cloudlet.utilization < cloudlet.policy.scale_low_watermark
+        and len(cloudlet.members) > cloudlet.policy.min_members
     ):
         victim = _scale_in_victim(snapshot, cloudlet)
         if victim is not None:
@@ -264,36 +263,56 @@ def _scale_in_victim(snapshot, cloudlet) -> Optional[MemberSnapshot]:
 
 def evaluate_plan(plan: tuple, snapshot: CloudStateSnapshot,
                   weights: UtilityWeights) -> float:
-    _check_consistent(plan, snapshot)
-    avail = _predicted_availability(plan, snapshot)
-    perf = _predicted_performance(plan, snapshot)
-    intr = _predicted_intrusion(plan, snapshot)
-    cost = _plan_cost(plan, snapshot)
+    added_node, added_cpu, removed, copy_node, cpu_delta, cost = _effect(plan, snapshot)
     return (
-        weights.w_avail * avail
-        + weights.w_perf * perf
-        - weights.w_intr * intr
+        weights.w_avail * _predicted_availability(snapshot, added_node, removed, copy_node)
+        + weights.w_perf * _predicted_performance(snapshot, added_cpu, removed)
+        - weights.w_intr * _predicted_intrusion(snapshot, cpu_delta)
         - weights.w_cost * cost
     )
 
 
-def _check_consistent(plan: tuple, snapshot: CloudStateSnapshot) -> None:
-    removed = {a.element_id for a in plan if isinstance(a, RemoveElement)}
+def _member(snapshot, cloudlet_id: str, element_id: str) -> Optional[MemberSnapshot]:
+    members = snapshot.cloudlets[cloudlet_id].members
+    return next((m for m in members if m.element_id == element_id), None)
+
+
+def _effect(plan: tuple, snapshot: CloudStateSnapshot) -> tuple:
+    """One pass in plan order: cloudlet -> last added node, cloudlet -> added
+    cpu, removed elements, (cloudlet, key) -> node of the last copy target
+    (None if no member), node -> allocated cpu delta, and the summed cost.
+    Raises InconsistentPlan on an AddElement its node cannot host, or on
+    removing an element that a re-replication reads or writes."""
+    added_node, added_cpu, copy_node, cpu_delta = {}, {}, {}, {}
+    removed, copying = set(), set()
+    cost = 0.0
     for a in plan:
-        if isinstance(a, Rereplicate) and (
-            a.target_element in removed or a.source_element in removed
-        ):
-            raise InconsistentPlan(
-                f"plan removes element involved in re-replication of {a.key!r}"
-            )
         if isinstance(a, AddElement):
             ns = snapshot.nodes.get(a.node_id)
-            if ns is None or not ns.up:
-                raise InconsistentPlan(f"AddElement targets unusable node {a.node_id}")
-            if a.allocation.exceeds_any(ns.available_headroom):
+            if ns is None or not ns.up or a.allocation.exceeds_any(ns.available_headroom):
+                raise InconsistentPlan(f"AddElement node {a.node_id} is down or lacks headroom")
+            added_node[a.cloudlet_id] = a.node_id
+            added_cpu[a.cloudlet_id] = added_cpu.get(a.cloudlet_id, 0.0) + a.allocation.cpu
+            cpu_delta[a.node_id] = cpu_delta.get(a.node_id, 0.0) + a.allocation.cpu
+            cost += ADD_COST
+        elif isinstance(a, RemoveElement):
+            if a.element_id in copying:
+                raise InconsistentPlan(f"plan removes re-replication element {a.element_id}")
+            removed.add(a.element_id)
+            m = _member(snapshot, a.cloudlet_id, a.element_id)
+            if m is not None:
+                cpu_delta[m.node_id] = cpu_delta.get(m.node_id, 0.0) - m.allocation_cpu
+            cost += REMOVE_COST
+        else:
+            if a.source_element in removed or a.target_element in removed:
                 raise InconsistentPlan(
-                    f"AddElement allocation exceeds headroom on {a.node_id}"
+                    f"plan removes element involved in re-replication of {a.key!r}"
                 )
+            copying.update((a.source_element, a.target_element))
+            target = _member(snapshot, a.cloudlet_id, a.target_element)
+            copy_node[(a.cloudlet_id, a.key)] = target.node_id if target else None
+            cost += a.size * REREPLICATE_COST_PER_BYTE
+    return added_node, added_cpu, removed, copy_node, cpu_delta, cost
 
 
 def _node_availability(snapshot, node_id: str) -> float:
@@ -301,20 +320,10 @@ def _node_availability(snapshot, node_id: str) -> float:
     return ns.availability if ns else 0.0
 
 
-def _predicted_availability(plan: tuple, snapshot: CloudStateSnapshot) -> float:
+def _predicted_availability(snapshot: CloudStateSnapshot, added_node: dict,
+                            removed: set, copy_node: dict) -> float:
     """Mean, over kv keys and active agreements, of 1 - prod(1 - p) across
     the replica/reserved nodes after the plan."""
-    added_node_by_cloudlet: dict[str, str] = {}
-    removed_elements = set()
-    retargeted: dict[tuple[str, str], str] = {}
-    for a in plan:
-        if isinstance(a, AddElement):
-            added_node_by_cloudlet[a.cloudlet_id] = a.node_id
-        elif isinstance(a, RemoveElement):
-            removed_elements.add(a.element_id)
-        elif isinstance(a, Rereplicate):
-            retargeted[(a.cloudlet_id, a.key)] = a.target_element
-
     # many keys share a replica node set (on the benchmark workloads over
     # 95% of lookups hit): rate each distinct set once
     memo: dict[frozenset, float] = {}
@@ -333,23 +342,23 @@ def _predicted_availability(plan: tuple, snapshot: CloudStateSnapshot) -> float:
         cloudlet = snapshot.cloudlets[cid]
         if cloudlet.engine_kind != "kv_store":
             continue
-        member_nodes = {m.element_id: m.node_id for m in cloudlet.members}
+        added = added_node.get(cid)
         for ks in cloudlet.keys:
             nodes = {
                 node
                 for eid, node in zip(ks.live_replica_elements, ks.live_replica_nodes)
-                if eid not in removed_elements
+                if eid not in removed
             }
-            target = retargeted.get((cid, ks.key))
-            if target is not None and target in member_nodes:
-                nodes.add(member_nodes[target])
+            copy_to = copy_node.get((cid, ks.key))
+            if copy_to is not None:
+                nodes.add(copy_to)
             elif (
-                cid in added_node_by_cloudlet
-                and len(nodes) < cloudlet.target_replication
+                added is not None
+                and len(nodes) < cloudlet.policy.target_replication
             ):
                 # a freshly added member is the prospective host for the
                 # pending re-replication of deficient keys
-                nodes.add(added_node_by_cloudlet[cid])
+                nodes.add(added)
             terms.append(at_least_one_up(nodes))
     for reserved_nodes in snapshot.agreements:
         terms.append(at_least_one_up(reserved_nodes))
@@ -358,15 +367,9 @@ def _predicted_availability(plan: tuple, snapshot: CloudStateSnapshot) -> float:
     return sum(terms) / len(terms)
 
 
-def _predicted_performance(plan: tuple, snapshot: CloudStateSnapshot) -> float:
+def _predicted_performance(snapshot: CloudStateSnapshot, added_cpu: dict,
+                           removed: set) -> float:
     """Mean over compute cloudlets of min(1, service_rate / arrival_rate)."""
-    added = {}
-    removed = set()
-    for a in plan:
-        if isinstance(a, AddElement):
-            added[a.cloudlet_id] = added.get(a.cloudlet_id, 0.0) + a.allocation.cpu
-        elif isinstance(a, RemoveElement):
-            removed.add(a.element_id)
     terms = []
     for cid in sorted(snapshot.cloudlets):
         cloudlet = snapshot.cloudlets[cid]
@@ -375,7 +378,7 @@ def _predicted_performance(plan: tuple, snapshot: CloudStateSnapshot) -> float:
         eff_cpu = sum(
             m.effective_cpu for m in cloudlet.members if m.element_id not in removed
         )
-        eff_cpu += added.get(cid, 0.0)
+        eff_cpu += added_cpu.get(cid, 0.0)
         if cloudlet.arrival_rate_per_ms <= 0:
             terms.append(1.0)
             continue
@@ -387,25 +390,14 @@ def _predicted_performance(plan: tuple, snapshot: CloudStateSnapshot) -> float:
     return sum(terms) / len(terms)
 
 
-def _predicted_intrusion(plan: tuple, snapshot: CloudStateSnapshot) -> float:
+def _predicted_intrusion(snapshot: CloudStateSnapshot, cpu_delta: dict) -> float:
     """Mean over up nodes of allocated/headroom cpu pressure, clamped to [0,1]."""
-    delta: dict[str, float] = {}
-    element_alloc: dict[str, tuple[str, float]] = {}
-    for cid, cloudlet in snapshot.cloudlets.items():
-        for m in cloudlet.members:
-            element_alloc[m.element_id] = (m.node_id, m.allocation_cpu)
-    for a in plan:
-        if isinstance(a, AddElement):
-            delta[a.node_id] = delta.get(a.node_id, 0.0) + a.allocation.cpu
-        elif isinstance(a, RemoveElement) and a.element_id in element_alloc:
-            node_id, cpu = element_alloc[a.element_id]
-            delta[node_id] = delta.get(node_id, 0.0) - cpu
     ratios = []
     for node_id in sorted(snapshot.nodes):
         ns = snapshot.nodes[node_id]
         if not ns.up:
             continue
-        allocated = ns.allocated_cpu + delta.get(node_id, 0.0)
+        allocated = ns.allocated_cpu + cpu_delta.get(node_id, 0.0)
         if ns.headroom.cpu <= 0:
             ratios.append(1.0 if allocated > 0 else 0.0)
         else:
@@ -413,22 +405,6 @@ def _predicted_intrusion(plan: tuple, snapshot: CloudStateSnapshot) -> float:
     if not ratios:
         return 0.0
     return sum(ratios) / len(ratios)
-
-
-def _plan_cost(plan: tuple, snapshot: CloudStateSnapshot) -> float:
-    sizes = {}
-    for cid, cloudlet in snapshot.cloudlets.items():
-        for ks in cloudlet.keys:
-            sizes[(cid, ks.key)] = ks.size
-    cost = 0.0
-    for a in plan:
-        if isinstance(a, AddElement):
-            cost += ADD_COST
-        elif isinstance(a, RemoveElement):
-            cost += REMOVE_COST
-        elif isinstance(a, Rereplicate):
-            cost += sizes.get((a.cloudlet_id, a.key), 0) * REREPLICATE_COST_PER_BYTE
-    return cost
 
 
 def select_plan(
@@ -515,7 +491,6 @@ class AdaptationController:
     def _cloudlet_snapshot(self, cid: str, now: int) -> CloudletSnapshot:
         s = self.simulation
         runtime = s.cloudlets[cid]
-        policy = runtime.policy
         holders: dict[str, list[str]] = {}
         keys = []
         if runtime.engine_kind == "kv_store":
@@ -556,11 +531,7 @@ class AdaptationController:
             engine_kind=runtime.engine_kind,
             members=tuple(members),
             keys=tuple(keys),
-            target_replication=policy.target_replication,
-            min_members=policy.min_members,
-            max_members=policy.max_members,
-            high_watermark=policy.scale_high_watermark,
-            low_watermark=policy.scale_low_watermark,
+            policy=runtime.policy,
             utilization=utilization,
             arrival_rate_per_ms=arrival_rate,
             mean_work_units=mean_work,

@@ -57,7 +57,6 @@ class Agreement:
     agreement_id: str
     request: ReservationRequest
     reserved: list[tuple[str, Optional[str]]]  # (node_id, element_id once deployed)
-    predicted_availability: float
     state: str = ACTIVE
 
     def reserved_nodes(self) -> list[str]:
@@ -65,13 +64,6 @@ class Agreement:
 
     def reserved_elements(self) -> list[str]:
         return [eid for _, eid in self.reserved if eid is not None]
-
-
-@dataclass(frozen=True)
-class Rejection:
-    request: ReservationRequest
-    reason: str
-    predicted_availability: Optional[float] = None
 
 
 class NodeForecast(NamedTuple):
@@ -204,7 +196,8 @@ class Broker:
     def negotiate(self, request: ReservationRequest):
         """Admit iff some placement of element_count distinct nodes is
         calendar-feasible and meets the availability target; reserves and
-        pre-deploys on admission."""
+        pre-deploys on admission. Returns the Agreement, or None on
+        rejection; the log records the prediction either way."""
         forecast = self.forecaster.forecast_capacity(request.window)
         ordered = sorted(
             forecast.values(),
@@ -227,7 +220,6 @@ class Broker:
             agreement_id=self.ids.next("a"),
             request=request,
             reserved=[(f.node_id, None) for f in chosen],
-            predicted_availability=predicted,
         )
         self.agreements[agreement.agreement_id] = agreement
         for f in chosen:
@@ -259,7 +251,7 @@ class Broker:
         return agreement
 
     def _reject(self, request: ReservationRequest, reason: str,
-                predicted: Optional[float]) -> Rejection:
+                predicted: Optional[float]) -> None:
         self.sim.record(
             "broker",
             {
@@ -269,7 +261,6 @@ class Broker:
                 "predicted_availability": predicted,
             },
         )
-        return Rejection(request, reason, predicted)
 
     def _pre_deploy(self, agreement_id: str) -> None:
         agreement = self.agreements.get(agreement_id)

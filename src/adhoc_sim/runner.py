@@ -239,7 +239,7 @@ class TaskWorkload:
         agreement_id = None
         if spec.agreement_of is not None:
             result = s.reservation_results.get(spec.agreement_of)
-            if result is not None and hasattr(result, "agreement_id"):
+            if result is not None:
                 agreement_id = result.agreement_id
         task = Task(
             task_id=s.ids.next("t"),

@@ -58,8 +58,7 @@ def kv_snapshot(live_per_key=3, n_nodes=5, members_on=None, utilization=0.5,
         engine_kind="kv_store",
         members=members,
         keys=(KeySnapshot("x", replicas, replica_nodes, size=1_000_000),),
-        target_replication=3,
-        min_members=3,
+        policy=CloudletPolicy(target_replication=3, min_members=3),
         utilization=utilization,
     )
     nodes = {f"n{i}": node_snap(f"n{i}") for i in range(1, n_nodes + 1)}
@@ -80,10 +79,10 @@ def compute_snapshot(utilization, n_members=2, n_nodes=6, arrival_rate=0.001,
         engine_kind="compute",
         members=members,
         keys=(),
+        policy=CloudletPolicy(min_members=min_members),
         utilization=utilization,
         arrival_rate_per_ms=arrival_rate,
         mean_work_units=5.0,
-        min_members=min_members,
     )
     free = {1: 1.0, 2: 2.0, 3: 3.5, 4: 2.5, 5: 4.0, 6: 3.0}
     nodes = {
@@ -165,7 +164,7 @@ class TestDescribe:
         plan = (
             AddElement("c1", "n5", ALLOC),
             RemoveElement("c1", "e0001"),
-            Rereplicate("c1", "x", "e0001", "e0004"),
+            Rereplicate("c1", "x", "e0001", "e0004", 1_000_000),
         )
         assert describe(plan) == [
             ["add", "c1", "n5"],
@@ -180,7 +179,7 @@ class TestEvaluatePlan:
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
         w_only_avail = UtilityWeights(w_avail=1.0, w_perf=0, w_intr=0, w_cost=0)
         noop_u = evaluate_plan(NOOP_PLAN, snap, w_only_avail)
-        repair = (Rereplicate("c1", "x", "e0001", "e0004"),)
+        repair = (Rereplicate("c1", "x", "e0001", "e0004", 1_000_000),)
         repair_u = evaluate_plan(repair, snap, w_only_avail)
         assert noop_u == pytest.approx(0.99)  # 1 - 0.1^2
         assert repair_u == pytest.approx(0.999)  # 1 - 0.1^3
@@ -198,7 +197,7 @@ class TestEvaluatePlan:
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
         bad = (
             RemoveElement("c1", "e0004"),
-            Rereplicate("c1", "x", "e0001", "e0004"),
+            Rereplicate("c1", "x", "e0001", "e0004", 1_000_000),
         )
         with pytest.raises(InconsistentPlan):
             evaluate_plan(bad, snap, UtilityWeights())

@@ -1,6 +1,8 @@
 """The pair statistics of bench/ab.py: pairs won by direction, ties counted
-for neither side, quartiles taken inclusively, the gain-claim rule, and
-events/s as traced event counts over untraced event-loop seconds."""
+for neither side, quartiles taken inclusively, the gain-claim rule, events/s
+as traced event counts over untraced event-loop seconds, and the per-span
+call counts of the traced runs, identical only when both trees made the same
+calls on every document."""
 
 import os
 import sys
@@ -64,3 +66,34 @@ def test_events_per_s_divides_event_counts_by_loop_seconds():
     assert values["kernel.events_per_s"] == pytest.approx(4000 / 6.0)
     assert values["host_s_per_sim_h"] == pytest.approx(8.0)
     assert ab.METRICS["kernel.events_per_s"] == ("1/s", "higher")
+
+
+def fake_child(traced_calls):
+    """A stand-in for ab._run_child: traced runs return the given span call
+    counts per tree, untraced runs the same outputs and outcomes on both."""
+    def run_child(tree, doc, out, trace=False):
+        if trace:
+            return {"calls": dict(traced_calls[tree][doc])}
+        spans = dict.fromkeys(ab.NOT_LOOP, 0.0)
+        return {"host_s": 2.0, "total_s": spans, "run_until_ms": 3_600_000,
+                "setup_s": [0.1], "peak_rss_mb": 20.0,
+                "outputs": dict.fromkeys(ab.OUTPUTS, "digest"),
+                **dict.fromkeys(ab.OUTCOMES, {})}
+    return run_child
+
+
+@pytest.mark.parametrize("head_select_calls,same", [(120, True), (121, False)])
+def test_span_calls_are_recorded_per_tree_and_document(monkeypatch, tmp_path,
+                                                       head_select_calls, same):
+    docs = ["d0", "d1"]
+    base = {"d0": {"kernel.dispatch": 500, "adaptation.select": 120},
+            "d1": {"kernel.dispatch": 800, "adaptation.select": 120}}
+    head = {"d0": {"kernel.dispatch": 500, "adaptation.select": head_select_calls},
+            "d1": dict(base["d1"])}
+    monkeypatch.setattr(ab, "_run_child", fake_child({"B": base, "H": head}))
+    rows, identical, calls = ab.compare({"base": "B", "head": "H"}, docs, 2, str(tmp_path))
+    assert calls == {"base": [base["d0"], base["d1"]], "head": [head["d0"], head["d1"]]}
+    assert identical["span_calls"] is same
+    assert all(identical[name] for name in ab.OUTPUTS + ("simulated_outcomes",))
+    # events/s still reads the kernel's events from the traced counts
+    assert [row["base"]["kernel.events_per_s"] for row in rows] == [1300 / 4.0] * 2

@@ -13,6 +13,9 @@ re-records the digests and says so in CHANGES.md.
   single-replica kv node, with adaptation off and one reservation too large
   to admit, so the run loses and skips tasks, rejects a reservation and
   fails stale re-binds; no other golden reaches those paths.
+- scale_in: a compute cloudlet on three idle nodes with min_members 1 and a
+  light task stream, so the adaptation loop scores and executes RemoveElement
+  plans (at 30 s and 60 s); the other goldens never select scale in.
 """
 
 import hashlib
@@ -35,6 +38,7 @@ DIGESTS = {
     "loss_and_rejection": "de34822ad74224cc17be2a6aad39634d5f72032dd23b543687b85ad6dced621c",
     "mixed": "2a6b715c42643a14a30817ababf39c86d2d17cf5860b40bcde76f08b19efaff6",
     "mixed_window": "b00619716a8c5d8d406379917f2b5fab45492e76b09023dbb3ea97d2a6851c80",
+    "scale_in": "ba720806d36c47d6d704e6f8f91703fe65ef283e3f4477ee2c088dae08515962",
 }
 
 
@@ -73,6 +77,18 @@ def test_loss_and_rejection_reaches_the_paths_no_other_golden_does(monkeypatch):
     assert {rid: r["admitted"] for rid, r in summary["reservations"].items()} == {
         "fits": True, "too_many": False,
     }
+
+
+def test_scale_in_executes_a_remove():
+    scenario = load_scenario(os.path.join(GOLDEN_DIR, "scale_in.json"))
+    _summary, _rows, simulation = run_scenario(scenario)
+    executed = [
+        action[0]
+        for entry in simulation.sim.log
+        if entry.record["event"] == "adapt_step"
+        for action in entry.record["executed"]
+    ]
+    assert "remove" in executed
 
 
 def test_event_log_independent_of_hash_seed(tmp_path):

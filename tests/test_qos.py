@@ -12,7 +12,6 @@ from adhoc_sim.nodes import DOWN, ChurnModel, MarkovLoad, TraceLoad
 from adhoc_sim.qos import (
     Agreement,
     Forecaster,
-    Rejection,
     ReservationRequest,
     REJECT_AVAILABILITY,
     REJECT_CAPACITY,
@@ -43,6 +42,12 @@ def request(rid="r1", count=3, target=0.995, window=(100_000, 200_000),
         window=window,
         availability_target=target,
     )
+
+
+def broker_record(s, event):
+    """The last broker record of the event: admissions and rejections log the
+    predicted availability there."""
+    return [e.record for e in s.sim.log if e.record["event"] == event][-1]
 
 
 class TestForecast:
@@ -96,15 +101,17 @@ class TestNegotiate:
         s = fleet(n_nodes=3)
         result = s.broker.negotiate(request(count=3, target=0.995))
         assert isinstance(result, Agreement)
-        assert result.predicted_availability == pytest.approx(0.999)
+        admitted = broker_record(s, "agreement_admitted")
+        assert admitted["predicted_availability"] == pytest.approx(0.999)
         assert sorted(result.reserved_nodes()) == ["n1", "n2", "n3"]
 
     def test_two_nodes_cannot_reach_995(self):
         s = fleet(n_nodes=2)
         result = s.broker.negotiate(request(count=2, target=0.995))
-        assert isinstance(result, Rejection)
-        assert result.reason == REJECT_AVAILABILITY
-        assert result.predicted_availability == pytest.approx(0.99)
+        assert result is None
+        rejected = broker_record(s, "agreement_rejected")
+        assert rejected["reason"] == REJECT_AVAILABILITY
+        assert rejected["predicted_availability"] == pytest.approx(0.99)
 
     def test_capacity_exhausted_when_calendar_full(self):
         s = fleet(n_nodes=3)
@@ -112,8 +119,9 @@ class TestNegotiate:
         first = s.broker.negotiate(request(rid="r1", count=3, target=0.5, demand=big))
         assert isinstance(first, Agreement)
         second = s.broker.negotiate(request(rid="r2", count=3, target=0.5, demand=big))
-        assert isinstance(second, Rejection)
-        assert second.reason == REJECT_CAPACITY
+        assert second is None
+        rejected = broker_record(s, "agreement_rejected")
+        assert rejected["request"] == "r2" and rejected["reason"] == REJECT_CAPACITY
 
     def test_disjoint_windows_share_nodes(self):
         s = fleet(n_nodes=3)
@@ -184,12 +192,16 @@ class TestNegotiate:
                 _nodes, best = best_available_placement(per_node, snapshot, req)
                 result = s.broker.negotiate(req)
                 if best is None:
-                    assert isinstance(result, Rejection), (instance, req)
-                    assert result.reason == REJECT_CAPACITY
+                    assert result is None, (instance, req)
+                    assert broker_record(s, "agreement_rejected")["reason"] == REJECT_CAPACITY
                     continue
-                assert result.predicted_availability == pytest.approx(best, abs=1e-12)
                 admitted = best >= req.availability_target
                 assert isinstance(result, Agreement) == admitted, (instance, req)
+                record = broker_record(
+                    s, "agreement_admitted" if admitted else "agreement_rejected"
+                )
+                assert record["request"] == req.request_id
+                assert record["predicted_availability"] == pytest.approx(best, abs=1e-12)
 
 
 class TestDispatch:
