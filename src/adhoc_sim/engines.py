@@ -5,6 +5,9 @@ The kv store writes to a majority of a key's replica set before
 acknowledging and reads back the highest version among a majority of
 responses, repairing stale responders. Versions are allocated through the
 cloudlet's metadata order, so concurrent writers to one key serialize.
+Each put builds one immutable VersionedValue; the replicas store it, reads
+reply with it, read repair and re-replication push it, and a get returns
+it, all by reference.
 Compute tasks run FIFO per element at allocation.cpu * throttle_factor
 cores; a task interrupted by a crash is re-executed from scratch exactly
 once on another live element.
@@ -40,19 +43,31 @@ ENGINE_KINDS = (COMPUTE, KV_STORE)
 # synchronous interleaving harness in the test suite)
 
 
-def merge_read_replies(replies: dict) -> tuple[int, object, list[str]]:
-    """Pick the winning (version, value) among read replies and list the
-    stale responders that need repair. A replica without the key replies
-    None, which counts as version 0."""
-    best_version, best_value = 0, None
+class VersionedValue(NamedTuple):
+    """One kv write. A put builds it once; the replicas that store it, read
+    repair and the get that returns it all hold this same object."""
+
+    key: str
+    value: object
+    version: int
+    size: int = 0
+
+
+def merge_read_replies(
+    replies: dict,
+) -> tuple[int, Optional[VersionedValue], list[str]]:
+    """Pick the winning record among read replies and list the stale
+    responders that need repair. A replica without the key replies None,
+    which counts as version 0; with no record at all the winner is None."""
+    best_version, best = 0, None
     versions = []
-    for eid, reply in sorted(replies.items()):
-        version = reply[0] if reply is not None else 0
+    for eid, record in sorted(replies.items()):
+        version = record.version if record is not None else 0
         versions.append((eid, version))
         if version > best_version:
-            best_version, best_value = version, reply[1]
+            best_version, best = version, record
     stale = [eid for eid, version in versions if version < best_version]
-    return best_version, best_value, stale
+    return best_version, best, stale
 
 
 # ---------------------------------------------------------------------------
@@ -60,22 +75,19 @@ def merge_read_replies(replies: dict) -> tuple[int, object, list[str]]:
 
 
 class KvReplicaEngine:
-    """Per-element persistent store fragment."""
+    """Per-element persistent store fragment: each key maps to the record
+    of the highest version this replica has applied."""
 
     def __init__(self):
-        self.store: dict[str, tuple[int, object, int]] = {}  # key -> (version, value, size)
+        self.store: dict[str, VersionedValue] = {}
 
-    def apply_write(self, key: str, version: int, value: object, size: int) -> int:
-        current = self.store.get(key, (0, None, 0))[0]
-        if version > current:
-            self.store[key] = (version, value, size)
-        return max(version, current)
+    def apply_write(self, record: VersionedValue) -> None:
+        current = self.store.get(record.key)
+        if current is None or record.version > current.version:
+            self.store[record.key] = record
 
-    def read(self, key: str) -> Optional[tuple[int, object]]:
-        entry = self.store.get(key)
-        if entry is None:
-            return None
-        return (entry[0], entry[1])
+    def read(self, key: str) -> Optional[VersionedValue]:
+        return self.store.get(key)
 
 
 @dataclass(slots=True)
@@ -173,13 +185,6 @@ class ComputeElementEngine:
 # Cloudlet-level services
 
 
-class VersionedValue(NamedTuple):
-    key: str
-    value: object
-    version: int
-    size: int = 0
-
-
 class KvService:
     """Client-path quorum operations against one kv cloudlet.
 
@@ -223,17 +228,17 @@ class KvService:
             if not meta_handle.ok():
                 handle._finish(self.sim.now, error=meta_handle.error)
                 return
-            version = meta_handle.result["key_version"]
+            record = VersionedValue(key, value, meta_handle.result["key_version"], size)
             replicas = meta_handle.result["replicas"]
             targets = self._replica_elements(replicas)
             need = majority(len(replicas))
 
             def on_success(replies):
                 self._log_op(
-                    {"event": "put_ack", "key": key, "version": version,
+                    {"event": "put_ack", "key": key, "version": record.version,
                      "replicas": sorted(replies)}
                 )
-                handle._finish(self.sim.now, result=version)
+                handle._finish(self.sim.now, result=record.version)
 
             def on_failure(replies):
                 handle._finish(
@@ -246,7 +251,7 @@ class KvService:
             Round(
                 self.net,
                 targets,
-                lambda el: el.engine.apply_write(key, version, value, size),
+                lambda el: el.engine.apply_write(record),
                 quorum=need,
                 timeout_ms=self.op_timeout_ms,
                 on_success=on_success,
@@ -259,8 +264,9 @@ class KvService:
     # -- get ------------------------------------------------------------------
 
     def get(self, key: str, bindings: Optional[dict[str, int]] = None) -> OpHandle:
-        """Read from a majority of the key's replica set; returns the highest
-        version among responses and pushes it to stale responders.
+        """Read from a majority of the key's replica set; returns the record
+        of the highest version among responses and pushes it to stale
+        responders.
 
         With a client's ``bindings`` table, an unbound key is bound first;
         if that fails it stays unbound and the read proceeds. A stale
@@ -290,29 +296,24 @@ class KvService:
         replicas = list(self.runtime.metadata.replica_map[key])
         targets = self._replica_elements(replicas)
         need = majority(len(replicas))
-        winner: dict = {}
+        winner = None
 
-        def push_repair(eid, version, value, size):
+        def push_repair(eid):
             el = self.runtime.elements[eid]
-            self.net.send_to_element(
-                el, lambda: el.engine.apply_write(key, version, value, size)
-            )
+            self.net.send_to_element(el, lambda: el.engine.apply_write(winner))
 
         def on_success(replies):
-            version, value, stale = merge_read_replies(replies)
-            if version == 0:
+            nonlocal winner
+            version, winner, stale = merge_read_replies(replies)
+            if winner is None:
                 handle._finish(
                     self.sim.now, error=UnknownKey(f"key {key!r} has no acked value")
                 )
                 return
-            size = self.runtime.metadata.key_sizes.get(key, 0)
-            winner.update(version=version, value=value, size=size)
             for eid in stale:
-                push_repair(eid, version, value, size)
+                push_repair(eid)
             self._log_op({"event": "get_ok", "key": key, "version": version})
-            handle._finish(
-                self.sim.now, result=VersionedValue(key, value, version, size)
-            )
+            handle._finish(self.sim.now, result=winner)
 
         def on_failure(replies):
             handle._finish(
@@ -324,8 +325,8 @@ class KvService:
 
         def on_late(eid, reply):
             # a straggler replying after the quorum also gets read-repaired
-            if winner and (reply is None or reply[0] < winner["version"]):
-                push_repair(eid, winner["version"], winner["value"], winner["size"])
+            if winner is not None and (reply is None or reply.version < winner.version):
+                push_repair(eid)
 
         Round(
             self.net,
@@ -363,15 +364,13 @@ class KvService:
             return handle
 
         def on_replies(replies):
-            version, value, _stale = merge_read_replies(replies)
-            if version == 0:
-                # live replicas hold no data for the key (no put ever acked)
-                version, value = 0, None
+            version, record, _stale = merge_read_replies(replies)
             size = self.runtime.metadata.key_sizes.get(key, 0)
             copy_delay = round(size / (1024.0 * 1024.0) * self.copy_ms_per_mb)
 
             def deliver_copy():
-                target.engine.apply_write(key, version, value, size)
+                if record is not None:  # None: no live replica holds the key
+                    target.engine.apply_write(record)
                 live = [eid for eid in replicas if eid in self.runtime.view.members]
                 new_set = live + [target_eid]
                 meta = self.runtime.metadata_quorum_update(("set_replicas", key, new_set))

@@ -57,7 +57,8 @@ class Round:
 
     on_element runs against a live element at request delivery and its return
     value travels back as the reply. Exactly one of on_success/on_failure
-    fires; both receive the replies gathered so far.
+    fires; it receives the round's own dict of the replies gathered so far,
+    to which no later reply is added.
 
     Once decided, the round drops its timeout event, whose payload refers
     back to the round; with no cycle left, reference counting frees the
@@ -110,30 +111,35 @@ class Round:
             self.done = True
             self.net.sim.cancel(self._timeout_handle)
             self._timeout_handle = None
-            self.on_success(dict(self.replies))
+            self.on_success(self.replies)
 
     def _timed_out(self) -> None:
         self._timeout_handle = None
         if not self.done:
             self.done = True
-            self.on_failure(dict(self.replies))
+            self.on_failure(self.replies)
 
 
 class OpHandle:
     """Async operation outcome: result or error, filled at completion time.
 
-    Clients keep their handles, so a handle has no ``__dict__`` and holds its
-    callbacks only until they have run.
+    Clients keep their handles, so a handle has no ``__dict__``, stores each
+    fact once (it is done once it has a completion time) and holds its
+    callbacks only until they have run. A get's result is the record the
+    replicas hold, not a copy of it.
     """
 
-    __slots__ = ("done", "result", "error", "completed_at", "_callbacks")
+    __slots__ = ("result", "error", "completed_at", "_callbacks")
 
     def __init__(self):
-        self.done = False
         self.result: Any = None
         self.error: Optional[Exception] = None
         self.completed_at: Optional[int] = None
         self._callbacks: tuple[Callable[["OpHandle"], None], ...] = ()
+
+    @property
+    def done(self) -> bool:
+        return self.completed_at is not None
 
     def on_complete(self, cb: Callable[["OpHandle"], None]) -> "OpHandle":
         if self.done:
@@ -145,7 +151,6 @@ class OpHandle:
     def _finish(self, at: int, result: Any = None, error: Optional[Exception] = None) -> None:
         if self.done:
             return
-        self.done = True
         self.result = result
         self.error = error
         self.completed_at = at

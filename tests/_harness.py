@@ -9,7 +9,7 @@ partial-read the message-level protocol can produce for a single client.
 
 from dataclasses import dataclass
 
-from adhoc_sim.engines import KvReplicaEngine, majority, merge_read_replies
+from adhoc_sim.engines import KvReplicaEngine, VersionedValue, majority, merge_read_replies
 
 
 @dataclass
@@ -74,11 +74,12 @@ def execute_schedule(k: int, ops: list[str], crash_points: list[tuple[int, int]]
                 continue
             h.next_version += 1
             version = h.next_version
+            record = VersionedValue("x", value, version)
             acks = 0
             for i in range(k):
                 cross()  # before each replica delivery
                 if h.alive[i]:
-                    h.replicas[i].apply_write("x", version, value, 0)
+                    h.replicas[i].apply_write(record)
                     acks += 1
             cross()  # before the decide step
             ok = acks >= majority(k)
@@ -95,13 +96,13 @@ def execute_schedule(k: int, ops: list[str], crash_points: list[tuple[int, int]]
             cross()
             majority_alive = sum(h.alive) >= majority(k)
             if len(replies) >= majority(k):
-                version, value, _stale = merge_read_replies(replies)
+                version, record, _stale = merge_read_replies(replies)
                 outcomes.append(
                     OpOutcome(
                         "get",
                         ok=True,
                         version=version,
-                        value=value,
+                        value=record.value if record is not None else None,
                         majority_alive_at_decide=majority_alive,
                     )
                 )

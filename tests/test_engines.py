@@ -12,6 +12,7 @@ from adhoc_sim.engines import (
     KV_STORE,
     KvReplicaEngine,
     Task,
+    VersionedValue,
     majority,
     merge_read_replies,
 )
@@ -53,6 +54,12 @@ def kv_fabric(n_nodes=3, k=3, seed=1, latency=Dist.uniform(5, 50), churn=None):
     s.start()
     s.run_until(2100)
     return s, s.kv_services["c1"], eids
+
+
+def held(engine, key="x"):
+    """(version, value) of the record a replica holds for key."""
+    record = engine.read(key)
+    return (record.version, record.value)
 
 
 def live_replica_counts(s, cloudlet_id="c1"):
@@ -271,12 +278,12 @@ class TestKvStore:
         assert h2.ok()
         s.run_until(13_000)  # n1 back, restarted with stale v1
         stale_engine = s.cloudlets["c1"].elements[eids[0]].engine
-        assert stale_engine.read("x") == (1, "v1")
+        assert held(stale_engine) == (1, "v1")
         g = kv.get("x")
         settle(s)
         assert g.ok() and g.result.version == 2
         settle(s)  # read-repair push arrives
-        assert stale_engine.read("x") == (2, "v2")
+        assert held(stale_engine) == (2, "v2")
 
     def test_acked_value_survives_single_crash(self):
         s, kv, eids = kv_fabric(churn={"n2": ScriptedChurn(((8000, DOWN),))})
@@ -288,6 +295,17 @@ class TestKvStore:
         settle(s, 5000)
         assert g.ok()
         assert g.result.version == 1 and g.result.value == "v1"
+
+    def test_get_racing_a_newer_put_returns_the_size_of_its_version(self):
+        s, kv, eids = kv_fabric()
+        h1 = kv.put("x", "a", size=10)
+        settle(s)
+        assert h1.ok()
+        h2 = kv.put("x", "b", size=20)  # its metadata round records size 20 first
+        g = kv.get("x")
+        settle(s)
+        assert h2.ok() and g.ok()
+        assert g.result == VersionedValue(key="x", value="a", version=1, size=10)
 
 
 def counting_binds(s, cloudlet_id="c1"):
@@ -376,7 +394,7 @@ class TestRepair:
         assert h.result == 1  # highest live version copied
         assert live_replica_counts(s) == {"x": 3}
         assert fresh in runtime.metadata.replica_map["x"]
-        assert runtime.elements[fresh].engine.read("x") == (1, "v7")
+        assert held(runtime.elements[fresh].engine) == (1, "v7")
 
     def test_repair_with_all_replicas_lost(self):
         s = Simulation(seed=5)
@@ -400,25 +418,29 @@ class TestRepair:
 
 def ref_merge_read_replies(replies):
     best_version = 0
-    best_value = None
+    best_record = None
     for eid in sorted(replies):
-        reply = replies[eid]
-        if reply is None:
+        record = replies[eid]
+        if record is None:
             continue
-        version, value = reply
-        if version > best_version:
-            best_version, best_value = version, value
+        if record.version > best_version:
+            best_version, best_record = record.version, record
     stale = [
         eid
         for eid in sorted(replies)
-        if (replies[eid][0] if replies[eid] is not None else 0) < best_version
+        if (replies[eid].version if replies[eid] is not None else 0) < best_version
     ]
-    return best_version, best_value, stale
+    return best_version, best_record, stale
 
 
 read_replies = st.dictionaries(
     st.sampled_from([f"e{i}" for i in range(8)]),
-    st.none() | st.tuples(st.integers(0, 4), st.integers(0, 99)),
+    st.none()
+    | st.builds(
+        lambda version, value: VersionedValue("x", value, version),
+        st.integers(0, 4),
+        st.integers(0, 99),
+    ),
 )
 
 
@@ -427,9 +449,13 @@ class TestQuorumDecisionKernel:
         assert [majority(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 2, 3, 3]
 
     def test_merge_read_replies(self):
-        replies = {"e1": (1, "old"), "e2": (2, "new"), "e3": None}
-        version, value, stale = merge_read_replies(replies)
-        assert (version, value) == (2, "new")
+        replies = {
+            "e1": VersionedValue("x", "old", 1),
+            "e2": VersionedValue("x", "new", 2),
+            "e3": None,
+        }
+        version, record, stale = merge_read_replies(replies)
+        assert version == 2 and record is replies["e2"]
         assert stale == ["e1", "e3"]
 
     @given(read_replies)
@@ -454,11 +480,13 @@ class TestQuorumDecisionKernel:
     def test_partial_write_superseded_by_later_acked_version(self):
         # version precedence on the replica store is order-insensitive, so an
         # unacked partial write loses to any later acked version
+        partial = VersionedValue("x", "partial", 2)
+        acked = VersionedValue("x", "acked", 3)
         rep = KvReplicaEngine()
-        rep.apply_write("x", 2, "partial", 0)
-        rep.apply_write("x", 3, "acked", 0)
-        assert rep.read("x") == (3, "acked")
+        rep.apply_write(partial)
+        rep.apply_write(acked)
+        assert held(rep) == (3, "acked")
         rep2 = KvReplicaEngine()
-        rep2.apply_write("x", 3, "acked", 0)
-        rep2.apply_write("x", 2, "partial", 0)
-        assert rep2.read("x") == (3, "acked")
+        rep2.apply_write(acked)
+        rep2.apply_write(partial)
+        assert held(rep2) == (3, "acked")

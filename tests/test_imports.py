@@ -3,10 +3,12 @@ somewhere in that module: an import nothing uses is dead code that still
 costs a load. Every function and class the package defines is named
 somewhere besides its own definition, in the package or in the benchmark
 that drives it, and every attribute a package class stores on ``self`` is
-read there too. Every function the benchmark's tracer wraps still exists."""
+read there too. Every function the benchmark's tracer wraps still exists,
+and a run under that tracer writes the same event log as one without it."""
 
 import ast
 import builtins
+import hashlib
 import importlib.util
 import io
 import os
@@ -14,6 +16,8 @@ import tokenize
 from collections import Counter
 
 import pytest
+
+from adhoc_sim import cli
 
 TESTS = os.path.dirname(__file__)
 PACKAGE = os.path.join(TESTS, os.pardir, "src", "adhoc_sim")
@@ -240,6 +244,35 @@ def test_layer_spans_resolve():
     assert unresolved_spans(tracing.LAYER_SPANS) == []
     spans = {name for name, _module, _path in tracing.LAYER_SPANS}
     assert sorted(set(tracing.RESULT_COUNTERS) - spans) == []
+
+
+def _events_sha256(out_dir):
+    with open(os.path.join(out_dir, "events.ndjson"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_traced_run_writes_the_untraced_log(tmp_path):
+    """The tracer's wrappers see every reply a round decides on and every
+    merged read. Between them, the two goldens call each span whose result
+    feeds a counter, so every counter is computed from a real result."""
+    tracing = _load_tracing()
+    called = Counter()
+    for name in ("kv_churn_crash", "mixed"):
+        doc = os.path.join(TESTS, "golden", f"{name}.json")
+        plain, traced = str(tmp_path / f"{name}-plain"), str(tmp_path / f"{name}-traced")
+        assert cli.main(["run", "--scenario", doc, "--out", plain, "--events"]) == 0
+        tracer = tracing.Tracer()
+        tracer.install(tracing.LAYER_SPANS)
+        try:
+            code = cli.main(["run", "--scenario", doc, "--out", traced, "--events"])
+        finally:
+            tracer.uninstall()
+        assert code == 0 and tracer.missing == []
+        assert _events_sha256(traced) == _events_sha256(plain)
+        assert tracer.counters["network.rounds_quorate"] > 0
+        assert tracer.counters["engines.read_repairs"] > 0
+        called.update({span: tracer.calls[span] for span in tracing.RESULT_COUNTERS})
+    assert [span for span in tracing.RESULT_COUNTERS if not called[span]] == []
 
 
 def test_reports_an_unresolved_span():

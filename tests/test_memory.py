@@ -1,14 +1,21 @@
 """What a run holds in memory: a streamed event log writes each line as it
-is appended and keeps none, an op handle is a slotted record that drops its callbacks once they
-have run, and the kv log records of a run share one component string and
-one string per key."""
+is appended and keeps none, and the kv log records of a run share one
+component string and one string per key. A completed op handle holds four
+slots: its result, its error, its completion time (it is done once that is
+set) and no callbacks. A kv write is one record, built once by its put: the
+replicas that store it, the read repair that pushes it and every get that
+returns it hold that same object."""
 
 import dataclasses
 import os
+import sys
 import tracemalloc
+
+from test_engines import kv_fabric, settle
 
 from adhoc_sim.kernel import EventLog, json_line
 from adhoc_sim.network import OpHandle
+from adhoc_sim.nodes import DOWN, UP, ScriptedChurn
 from adhoc_sim.runner import run_scenario
 from adhoc_sim.scenario import load_scenario
 
@@ -40,6 +47,15 @@ def test_writing_the_event_log_holds_no_copy_of_it(tmp_path):
 class TestOpHandle:
     def test_has_no_instance_dict(self):
         assert not hasattr(OpHandle(), "__dict__")
+
+    def test_fits_a_64_byte_block(self):
+        assert sys.getsizeof(OpHandle()) <= 64
+
+    def test_done_once_finished(self):
+        handle = OpHandle()
+        assert not handle.done
+        handle._finish(0, result="r")
+        assert handle.done and handle.ok()
 
     def test_callbacks_run_once_in_registration_order(self):
         handle = OpHandle()
@@ -84,3 +100,30 @@ def test_kv_records_share_component_and_key_strings():
         key = entry.record["key"]
         assert keys.setdefault(key, key) is key, f"key {key!r} held as two strings"
     assert records > 100 and len(keys) > 50
+
+
+class TestKvRecordSharing:
+    def test_a_get_returns_the_record_the_acking_replicas_hold(self):
+        s, kv, eids = kv_fabric()
+        put = kv.put("x", "v1", size=100)
+        settle(s)
+        get = kv.get("x")
+        settle(s)
+        assert put.ok() and get.ok()
+        acked = [e.record["replicas"] for e in s.sim.log if e.record["event"] == "put_ack"]
+        assert len(acked) == 1 and len(acked[0]) >= 2
+        for eid in acked[0]:
+            assert s.cloudlets["c1"].elements[eid].engine.read("x") is get.result
+
+    def test_read_repair_pushes_the_same_record(self):
+        s, kv, eids = kv_fabric(churn={"n1": ScriptedChurn(((5000, DOWN), (10_000, UP)))})
+        kv.put("x", "v1", size=100)
+        s.run_until(6000)  # n1 down
+        kv.put("x", "v2", size=100)
+        s.run_until(13_000)  # n1 back with v1
+        stale = s.cloudlets["c1"].elements[eids[0]].engine
+        assert stale.read("x").version == 1
+        get = kv.get("x")
+        settle(s, 4000)  # the get and its repair push
+        assert get.ok() and get.result.version == 2
+        assert stale.read("x") is get.result
