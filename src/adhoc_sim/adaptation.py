@@ -19,7 +19,6 @@ stay importable from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import metrics
@@ -36,8 +35,7 @@ REREPLICATE_COST_PER_BYTE = 1e-6
 MAX_REREPLICATE_CANDIDATES = 8  # deficient keys considered per cloudlet and epoch
 
 
-@dataclass(frozen=True)
-class UtilityWeights:
+class UtilityWeights(NamedTuple):
     w_avail: float = DEFAULTS["w_avail"]
     w_perf: float = DEFAULTS["w_perf"]
     w_intr: float = DEFAULTS["w_intr"]
@@ -47,21 +45,18 @@ class UtilityWeights:
 # -- plan actions (pure data) -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AddElement:
+class AddElement(NamedTuple):
     cloudlet_id: str
     node_id: str
     allocation: ResourceVector
 
 
-@dataclass(frozen=True)
-class RemoveElement:
+class RemoveElement(NamedTuple):
     cloudlet_id: str
     element_id: str
 
 
-@dataclass(frozen=True)
-class Rereplicate:
+class Rereplicate(NamedTuple):
     cloudlet_id: str
     key: str
     source_element: str
@@ -85,8 +80,7 @@ def describe(plan: tuple) -> list:
     return out or [["noop"]]
 
 
-@dataclass(frozen=True)
-class AdaptationPolicy:
+class AdaptationPolicy(NamedTuple):
     epoch_ms: int = DEFAULTS["epoch_ms"]
     max_actions_per_epoch: int = DEFAULTS["max_actions_per_epoch"]
     epsilon: float = DEFAULTS["epsilon"]
@@ -120,8 +114,7 @@ class MemberSnapshot(NamedTuple):
     hosts_keys: tuple = ()
 
 
-@dataclass(frozen=True)
-class CloudletSnapshot:
+class CloudletSnapshot(NamedTuple):
     cloudlet_id: str
     engine_kind: str
     members: tuple  # MemberSnapshot, id ascending
@@ -133,8 +126,7 @@ class CloudletSnapshot:
     element_allocation: ResourceVector = DEFAULTS["element_allocation"]
 
 
-@dataclass(frozen=True)
-class CloudStateSnapshot:
+class CloudStateSnapshot(NamedTuple):
     nodes: dict
     cloudlets: dict
     agreements: tuple = ()  # reserved node ids of each active agreement

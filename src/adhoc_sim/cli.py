@@ -6,14 +6,14 @@
     adhoc-sim batch --scenarios <dir> --seeds A..B --out <dir>
                     [--format json|csv|both] [--events]
 
-Exit codes: 0 success, 1 parse/validation failure, 2 runtime invariant breach.
+Exit codes: 0 success, 1 parse/validation failure or an --out that cannot be
+written, 2 runtime invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -29,9 +29,10 @@ EXIT_RUNTIME = 2
 
 
 def write_outputs(out_dir, summary, series_rows, series_columns, fmt="both") -> None:
-    """Write summary.json and series.csv into out_dir as fmt selects.
+    """Write summary.json and series.csv into the directory out_dir as fmt
+    selects. Each series row is its CSV line without the line end; the
+    header goes through ``csv.writer``, as a column name may need quoting.
     events.ndjson is not written here: a run streams it while it records."""
-    os.makedirs(out_dir, exist_ok=True)
     if fmt in ("json", "both"):
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
@@ -40,9 +41,9 @@ def write_outputs(out_dir, summary, series_rows, series_columns, fmt="both") -> 
         with open(
             os.path.join(out_dir, "series.csv"), "w", encoding="utf-8", newline=""
         ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(series_columns)
-            writer.writerows(series_rows)
+            csv.writer(fh).writerow(series_columns)
+            for row in series_rows:
+                fh.write(row + "\r\n")
 
 
 def _load(path):
@@ -74,24 +75,31 @@ def _run_one(scenario_path, out_dir, seed=None, until=None, fmt="both",
     if scenario is None:
         return EXIT_INVALID
     if until is not None:
-        scenario = dataclasses.replace(scenario, run_until=until)
-    events_path = None
-    made_out_dir = events and not os.path.isdir(out_dir)
-    if events:
-        # the run streams its event log here; a breach deletes the file
-        os.makedirs(out_dir, exist_ok=True)
-        events_path = os.path.join(out_dir, "events.ndjson")
+        scenario = scenario._replace(run_until=until)
+    # made before the run, so an --out that cannot be a directory fails at
+    # once and not after the whole run; a breach removes it again
+    made_out_dir = not os.path.isdir(out_dir)
     try:
+        os.makedirs(out_dir, exist_ok=True)
+        # the run streams its event log here; a breach deletes the file
+        events_path = os.path.join(out_dir, "events.ndjson") if events else None
         summary, series_rows, sim = run_scenario(
             scenario, seed_override=seed, events_path=events_path
         )
+        write_outputs(out_dir, summary, series_rows, sim.series_columns, fmt=fmt)
     except SimulationAbort as exc:
         print(f"runtime invariant breach: {exc}", file=sys.stderr)
         if made_out_dir:
             os.rmdir(out_dir)  # a breach writes no output
         return EXIT_RUNTIME
-    write_outputs(out_dir, summary, series_rows, sim.series_columns, fmt=fmt)
+    except OSError as exc:  # the directory, the event log or an output file
+        return _cannot_write(out_dir, exc)
     return EXIT_OK
+
+
+def _cannot_write(out_dir, exc) -> int:
+    print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+    return EXIT_INVALID
 
 
 def cmd_run(args) -> int:
@@ -128,6 +136,10 @@ def cmd_batch(args) -> int:
     if not names:
         print(f"error: no scenario files in {args.scenarios}", file=sys.stderr)
         return EXIT_INVALID
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # once for the batch, not once per run
+        return _cannot_write(args.out, exc)
     worst = EXIT_OK
     for name in names:
         stem = name[: -len(".json")]

@@ -16,7 +16,6 @@ once on another live element.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -90,12 +89,17 @@ class KvReplicaEngine:
         return self.store.get(key)
 
 
-@dataclass(slots=True)
 class Task:
-    task_id: str
-    work_units: float  # cpu-seconds at one core
-    arrival: int
-    retried: bool = False
+    """A compute task: its work in cpu-seconds at one core, its arrival time
+    and whether it was retried after an interruption."""
+
+    __slots__ = ("task_id", "work_units", "arrival", "retried")
+
+    def __init__(self, task_id: str, work_units: float, arrival: int):
+        self.task_id = task_id
+        self.work_units = work_units
+        self.arrival = arrival
+        self.retried = False
 
 
 class ComputeElementEngine:

@@ -10,8 +10,7 @@ straight to eviction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .defaults import DEFAULTS
 from .errors import InsufficientHeadroom, NodeDown, UnknownElement
@@ -43,17 +42,24 @@ class Ids:
         return f"{prefix}{n:04d}"
 
 
-@dataclass
 class CloudElement:
-    element_id: str
-    node_id: str
-    cloudlet_id: str
-    engine_kind: str
-    allocation: ResourceVector
-    state: str = DEPLOYING
-    throttle_factor: float = 1.0
-    evict_requested: bool = False
-    engine: object = None  # attached by the engine layer
+    """One element on a node: its cloudlet and allocation, its lifecycle
+    state and cpu throttle, and the engine the engine layer attaches."""
+
+    __slots__ = ("element_id", "node_id", "cloudlet_id", "engine_kind", "allocation",
+                 "state", "throttle_factor", "evict_requested", "engine")
+
+    def __init__(self, element_id: str, node_id: str, cloudlet_id: str, engine_kind: str,
+                 allocation: ResourceVector, state: str = DEPLOYING):
+        self.element_id = element_id
+        self.node_id = node_id
+        self.cloudlet_id = cloudlet_id
+        self.engine_kind = engine_kind
+        self.allocation = allocation
+        self.state = state
+        self.throttle_factor = 1.0
+        self.evict_requested = False
+        self.engine = None
 
     def is_serving(self) -> bool:
         return self.state in SERVING_STATES
@@ -69,8 +75,7 @@ class CloudElement:
         return ResourceVector.zero()
 
 
-@dataclass(frozen=True)
-class IntrusivenessPolicy:
+class IntrusivenessPolicy(NamedTuple):
     grace_ms: int = DEFAULTS["grace_ms"]
     throttle_first: bool = DEFAULTS["throttle_first"]
     max_violation_fraction: float = DEFAULTS["max_violation_fraction"]

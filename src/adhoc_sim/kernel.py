@@ -15,9 +15,8 @@ import math
 import os
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 
 class SimulationAbort(Exception):
@@ -69,8 +68,7 @@ _DIST_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class Dist:
+class Dist(NamedTuple):
     """Distribution spec: exponential(mean), uniform(a,b), constant(value),
     two_point(p, lo, hi) where hi is drawn with probability p."""
 
@@ -281,8 +279,9 @@ def json_line(t: int, component: str, record: dict) -> str:
 _STREAM_BATCH = 512
 
 
-@dataclass(slots=True)
-class LogEntry:
+class LogEntry(NamedTuple):
+    """One entry of an event log: its virtual time, component and record."""
+
     t: int
     component: str
     record: dict
@@ -291,19 +290,24 @@ class LogEntry:
 class EventLog:
     """Append-only, time-ordered record of what the simulation did.
 
-    In memory (no ``path``) the log keeps every entry as a ``LogEntry`` in
-    ``entries``, and iteration and ``len()`` read that list.
+    ``fold``, when given, is called with ``(t, component, record)`` of each
+    entry as it is appended, so a summary folded there needs no second pass
+    over the log. What the log keeps besides depends on its arguments:
 
-    Streamed (``path`` given) the log writes each entry's ndjson line to the
-    file at ``path``, a batch of entries at a time, and keeps no entry once
-    it is written, so its size does not grow with the run. ``len()`` counts
-    the entries appended, and iteration writes what is pending and reads the
-    file back into ``LogEntry`` objects. ``close()`` writes what is pending
-    and closes the file; ``discard()`` closes and deletes it.
+    - Neither (a bare ``EventLog()``): the log keeps every entry as a
+      ``LogEntry`` in ``entries``, and iteration and ``len()`` read that
+      list.
+    - ``path``: the log writes each entry's ndjson line to the file at
+      ``path``, a batch of entries at a time, and keeps no entry once it is
+      written, so its size does not grow with the run. Iteration writes
+      what is pending and reads the file back into ``LogEntry`` objects.
+      ``close()`` writes what is pending and closes the file; ``discard()``
+      closes and deletes it.
+    - ``fold`` alone: the fold is the log's one reader, and the log keeps
+      no entry at all; iterating it raises ``TypeError``.
 
-    In both modes ``fold``, when given, is called with ``(t, component,
-    record)`` of each entry as it is appended, so a summary folded there
-    needs no second pass over the log.
+    Unless the log keeps its entries in memory, ``len()`` counts the
+    entries appended.
     """
 
     def __init__(self, path: Optional[str] = None,
@@ -311,6 +315,7 @@ class EventLog:
         self.entries: list[LogEntry] = []
         self.path = path
         self._fold = fold
+        self._keep = path is None and fold is None
         self._file = None if path is None else open(path, "w", encoding="utf-8")
         self._pending: list[tuple] = []  # (t, component, record) not yet written
         self._count = 0
@@ -320,12 +325,12 @@ class EventLog:
         if t < self._last_t:
             raise ValueError(f"log entry at t={t} is earlier than last entry at t={self._last_t}")
         self._last_t = t
-        if self.path is None:
+        self._count += 1
+        if self._keep:
             self.entries.append(LogEntry(t, component, record))
-        else:
+        elif self._file is not None:
             pending = self._pending
             pending.append((t, component, record))
-            self._count += 1
             if len(pending) >= _STREAM_BATCH:
                 self._flush()
         if self._fold is not None:
@@ -359,10 +364,14 @@ class EventLog:
                 yield LogEntry(row["t"], row["component"], row["record"])
 
     def __iter__(self):
-        return iter(self.entries) if self.path is None else self._read_back()
+        if self._keep:
+            return iter(self.entries)
+        if self.path is None:
+            raise TypeError("this log keeps no entries: only its fold reads them")
+        return self._read_back()
 
     def __len__(self):
-        return len(self.entries) if self.path is None else self._count
+        return len(self.entries) if self._keep else self._count
 
 
 # ---------------------------------------------------------------------------

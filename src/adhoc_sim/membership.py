@@ -17,8 +17,7 @@ immediately (fail-stop); there is no rehabilitation phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .defaults import DEFAULTS
 from .errors import EngineMismatch, MetadataQuorumUnavailable, NoLiveElement, UnknownKey
@@ -28,8 +27,7 @@ from .network import Network, OpHandle, Round, majority
 from .nodes import Node
 
 
-@dataclass(frozen=True)
-class CloudletPolicy:
+class CloudletPolicy(NamedTuple):
     target_replication: int = DEFAULTS["target_replication"]
     heartbeat_interval_ms: int = DEFAULTS["heartbeat_interval_ms"]
     timeout_multiplier: int = DEFAULTS["timeout_multiplier"]

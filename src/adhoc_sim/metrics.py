@@ -16,15 +16,14 @@ ratios of flag-history integrals over the goal window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import IncompleteLog
 from .kernel import StepHistory, flag_area
 
 
-@dataclass(frozen=True)
-class GoalSpec:
+class GoalSpec(NamedTuple):
     window: tuple[int, int]
 
 

@@ -8,9 +8,7 @@ use: capacity minus user demand minus a reserve margin, clamped at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .defaults import DEFAULTS
 from .errors import NodeDown
@@ -21,8 +19,7 @@ UP = "up"
 DOWN = "down"
 
 
-@dataclass(frozen=True)
-class ChurnModel:
+class ChurnModel(NamedTuple):
     """Alternating up/down durations; stationary availability is
     E_up / (E_up + E_down)."""
 
@@ -35,23 +32,22 @@ class ChurnModel:
         return e_up / (e_up + e_down)
 
 
-@dataclass(frozen=True)
-class ScriptedChurn:
+class ScriptedChurn(NamedTuple):
     """Explicit (time, up|down) transitions; used for forced-crash scenarios."""
 
     transitions: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class TraceLoad:
+class TraceLoad(NamedTuple):
     """Step-function user demand: value of the last breakpoint at or before t,
     zero before the first breakpoint. Breakpoint times are >= 0 and strictly
-    increasing, as the scenario schema requires; both queries read one
-    ``StepHistory`` of the breakpoints, built on first use."""
+    increasing, as the scenario schema requires; each query builds a
+    ``StepHistory`` of the breakpoints, in O(breakpoints). A node asks for
+    its demand once, at start; the oracle forecaster asks for a mean once
+    per node and forecast."""
 
     points: tuple[tuple[int, ResourceVector], ...]
 
-    @cached_property
     def _history(self) -> StepHistory:
         zero = ResourceVector.zero()
         history = StepHistory(0, zero, ResourceVector.scale, zero)
@@ -60,17 +56,16 @@ class TraceLoad:
         return history
 
     def demand_at(self, t: int) -> ResourceVector:
-        return self._history.value_at(t)
+        return self._history().value_at(t)
 
     def mean_over(self, start: int, end: int) -> ResourceVector:
         """Exact time-weighted mean of the step function over [start, end)."""
         if end <= start:
             return self.demand_at(start)
-        return self._history.integral(start, end).scale(1.0 / (end - start))
+        return self._history().integral(start, end).scale(1.0 / (end - start))
 
 
-@dataclass(frozen=True)
-class MarkovLoad:
+class MarkovLoad(NamedTuple):
     """Two-state demand process: idle/active demands with exponential sojourns."""
 
     idle_demand: ResourceVector

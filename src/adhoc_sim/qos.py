@@ -15,7 +15,6 @@ so no other k-subset has a smaller product: greedy top-k is optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .defaults import DEFAULTS
@@ -42,8 +41,7 @@ def availability_of(node_availabilities) -> float:
     return 1.0 - q
 
 
-@dataclass(frozen=True)
-class ReservationRequest:
+class ReservationRequest(NamedTuple):
     request_id: str
     cloudlet_id: str
     demand: ResourceVector  # per element
@@ -52,12 +50,18 @@ class ReservationRequest:
     availability_target: float
 
 
-@dataclass
 class Agreement:
-    agreement_id: str
-    request: ReservationRequest
-    reserved: list[tuple[str, Optional[str]]]  # (node_id, element_id once deployed)
-    state: str = ACTIVE
+    """An admitted reservation: its request, each reserved node with its
+    element once pre-deployed, and whether it is active or expired."""
+
+    __slots__ = ("agreement_id", "request", "reserved", "state")
+
+    def __init__(self, agreement_id: str, request: ReservationRequest,
+                 reserved: list[tuple[str, Optional[str]]]):
+        self.agreement_id = agreement_id
+        self.request = request
+        self.reserved = reserved  # (node_id, element_id once deployed)
+        self.state = ACTIVE
 
     def reserved_nodes(self) -> list[str]:
         return [node_id for node_id, _ in self.reserved]

@@ -353,7 +353,8 @@ def build_simulation(scenario, seed: Optional[int] = None,
     for spec in scenario.workloads:
         cls = TaskWorkload if spec.kind == "tasks" else KvWorkload
         s.workload_generators.append(cls(s, spec, scenario.run_until))
-    # per-tick series sampling
+    # per-tick series sampling: each row is kept as its CSV line, which is
+    # several times smaller than a list of ints
     s.series_rows = []
     s.series_columns = (
         ["time_ms"]
@@ -371,7 +372,7 @@ def build_simulation(scenario, seed: Optional[int] = None,
             row.append(1 if s.nodes[n.node_id].is_up() else 0)
         for n in scenario.fleet:
             row.append(1 if s.infras[n.node_id].violating else 0)
-        s.series_rows.append(row)
+        s.series_rows.append(",".join(map(str, row)))
         if s.sim.now + interval <= scenario.run_until:
             s.sim.schedule(sample, "sampler", interval)
 
@@ -382,14 +383,16 @@ def build_simulation(scenario, seed: Optional[int] = None,
 def run_scenario(scenario, seed_override: Optional[int] = None,
                  events_path: Optional[str] = None):
     """Execute a validated scenario to run_until; returns (summary, series
-    rows, simulation). Raises SimulationAbort on an invariant breach.
+    rows, simulation), each series row its CSV line without the line end.
+    Raises SimulationAbort on an invariant breach.
 
     The summary's metrics and reservation decisions are folded from each
     record as it is logged, so the event log alone recomputes them. With
     ``events_path`` the event log is streamed to that file as it is
     recorded and closed when the run ends, and the simulation's log reads
-    the file back; a run that raises deletes the file. Without it the log
-    stays in memory."""
+    the file back; a run that raises deletes the file. Without it the fold
+    is the log's one reader and no entry is kept: the simulation's log
+    counts its entries but cannot be iterated."""
 
     from .scenario import scenario_to_json
 

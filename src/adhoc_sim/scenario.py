@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .adaptation import AdaptationPolicy, UtilityWeights
@@ -29,8 +28,7 @@ from .nodes import DOWN, UP, ChurnModel, MarkovLoad, ScriptedChurn, TraceLoad
 from .qos import ESTIMATOR, ORACLE, ReservationRequest
 from .resources import ResourceVector
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     node_id: str
     capacity: ResourceVector
     churn: object  # ChurnModel | ScriptedChurn | None
@@ -40,8 +38,7 @@ class NodeSpec:
     intrusiveness: IntrusivenessPolicy
 
 
-@dataclass(frozen=True)
-class CloudletSpec:
+class CloudletSpec(NamedTuple):
     cloudlet_id: str
     engine: str
     policy: CloudletPolicy
@@ -50,8 +47,7 @@ class CloudletSpec:
     nodes: tuple  # initial_placement resolved against the fleet; not echoed
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(NamedTuple):
     workload_id: str
     kind: str  # "tasks" | "kv_ops"
     cloudlet: str
@@ -65,14 +61,12 @@ class WorkloadSpec:
     value_size: Optional[Dist] = None
 
 
-@dataclass(frozen=True)
-class ReservationSpec:
+class ReservationSpec(NamedTuple):
     submit_ms: int
     request: ReservationRequest
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     run_until: int
     seed: int
     defaults: dict  # every DEFAULTS key, typed
@@ -700,6 +694,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_scenario(doc)
 
 

@@ -1,12 +1,15 @@
 """CLI exit-code contract for malformed scenario documents: each is rejected
 with exit code 1 and a diagnostic naming the offending path, never with a
-traceback."""
+traceback. So is a document that is not UTF-8 text, and an --out the run
+cannot write, which fails before the run where it cannot be a directory.
+Series rows are written as the CSV lines they are kept as."""
 
 import json
 
 import pytest
 
 from adhoc_sim import cli
+from adhoc_sim.membership import CloudletRuntime
 
 
 def _doc():
@@ -281,4 +284,98 @@ def test_bad_command_line_exits_1_with_one_line(args, diagnostic, tmp_path, caps
     err = capsys.readouterr().err
     assert diagnostic in err
     assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def _scenario_file(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_doc()))
+    return path
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
+def _main_without_traceback(argv):
+    try:
+        return cli.main(argv)
+    except BaseException as exc:  # a traceback, which the contract forbids
+        pytest.fail(f"{argv} raised {exc!r}")
+
+
+@pytest.mark.parametrize("events", [[], ["--events"]], ids=["plain", "events"])
+@pytest.mark.parametrize("command, out", [
+    ("run", "file"),  # FileExistsError
+    ("run", "file/sub"),  # NotADirectoryError
+    ("batch", "file"),  # FileExistsError, reported once for the batch
+])
+def test_out_that_cannot_be_a_directory_exits_1_before_the_run(
+    command, out, events, tmp_path, capsys, monkeypatch
+):
+    path = _scenario_file(tmp_path)
+    (tmp_path / "file").write_text("kept")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    if command == "run":
+        argv = ["run", "--scenario", str(path)]
+    else:  # two runs, one error line
+        argv = ["batch", "--scenarios", str(tmp_path), "--seeds", "1..2"]
+    code = _main_without_traceback(argv + ["--out", str(tmp_path / out)] + events)
+    assert code == cli.EXIT_INVALID
+    _one_error_line(capsys, "error: cannot write ")
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+@pytest.mark.parametrize("events, blocked", [
+    ([], "summary.json"),  # written after the run
+    (["--events"], "events.ndjson"),  # opened before it
+], ids=["plain", "events"])
+def test_output_file_that_cannot_be_written_exits_1(events, blocked, tmp_path, capsys):
+    path = _scenario_file(tmp_path)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = ["run", "--scenario", str(path), "--out", str(out), "--until", "1000"] + events
+    assert _main_without_traceback(argv) == cli.EXIT_INVALID
+    _one_error_line(capsys, f"error: cannot write {out}: ")
+
+
+def test_scenario_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(_doc()).encode("utf-16-le"))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        code = _main_without_traceback(command + ["--scenario", str(path)])
+        assert code == cli.EXIT_INVALID
+        _one_error_line(capsys, f"error: {path} is not UTF-8 text: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_series_rows_are_written_as_their_csv_lines(tmp_path):
+    """A row is kept as its CSV line; only the header, whose column names
+    carry user ids, goes through csv.writer and its quoting."""
+    cli.write_outputs(
+        str(tmp_path), {}, ["0,1,0", "500,2,1"], ["time_ms", "c,1_serving", 'n"1_up'], fmt="csv"
+    )
+    assert (tmp_path / "series.csv").read_bytes() == (
+        b'time_ms,"c,1_serving","n""1_up"\r\n0,1,0\r\n500,2,1\r\n'
+    )
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_breach_without_events_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    """The output directory is made before the run, and a breach removes it
+    again, with or without --events."""
+
+    def broken(self, eid, sent_at):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(CloudletRuntime, "heartbeat", broken)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", str(_scenario_file(tmp_path)), "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    assert "runtime invariant breach" in capsys.readouterr().err
     assert not out.exists()

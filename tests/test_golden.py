@@ -1,7 +1,8 @@
 """Golden-digest gate: the event log of each committed scenario is pinned by
 its sha256, so a change meant to leave behaviour alone (a speed-up, a
 refactor) must reproduce it byte for byte. A deliberate behaviour change
-re-records the digests and says so in CHANGES.md.
+re-records the digests and says so in CHANGES.md. Each golden's series.csv
+is pinned the same way.
 
 - kv_churn_crash: a kv cloudlet over 400 keys on six nodes with stochastic
   churn, scripted crashes and restarts, and owner load.
@@ -42,6 +43,16 @@ DIGESTS = {
 }
 
 
+# series.csv of each golden, written by a run that keeps no event log
+SERIES_DIGESTS = {
+    "kv_churn_crash": "fe3443590611279e87f46d308f9e4137ef65d510d8d1f23ce728f2481b0030a9",
+    "loss_and_rejection": "ee1b0bdbba423e971c6d777916faf753f0f20ca0437841c7c371243e9f314372",
+    "mixed": "66bc678c78a51b8c7e5554a180988e99c530d3bb5707ad4773725e718edc4a69",
+    "mixed_window": "66bc678c78a51b8c7e5554a180988e99c530d3bb5707ad4773725e718edc4a69",
+    "scale_in": "aecbdf94894cdfb713fe5d56e948dc7358c9bd0377834bd445e87b56d3470580",
+}
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_event_log_digest(name, tmp_path):
     code = cli.main([
@@ -56,7 +67,20 @@ def test_event_log_digest(name, tmp_path):
         assert hashlib.sha256(fh.read()).hexdigest() == DIGESTS[name]
 
 
-def test_loss_and_rejection_reaches_the_paths_no_other_golden_does(monkeypatch):
+@pytest.mark.parametrize("name", sorted(SERIES_DIGESTS))
+def test_series_digest(name, tmp_path):
+    code = cli.main([
+        "run",
+        "--scenario", os.path.join(GOLDEN_DIR, f"{name}.json"),
+        "--out", str(tmp_path),
+        "--format", "csv",
+    ])
+    assert code == cli.EXIT_OK
+    with open(tmp_path / "series.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SERIES_DIGESTS[name]
+
+
+def test_loss_and_rejection_reaches_the_paths_no_other_golden_does(monkeypatch, tmp_path):
     get = engines.KvService.get
     failed_rebinds = []
 
@@ -69,7 +93,10 @@ def test_loss_and_rejection_reaches_the_paths_no_other_golden_does(monkeypatch):
 
     monkeypatch.setattr(engines.KvService, "get", counting_get)
     scenario = load_scenario(os.path.join(GOLDEN_DIR, "loss_and_rejection.json"))
-    summary, _rows, simulation = run_scenario(scenario)
+    # a run keeps its log only as the file it streams to
+    summary, _rows, simulation = run_scenario(
+        scenario, events_path=str(tmp_path / "events.ndjson")
+    )
     events = [entry.record["event"] for entry in simulation.sim.log]
     for name in ("task_lost", "task_skipped", "agreement_rejected", "agreement_admitted"):
         assert name in events, name
@@ -79,9 +106,11 @@ def test_loss_and_rejection_reaches_the_paths_no_other_golden_does(monkeypatch):
     }
 
 
-def test_scale_in_executes_a_remove():
+def test_scale_in_executes_a_remove(tmp_path):
     scenario = load_scenario(os.path.join(GOLDEN_DIR, "scale_in.json"))
-    _summary, _rows, simulation = run_scenario(scenario)
+    _summary, _rows, simulation = run_scenario(
+        scenario, events_path=str(tmp_path / "events.ndjson")
+    )
     executed = [
         action[0]
         for entry in simulation.sim.log

@@ -1,6 +1,7 @@
 """Every name a module of the package or of its tests imports is read
 somewhere in that module: an import nothing uses is dead code that still
-costs a load. Every function and class the package defines is named
+costs a load, and the command line loads neither ``dataclasses`` nor
+``inspect``. Every function and class the package defines is named
 somewhere besides its own definition, in the package or in the benchmark
 that drives it, and every attribute a package class stores on ``self`` is
 read there too. Every function the benchmark's tracer wraps still exists,
@@ -12,11 +13,14 @@ import hashlib
 import importlib.util
 import io
 import os
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 
 import pytest
 
+import adhoc_sim
 from adhoc_sim import cli
 
 TESTS = os.path.dirname(__file__)
@@ -67,6 +71,21 @@ def test_no_unused_imports(module):
     read = _read(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in read]
     assert not unused, f"{module} imports names it never reads: {', '.join(unused)}"
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """``dataclasses`` imports ``inspect``, which pulls in ``ast``, ``dis``
+    and ``tokenize``: about 1.1 MB of a run's peak RSS that no record of
+    the package needs. A fresh interpreter (without ``site``, whose path
+    hooks may import anything) loads the command line and checks."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adhoc_sim.__file__)))
+    probe = "import sys, adhoc_sim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_reports_an_unused_import():

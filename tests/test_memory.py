@@ -1,22 +1,31 @@
 """What a run holds in memory: a streamed event log writes each line as it
-is appended and keeps none, and the kv log records of a run share one
-component string and one string per key. A completed op handle holds four
-slots: its result, its error, its completion time (it is done once that is
-set) and no callbacks. A kv write is one record, built once by its put: the
-replicas that store it, the read repair that pushes it and every get that
-returns it hold that same object."""
+is appended and keeps none, a run without an events path keeps no log
+entry at all (the summary's fold is the log's one reader), and the kv log
+records of a run share one component string and one string per key. The
+records that a run changes as it goes (tasks, elements, agreements) have
+no instance dict. A completed op handle holds four slots: its result, its
+error, its completion time (it is done once that is set) and no callbacks.
+A kv write is one record, built once by its put: the replicas that store
+it, the read repair that pushes it and every get that returns it hold that
+same object."""
 
-import dataclasses
+import gc
 import os
 import sys
 import tracemalloc
 
+import pytest
 from test_engines import kv_fabric, settle
+from test_streamed_run import log_entries_alive
 
+from adhoc_sim.engines import Task
+from adhoc_sim.infrastructure import CloudElement
 from adhoc_sim.kernel import EventLog, json_line
 from adhoc_sim.network import OpHandle
 from adhoc_sim.nodes import DOWN, UP, ScriptedChurn
-from adhoc_sim.runner import run_scenario
+from adhoc_sim.qos import Agreement
+from adhoc_sim.resources import ResourceVector
+from adhoc_sim.runner import build_simulation, run_scenario
 from adhoc_sim.scenario import load_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -42,6 +51,33 @@ def test_writing_the_event_log_holds_no_copy_of_it(tmp_path):
     assert len(log) == 50_000 and log.entries == []
     expected = "".join(json_line(i, "kv:c1", _record(i)) for i in range(50_000))
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_a_run_without_an_events_path_keeps_no_log_entry():
+    scenario = load_scenario(os.path.join(GOLDEN_DIR, "mixed.json"))
+    gc.collect()
+    before = log_entries_alive()
+    tracemalloc.start()
+    try:
+        _summary, _rows, simulation = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    assert log_entries_alive() == before
+    # kept as LogEntry objects, the 3,112 entries of this run peaked at
+    # 1.4 MB; folded and dropped, the run peaks at about 0.25 MB
+    assert peak < 700_000, f"the run peaked at {peak} bytes"
+    assert len(simulation.sim.log) == 3112
+
+
+@pytest.mark.parametrize("record", [
+    Task("t1", 1.0, arrival=0),
+    CloudElement("e1", "n1", "c1", "compute", ResourceVector(1.0)),
+    Agreement("a1", None, [("n1", None)]),
+], ids=lambda record: type(record).__name__)
+def test_a_record_a_run_updates_has_no_instance_dict(record):
+    assert not hasattr(record, "__dict__")
 
 
 class TestOpHandle:
@@ -86,8 +122,10 @@ class TestOpHandle:
 
 def test_kv_records_share_component_and_key_strings():
     scenario = load_scenario(os.path.join(GOLDEN_DIR, "kv_churn_crash.json"))
-    scenario = dataclasses.replace(scenario, run_until=60_000)
-    _summary, _rows, simulation = run_scenario(scenario)
+    scenario = scenario._replace(run_until=60_000)
+    # a bare EventLog keeps the records as the run built them
+    simulation = build_simulation(scenario)
+    simulation.run_until(scenario.run_until)
     component = None
     keys = {}
     records = 0

@@ -79,11 +79,22 @@ def test_wrong_typed_value_is_rejected_or_builds(path, value):
     build_simulation(scenario)
 
 
+def _record_classes(value):
+    """The class of every tuple in value, in place: a record is a
+    NamedTuple, which equals any tuple of equal items whatever its class."""
+    if isinstance(value, tuple):
+        return (type(value).__name__, *map(_record_classes, value))
+    if isinstance(value, dict):
+        return {key: _record_classes(item) for key, item in value.items()}
+    return None
+
+
 @pytest.mark.parametrize("name", sorted(ECHO_DIGESTS))
 def test_round_trip_and_pinned_echo(name):
     scenario = parse_scenario(_golden(name))
     echo = scenario_to_json(scenario)
     assert parse_scenario(echo) == scenario
+    assert _record_classes(parse_scenario(echo)) == _record_classes(scenario)
     digest = hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
     assert digest == ECHO_DIGESTS[name]
 

@@ -1,10 +1,10 @@
-"""A run with its event log streamed to a file: the same log, len and
-summary as a run that keeps the log in memory, a summary whose metrics and
-reservations a fold of the file recomputes, no LogEntry held while the run
-streams, no file left by a breach, and the element and membership caches
-the run reads never stale."""
+"""A run with its event log streamed to a file: the same log and len as a
+simulation that records into a bare in-memory EventLog, the same summary
+and series as a run that keeps no log at all, a summary whose metrics and
+reservations a fold of the file recomputes, no LogEntry held by either
+kind of run, no file left by a breach, and the element and membership
+caches the run reads never stale."""
 
-import dataclasses
 import gc
 import json
 import os
@@ -30,32 +30,45 @@ def _scenario(name):
     return load_scenario(os.path.join(GOLDEN_DIR, f"{name}.json"))
 
 
+def _kept_log(scenario):
+    """The log of the scenario's run recorded into a bare EventLog, which
+    keeps every entry in memory, with the run_end record run_scenario adds."""
+    simulation = build_simulation(scenario)
+    simulation.run_until(scenario.run_until)
+    simulation.sim.record("runner", {"event": "run_end"})
+    return simulation.sim.log
+
+
 @pytest.fixture(scope="module", params=GOLDENS)
 def both_modes(request, tmp_path_factory):
-    """(streamed run, events path, in-memory run) of one golden; a run is
-    (summary, series rows, simulation)."""
+    """(streamed run, events path, run without an events path, kept log) of
+    one golden; a run is (summary, series rows, simulation)."""
     scenario = _scenario(request.param)
     path = str(tmp_path_factory.mktemp(request.param) / "events.ndjson")
-    return run_scenario(scenario, events_path=path), path, run_scenario(scenario)
+    return (run_scenario(scenario, events_path=path), path, run_scenario(scenario),
+            _kept_log(scenario))
 
 
 def test_streamed_and_in_memory_logs_are_the_same(both_modes):
-    streamed, path, memory = both_modes
-    streamed_log, memory_log = streamed[2].sim.log, memory[2].sim.log
+    streamed, path, folded, memory_log = both_modes
+    streamed_log = streamed[2].sim.log
     with open(path, "rb") as fh:
         written = fh.read()
     expected = "".join(json_line(e.t, e.component, e.record) for e in memory_log)
     assert written == expected.encode("utf-8")
     assert len(streamed_log) == len(memory_log) == written.count(b"\n")
+    assert len(folded[2].sim.log) == len(memory_log)
     round_trip = [
         LogEntry(e.t, e.component, json.loads(json.dumps(e.record))) for e in memory_log
     ]
     assert list(streamed_log) == round_trip
-    assert streamed[:2] == memory[:2]
+    assert streamed[:2] == folded[:2]
+    with pytest.raises(TypeError):
+        iter(folded[2].sim.log)  # the fold was its one reader
 
 
 def test_summary_folded_on_append_equals_aggregate_of_the_file(both_modes):
-    (summary, _rows, simulation), path, _memory = both_modes
+    (summary, _rows, simulation), path, _folded, _memory_log = both_modes
     goal = GoalSpec(window=(0, summary["run_until"]))
     # the streamed log's iteration reads the file back
     recomputed = aggregate_metrics(simulation.sim.log, goal)
@@ -69,22 +82,23 @@ def test_summary_folded_on_append_equals_aggregate_of_the_file(both_modes):
     assert {"metrics": fold.metrics(), "reservations": fold.reservations()} == written
 
 
-def _log_entries_alive():
+def log_entries_alive():
     return sum(1 for obj in gc.get_objects() if type(obj) is LogEntry)
 
 
 def test_streamed_run_holds_no_log_entry(tmp_path):
-    scenario = dataclasses.replace(_scenario("mixed"), run_until=60_000)
+    scenario = _scenario("mixed")._replace(run_until=60_000)
     gc.collect()
-    before = _log_entries_alive()
+    before = log_entries_alive()
     streamed = run_scenario(scenario, events_path=str(tmp_path / "events.ndjson"))
+    folded = run_scenario(scenario)
     gc.collect()
-    assert _log_entries_alive() <= before
-    # the count does see the entries of a log kept in memory
-    memory = run_scenario(scenario)
+    assert log_entries_alive() <= before
+    # the count does see the entries of a bare EventLog, which keeps them
+    memory_log = _kept_log(scenario)
     gc.collect()
-    assert _log_entries_alive() >= before + len(memory[2].sim.log) > before
-    assert len(streamed[2].sim.log) == len(memory[2].sim.log)
+    assert log_entries_alive() >= before + len(memory_log) > before
+    assert len(streamed[2].sim.log) == len(folded[2].sim.log) == len(memory_log)
 
 
 def test_breach_exits_2_and_leaves_no_event_log(tmp_path, monkeypatch, capsys):
@@ -124,7 +138,7 @@ def _fresh_serving(runtime):
 
 @pytest.mark.parametrize("name", ["kv_churn_crash", "mixed"])
 def test_cached_views_equal_a_fresh_recomputation_after_every_event(name):
-    scenario = dataclasses.replace(_scenario(name), run_until=120_000)
+    scenario = _scenario(name)._replace(run_until=120_000)
     simulation = build_simulation(scenario)
     sim = simulation.sim
     dispatch = sim._dispatch
