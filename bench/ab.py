@@ -2,6 +2,7 @@
 
     python3 bench/ab.py --base REV --head REV --workload NAME
                         [--seed N] [--pairs N] [--replications N] [--out PATH]
+                        [--inproc N]
 
 Checks each revision out into a temporary ``git worktree`` (both are removed
 on exit), generates the workload's documents once with the head's
@@ -27,13 +28,27 @@ document, each pair's values, each side's median and quartiles, the pairs
 the head won, whether a gain claim holds (``summarize``), each document's
 span call counts per tree, and whether ``events.ndjson``, ``summary.json``
 and ``series.csv``, the simulated outcomes and the span call counts were
-identical between the trees. Run from the repository root.
+identical between the trees, with the outcome entries that were not
+(``outcomes_not_identical``, such as ``counts.cli.output_bytes``).
+
+``--inproc N`` adds N in-process pairs: each tree's ``src/adhoc_sim`` is
+imported into this one interpreter under its own name (``adhoc_base``,
+``adhoc_head``; the package imports itself only relatively), and each pair
+times one ``cli.main`` run per document on both, the side that runs first
+alternating. Both sides then share one process, its allocator and its
+caches, so an effect of a few percent that process start-up and placement
+noise hide between children shows here. The file's ``inproc`` section holds
+each pair's seconds and the head/base ratio's quartiles and wins
+(``summarize_ratios``). Run from the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -42,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUTS = ("events.ndjson", "summary.json", "series.csv")
@@ -137,6 +153,17 @@ def _run_child(tree: str, doc: str, out: str, trace: bool = False) -> dict:
     return m
 
 
+def differing_entries(name: str, base, head) -> list:
+    """The dotted names of the entries in which two outcome values differ."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        return [
+            entry
+            for key in sorted(base.keys() | head.keys())
+            for entry in differing_entries(f"{name}.{key}", base.get(key), head.get(key))
+        ]
+    return [] if base == head else [name]
+
+
 def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, dict, dict]:
     """Run the pairs; returns the per-pair values, what matched and each
     tree's span call counts per document."""
@@ -152,6 +179,7 @@ def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, di
     rows = []
     identical = dict.fromkeys(OUTPUTS + ("simulated_outcomes",), True)
     identical["span_calls"] = calls["base"] == calls["head"]
+    differing = set()
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         measures = {side: [] for side in SIDES}
@@ -162,13 +190,64 @@ def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, di
         for base, head in zip(measures["base"], measures["head"]):
             for name in OUTPUTS:
                 identical[name] &= base["outputs"][name] == head["outputs"][name]
-            identical["simulated_outcomes"] &= all(base[k] == head[k] for k in OUTCOMES)
+            for k in OUTCOMES:
+                differing.update(differing_entries(k, base[k], head[k]))
         values = {side: _pair_values(measures[side], events[side]) for side in SIDES}
         rows.append({"first": order[0], **values})
         print(f"pair {i + 1}/{pairs} ({order[0]} first): "
               + ", ".join(f"{name} {values['base'][name]:.4g} -> {values['head'][name]:.4g}"
                           for name in METRICS), file=sys.stderr)
+    identical["simulated_outcomes"] = not differing
+    identical["outcomes_not_identical"] = sorted(differing)
     return rows, identical, calls
+
+
+def load_package(tree: str, name: str):
+    """The tree's ``src/adhoc_sim`` imported as the package ``name``; returns
+    its ``cli`` module."""
+    path = os.path.join(tree, "src", "adhoc_sim")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def inproc_pairs(clis: dict, docs: list, pairs: int, workdir: str) -> list:
+    """Per pair and side, the summed wall seconds of one ``cli.main`` run
+    per document, with the garbage of earlier runs collected first."""
+    rows = []
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        row = {"first": order[0]}
+        for side in order:
+            row[side] = 0.0
+            for j, doc in enumerate(docs):
+                out = os.path.join(workdir, f"inproc-{side}-{j}")
+                gc.collect()
+                t0 = time.perf_counter()
+                code = clis[side].main(["run", "--scenario", doc, "--out", out, "--events"])
+                row[side] += time.perf_counter() - t0
+                if code != 0:
+                    raise RuntimeError(f"{doc} in-process on {side}: exit {code}")
+        rows.append(row)
+        print(f"in-process pair {i + 1}/{pairs} ({order[0]} first): "
+              f"{row['base']:.3f} s -> {row['head']:.3f} s", file=sys.stderr)
+    return rows
+
+
+def summarize_ratios(rows: list) -> dict:
+    """The pairs' seconds, the quartiles of their head/base ratios, and the
+    pairs the head won (a ratio below 1)."""
+    ratios = [row["head"] / row["base"] for row in rows]
+    return {
+        "values": rows,
+        "head_over_base": quartiles(ratios),
+        "head_won": sum(r < 1 for r in ratios),
+        "pairs": len(rows),
+    }
 
 
 def main(argv=None) -> int:
@@ -180,9 +259,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--replications", type=int, default=5)
     parser.add_argument("--out", default=None)
+    parser.add_argument("--inproc", type=int, default=0,
+                        help="in-process pairs to run after the process pairs")
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.replications < 1:
-        parser.error("quartiles need --pairs >= 2, and a pair at least one replication")
+    if args.pairs < 2 or args.replications < 1 or args.inproc == 1 or args.inproc < 0:
+        parser.error("quartiles need --pairs >= 2 and --inproc 0 or >= 2, "
+                     "and a pair at least one replication")
 
     revs = {side: _git("rev-parse", "--verify", getattr(args, side) + "^{commit}")
             for side in SIDES}
@@ -205,6 +287,12 @@ def main(argv=None) -> int:
             documents.append({"replication": r, "sha256": generate.digest(doc)})
         rows, identical, calls = compare(trees, docs, args.pairs,
                                          os.path.join(workdir, "runs"))
+        inproc = None
+        if args.inproc:
+            clis = {side: load_package(trees[side], f"adhoc_{side}") for side in SIDES}
+            inproc = summarize_ratios(
+                inproc_pairs(clis, docs, args.inproc, os.path.join(workdir, "inproc"))
+            )
     finally:
         for tree in trees.values():
             subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
@@ -235,6 +323,8 @@ def main(argv=None) -> int:
             for name, (unit, better) in METRICS.items()
         },
     }
+    if inproc is not None:
+        result["inproc"] = inproc
     out = args.out or os.path.join(ROOT, "bench", f"BENCH_{args.workload}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)

@@ -11,7 +11,9 @@ destroy 0.2, re-replication proportional to the bytes a ``Rereplicate``
 carries). Scaling every weight by the same positive factor leaves the
 selected plan unchanged.
 A plan is walked once (``_effect``); the predictors read that effect, and
-each cloudlet's snapshot carries its ``CloudletPolicy``.
+each cloudlet's snapshot carries its ``CloudletPolicy``. ``select_plan``
+rates the no-op plan's availability terms once per snapshot, and each
+candidate recomputes only the terms of the keys it touches (``_KeyTerms``).
 
 ``GoalSpec`` and ``aggregate_metrics``, the log aggregation of metrics.py,
 stay importable from here.
@@ -253,11 +255,15 @@ def _scale_in_victim(snapshot, cloudlet) -> Optional[MemberSnapshot]:
 # -- evaluation -------------------------------------------------------------------
 
 
-def evaluate_plan(plan: tuple, snapshot: CloudStateSnapshot,
-                  weights: UtilityWeights) -> float:
+def evaluate_plan(plan: tuple, snapshot: CloudStateSnapshot, weights: UtilityWeights,
+                  key_terms: Optional["_KeyTerms"] = None) -> float:
+    """The plan's utility. The plans of one snapshot share its ``key_terms``,
+    so the no-op plan's availability terms are rated once."""
+    if key_terms is None:
+        key_terms = _KeyTerms(snapshot)
     added_node, added_cpu, removed, copy_node, cpu_delta, cost = _effect(plan, snapshot)
     return (
-        weights.w_avail * _predicted_availability(snapshot, added_node, removed, copy_node)
+        weights.w_avail * key_terms.availability(added_node, removed, copy_node)
         + weights.w_perf * _predicted_performance(snapshot, added_cpu, removed)
         - weights.w_intr * _predicted_intrusion(snapshot, cpu_delta)
         - weights.w_cost * cost
@@ -307,35 +313,74 @@ def _effect(plan: tuple, snapshot: CloudStateSnapshot) -> tuple:
     return added_node, added_cpu, removed, copy_node, cpu_delta, cost
 
 
-def _node_availability(snapshot, node_id: str) -> float:
-    ns = snapshot.nodes.get(node_id)
-    return ns.availability if ns else 0.0
+class _KeyTerms:
+    """Predicted availability over one snapshot: the mean, over kv keys and
+    active agreements, of 1 - prod(1 - p) across the replica/reserved nodes
+    after a plan.
 
+    The no-op plan's terms are worked out once. A plan changes only the
+    terms of keys it touches: a key with a replica in ``removed``, a key it
+    re-replicates, and, in a cloudlet it adds a member to, a key under its
+    replication target by distinct node. ``availability`` recomputes those
+    and sums the whole patched list in key order, so the result has the bits
+    of a full walk over every key."""
 
-def _predicted_availability(snapshot: CloudStateSnapshot, added_node: dict,
-                            removed: set, copy_node: dict) -> float:
-    """Mean, over kv keys and active agreements, of 1 - prod(1 - p) across
-    the replica/reserved nodes after the plan."""
-    # many keys share a replica node set (on the benchmark workloads over
-    # 95% of lookups hit): rate each distinct set once
-    memo: dict[frozenset, float] = {}
+    def __init__(self, snapshot: CloudStateSnapshot):
+        self._nodes = snapshot.nodes
+        # many keys share a replica node set (on the benchmark workloads over
+        # 95% of lookups hit): rate each distinct set once per snapshot
+        self._memo: dict[frozenset, float] = {}
+        self._keys = []  # (cloudlet id, replication target, KeySnapshot) per term
+        self._index = {}  # (cloudlet id, key) -> term index
+        self._held = {}  # element id -> indices of the keys it replicates
+        self._under_target = {}  # cloudlet id -> indices of its keys under target
+        terms = []
+        for cid in sorted(snapshot.cloudlets):
+            cloudlet = snapshot.cloudlets[cid]
+            if cloudlet.engine_kind != "kv_store":
+                continue
+            target = cloudlet.policy.target_replication
+            under = self._under_target[cid] = []
+            for ks in cloudlet.keys:
+                i = len(terms)
+                self._keys.append((cid, target, ks))
+                self._index[(cid, ks.key)] = i
+                for eid in ks.live_replica_elements:
+                    self._held.setdefault(eid, []).append(i)
+                nodes = frozenset(ks.live_replica_nodes)
+                if len(nodes) < target:
+                    under.append(i)
+                terms.append(self._rate(nodes))
+        for reserved_nodes in snapshot.agreements:
+            terms.append(self._rate(frozenset(reserved_nodes)))
+        self._terms = terms
+        self._noop = sum(terms) / len(terms) if terms else 1.0
 
-    def at_least_one_up(nodes) -> float:
-        key = frozenset(nodes)
-        p = memo.get(key)
+    def _rate(self, nodes: frozenset) -> float:
+        p = self._memo.get(nodes)
         if p is None:
-            p = memo[key] = availability_of(
-                [_node_availability(snapshot, node_id) for node_id in sorted(key)]
-            )
+            ps = []
+            for node_id in sorted(nodes):
+                ns = self._nodes.get(node_id)
+                ps.append(ns.availability if ns else 0.0)
+            p = self._memo[nodes] = availability_of(ps)
         return p
 
-    terms = []
-    for cid in sorted(snapshot.cloudlets):
-        cloudlet = snapshot.cloudlets[cid]
-        if cloudlet.engine_kind != "kv_store":
-            continue
-        added = added_node.get(cid)
-        for ks in cloudlet.keys:
+    def availability(self, added_node: dict, removed: set, copy_node: dict) -> float:
+        touched = set()
+        for eid in removed:
+            touched.update(self._held.get(eid, ()))
+        for cid_key in copy_node:
+            i = self._index.get(cid_key)
+            if i is not None:
+                touched.add(i)
+        for cid in added_node:
+            touched.update(self._under_target.get(cid, ()))
+        if not touched:
+            return self._noop
+        terms = self._terms.copy()
+        for i in touched:
+            cid, target, ks = self._keys[i]
             nodes = {
                 node
                 for eid, node in zip(ks.live_replica_elements, ks.live_replica_nodes)
@@ -344,19 +389,12 @@ def _predicted_availability(snapshot: CloudStateSnapshot, added_node: dict,
             copy_to = copy_node.get((cid, ks.key))
             if copy_to is not None:
                 nodes.add(copy_to)
-            elif (
-                added is not None
-                and len(nodes) < cloudlet.policy.target_replication
-            ):
+            elif cid in added_node and len(nodes) < target:
                 # a freshly added member is the prospective host for the
                 # pending re-replication of deficient keys
-                nodes.add(added)
-            terms.append(at_least_one_up(nodes))
-    for reserved_nodes in snapshot.agreements:
-        terms.append(at_least_one_up(reserved_nodes))
-    if not terms:
-        return 1.0
-    return sum(terms) / len(terms)
+                nodes.add(added_node[cid])
+            terms[i] = self._rate(frozenset(nodes))
+        return sum(terms) / len(terms)
 
 
 def _predicted_performance(snapshot: CloudStateSnapshot, added_cpu: dict,
@@ -406,12 +444,13 @@ def select_plan(
     plan (ties: fewest actions, then enumeration order); falls back to the
     empty no-op plan unless the winner beats it by epsilon."""
     candidates = generate_plans(snapshot, policy)
-    noop_utility = evaluate_plan(NOOP_PLAN, snapshot, weights)
+    key_terms = _KeyTerms(snapshot)
+    noop_utility = evaluate_plan(NOOP_PLAN, snapshot, weights, key_terms)
     best, best_u = NOOP_PLAN, noop_utility
     for plan in candidates:
         if plan is NOOP_PLAN:  # generate_plans lists it first; scored above
             continue
-        u = evaluate_plan(plan, snapshot, weights)
+        u = evaluate_plan(plan, snapshot, weights, key_terms)
         if u > best_u or (u == best_u and len(plan) < len(best)):
             best, best_u = plan, u
     if best_u <= noop_utility + policy.epsilon:

@@ -4,7 +4,10 @@ Virtual time is integer milliseconds; there is no floating-point clock, so a
 run is reproducible bit-for-bit across platforms. Events at equal timestamps
 fire in insertion (seq) order. Randomness comes from named streams whose
 draws are a pure function of (seed, stream_id, counter): adding a stochastic
-process never perturbs the draws seen by another.
+process never perturbs the draws seen by another. There is one draw path: a
+process holds a ``Dist.sampler`` built once, which turns each
+``RngStream.next_u64`` into a value; the distribution formulas live only
+there. Every log line is encoded by one prebuilt JSON encoder.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import hashlib
 import json
 import math
 import os
+import struct
 import sys
 from bisect import bisect_left, bisect_right
 from heapq import heappop as _heappop, heappush as _heappush
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Optional
 
 
@@ -37,11 +42,15 @@ class SimulationAbort(Exception):
 
 
 _sha256 = hashlib.sha256
-_from_bytes = int.from_bytes
+_unpack_u64 = struct.Struct(">Q").unpack_from
+_log = math.log
 
 
 class RngStream:
-    """Named reproducible stream: draw i is sha256(seed|stream_id|i)."""
+    """Named reproducible stream: draw i is the first 8 bytes, read as a
+    big-endian integer, of sha256(seed|stream_id|i). ``next_u64`` is the one
+    draw entry point; a value of a distribution is drawn through a
+    ``Dist.sampler`` over the stream."""
 
     __slots__ = ("counter", "_prefix")
 
@@ -52,11 +61,12 @@ class RngStream:
     def next_u64(self) -> int:
         counter = self.counter
         self.counter = counter + 1
-        return _from_bytes(_sha256(self._prefix + b"%d" % counter).digest()[:8], "big")
+        return _unpack_u64(_sha256(self._prefix + b"%d" % counter).digest())[0]
 
-    def uniform01(self) -> float:
-        # 53-bit mantissa; result in [0, 1); 2**-53 is exact, so is the product
-        return (self.next_u64() >> 11) * 2.0**-53
+
+def _whole_ms(x: float) -> int:
+    """A duration rounded to whole non-negative milliseconds."""
+    return max(0, round(x))
 
 
 # the parameters each distribution kind takes
@@ -70,7 +80,8 @@ _DIST_PARAMS = {
 
 class Dist(NamedTuple):
     """Distribution spec: exponential(mean), uniform(a,b), constant(value),
-    two_point(p, lo, hi) where hi is drawn with probability p."""
+    two_point(p, lo, hi) where hi is drawn with probability p. Values are
+    drawn through ``sampler``, the one place that holds the formulas."""
 
     kind: str
     mean: float = 0.0
@@ -115,18 +126,49 @@ class Dist(NamedTuple):
             out.append(f"unknown distribution kind {self.kind!r}")
         return out
 
-    def sample(self, stream: RngStream) -> float:
+    def sampler(self, stream: RngStream, ms: bool = False) -> Callable[[], Any]:
+        """A function that draws the next value from ``stream``; with ``ms``
+        the value is rounded to whole non-negative milliseconds. A constant
+        draws nothing; every other kind reads one ``next_u64`` per value as
+        the 53-bit fraction u = (x >> 11) * 2**-53 in [0, 1), which is exact.
+
+        The formulas live only here, each in one closure so that a draw is
+        one Python call. The closure looks ``next_u64`` up on every draw,
+        so a wrapper installed on ``RngStream`` sees each of them."""
         kind = self.kind
         if kind == "constant":
-            return self.value
-        u = stream.uniform01()
-        if kind == "exponential":
-            return -self.mean * math.log(1.0 - u)
-        if kind == "uniform":
-            return self.a + u * (self.b - self.a)
+            value = _whole_ms(self.value) if ms else self.value
+            return lambda: value
         if kind == "two_point":
-            return self.hi if u < self.p else self.lo
+            # a draw is one of two fixed values: round them once
+            p = self.p
+            lo, hi = (_whole_ms(self.lo), _whole_ms(self.hi)) if ms else (self.lo, self.hi)
+            return lambda: hi if (stream.next_u64() >> 11) * 2.0**-53 < p else lo
+        if kind == "exponential":
+            neg_mean = -self.mean
+            if not ms:
+                return lambda: neg_mean * _log(1.0 - (stream.next_u64() >> 11) * 2.0**-53)
+
+            def exponential_ms():
+                x = round(neg_mean * _log(1.0 - (stream.next_u64() >> 11) * 2.0**-53))
+                return x if x > 0 else 0
+
+            return exponential_ms
+        if kind == "uniform":
+            a, span = self.a, self.b - self.a
+            if not ms:
+                return lambda: a + (stream.next_u64() >> 11) * 2.0**-53 * span
+
+            def uniform_ms():
+                x = round(a + (stream.next_u64() >> 11) * 2.0**-53 * span)
+                return x if x > 0 else 0
+
+            return uniform_ms
         raise ValueError(f"unknown distribution kind {kind!r}")
+
+    def sample(self, stream: RngStream) -> float:
+        """One value drawn from ``stream``."""
+        return self.sampler(stream)()
 
     def mean_value(self) -> float:
         """Analytic mean, used by capacity forecasting."""
@@ -164,11 +206,6 @@ class Dist(NamedTuple):
         if dist.problems():
             raise ValueError("; ".join(dist.problems()))
         return dist
-
-
-def draw_ms(stream: RngStream, dist: Dist) -> int:
-    """Sample a duration and round it to whole non-negative milliseconds."""
-    return max(0, round(dist.sample(stream)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +300,27 @@ class StepHistory:
 # Event queue and log
 
 
-# sorted keys, no spaces: the one encoder every log line goes through
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# sorted keys, no spaces: every record is encoded by one call of the C
+# encoder, built once with the settings JSONEncoder.encode would pass it;
+# where the C accelerator is missing, by JSONEncoder.encode itself
+_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+if c_make_encoder is None:
+    _encode_record = lambda record, _level: (_encoder.encode(record),)  # noqa: E731
+else:
+    # (markers, default, encode_str, indent, key_sep, item_sep, sort_keys,
+    # skipkeys, allow_nan); no markers: a record holds no reference cycle
+    _encode_record = c_make_encoder(
+        None, _encoder.default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
 
 
 def json_line(t: int, component: str, record: dict) -> str:
     """An entry's ndjson line, newline included: the object {"t",
-    "component", "record"} with its keys in sorted order."""
-    return '{"component":%s,"record":%s,"t":%d}\n' % (_encode(component), _encode(record), t)
+    "component", "record"} with its keys in sorted order, as ``json.dumps``
+    writes it with sorted keys and compact separators."""
+    return '{"component":%s,"record":%s,"t":%d}\n' % (
+        encode_basestring_ascii(component), "".join(_encode_record(record, 0)), t
+    )
 
 
 # a streamed log encodes and writes its entries this many at a time: encoding

@@ -11,21 +11,21 @@ from typing import Any, Callable, Optional
 
 from .defaults import DEFAULTS
 from .infrastructure import CloudElement
-from .kernel import Dist, Simulator, draw_ms
+from .kernel import Dist, Simulator
 
 
 class Network:
+    """Schedules each message's delivery after a latency drawn, in whole
+    milliseconds, from ``latency`` on the "net" stream: one draw per message,
+    through a sampler built with the network."""
+
     def __init__(self, sim: Simulator, latency: Dist = DEFAULTS["network_latency"]):
         self.sim = sim
-        self.latency = latency
-        self._stream = sim.stream("net")
-
-    def delay(self) -> int:
-        return draw_ms(self._stream, self.latency)
+        self._delay = latency.sampler(sim.stream("net"), ms=True)
 
     def send(self, target: str, action: Callable[[], None], extra_delay: int = 0) -> None:
         """Deliver to an always-reachable (harness-hosted) component."""
-        self.sim.schedule(action, target, self.delay() + extra_delay)
+        self.sim.schedule(action, target, self._delay() + extra_delay)
 
     def send_to_element(
         self,
@@ -43,7 +43,7 @@ class Network:
                 on_drop()
 
         self.sim.schedule(
-            deliver, f"element:{element.element_id}", self.delay() + extra_delay
+            deliver, f"element:{element.element_id}", self._delay() + extra_delay
         )
 
 

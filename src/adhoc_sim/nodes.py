@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .defaults import DEFAULTS
 from .errors import NodeDown
-from .kernel import Dist, RngStream, Simulator, StepHistory, draw_ms
+from .kernel import Dist, Simulator, StepHistory
 from .resources import ResourceVector
 
 UP = "up"
@@ -84,18 +84,6 @@ def _up_area(liveness: str, dt: int) -> int:
     return dt if liveness == UP else 0
 
 
-def next_churn_transition(node: "Node", stream: RngStream) -> tuple[str, int]:
-    """Draw the duration of the current liveness phase; returns the flipped
-    liveness and the virtual time at which it takes effect."""
-    model = node.churn
-    if not isinstance(model, ChurnModel):
-        raise ValueError(f"node {node.node_id} has no stochastic churn model")
-    dist = model.up_duration if node.liveness == UP else model.down_duration
-    duration = draw_ms(stream, dist)
-    new_liveness = DOWN if node.liveness == UP else UP
-    return new_liveness, node.sim.now + duration
-
-
 class Node:
     """One machine: liveness, user demand, and accounting history.
 
@@ -149,6 +137,9 @@ class Node:
     def start(self) -> None:
         """Schedule churn and user-load processes from t=0."""
         if isinstance(self.churn, ChurnModel):
+            stream = self.sim.stream(f"churn/{self.node_id}")
+            self._up_sojourn = self.churn.up_duration.sampler(stream, ms=True)
+            self._down_sojourn = self.churn.down_duration.sampler(stream, ms=True)
             self._schedule_next_churn()
         elif isinstance(self.churn, ScriptedChurn):
             for t, liveness in self.churn.transitions:
@@ -169,26 +160,27 @@ class Node:
                     )
         elif isinstance(self.user_load, MarkovLoad):
             load = self.user_load
-            self._user_stream = self.sim.stream(f"user/{self.node_id}")
-            self._idle_sojourn = Dist.exponential(load.mean_idle_ms)
-            self._active_sojourn = Dist.exponential(load.mean_active_ms)
+            stream = self.sim.stream(f"user/{self.node_id}")
+            self._idle_sojourn = Dist.exponential(load.mean_idle_ms).sampler(stream, ms=True)
+            self._active_sojourn = Dist.exponential(load.mean_active_ms).sampler(stream, ms=True)
             self._install_demand(load.idle_demand, log=False)
             self._schedule_markov_flip(active=True)
 
     def _schedule_next_churn(self) -> None:
-        stream = self.sim.stream(f"churn/{self.node_id}")
-        new_liveness, at = next_churn_transition(self, stream)
+        """Draw how long the current liveness lasts and schedule its flip."""
+        up = self.liveness == UP
+        delay = self._up_sojourn() if up else self._down_sojourn()
+        new_liveness = DOWN if up else UP
         self.sim.schedule(
             lambda: (self._apply_liveness(new_liveness), self._schedule_next_churn()),
             self._component,
-            at - self.sim.now,
+            delay,
         )
 
     def _schedule_markov_flip(self, active: bool) -> None:
         # the node turns active after an idle sojourn, and idle after an active one
         load = self.user_load
-        sojourn = self._idle_sojourn if active else self._active_sojourn
-        delay = draw_ms(self._user_stream, sojourn)
+        delay = self._idle_sojourn() if active else self._active_sojourn()
         demand = load.active_demand if active else load.idle_demand
 
         def flip():

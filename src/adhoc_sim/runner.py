@@ -31,7 +31,7 @@ from .infrastructure import (
     IntrusivenessPolicy,
     NodeInfrastructure,
 )
-from .kernel import Dist, EventLog, Simulator, draw_ms
+from .kernel import Dist, EventLog, Simulator
 from .membership import CloudletPolicy, CloudletRuntime
 from .metrics import GoalSpec, MetricsFold
 from .network import Network
@@ -224,12 +224,12 @@ class TaskWorkload:
         self.horizon = horizon
         self.issued = 0
         self.skipped = 0
-        self._stream = simulation.sim.stream(f"arrivals/{spec.workload_id}")
-        self._gap = _interarrival(spec.arrival)
-        self._work_stream = simulation.sim.stream(f"work/{spec.workload_id}")
-        simulation.sim.schedule(
-            self._fire, f"workload:{spec.workload_id}", spec.start_ms
+        sim = simulation.sim
+        self._gap = _interarrival(spec.arrival).sampler(
+            sim.stream(f"arrivals/{spec.workload_id}"), ms=True
         )
+        self._work = spec.work_units.sampler(sim.stream(f"work/{spec.workload_id}"))
+        sim.schedule(self._fire, f"workload:{spec.workload_id}", spec.start_ms)
 
     def _fire(self):
         s, spec = self.s, self.spec
@@ -243,7 +243,7 @@ class TaskWorkload:
                 agreement_id = result.agreement_id
         task = Task(
             task_id=s.ids.next("t"),
-            work_units=max(1e-6, spec.work_units.sample(self._work_stream)),
+            work_units=max(1e-6, self._work()),
             arrival=now,
         )
         self.issued += 1
@@ -256,7 +256,7 @@ class TaskWorkload:
                 f"workload:{spec.workload_id}",
                 {"event": "task_skipped", "task": task.task_id},
             )
-        delay = draw_ms(self._stream, self._gap)
+        delay = self._gap()
         if now + delay <= self.horizon:
             s.sim.schedule(self._fire, f"workload:{spec.workload_id}", delay)
 
@@ -274,12 +274,15 @@ class KvWorkload:
         self.bindings = {}
         # one string per key index, shared by the log, the replica map and the stores
         self._keys: dict[int, str] = {}
-        self._stream = simulation.sim.stream(f"arrivals/{spec.workload_id}")
-        self._gap = _interarrival(spec.arrival)
-        self._ops = simulation.sim.stream(f"ops/{spec.workload_id}")
-        simulation.sim.schedule(
-            self._fire, f"workload:{spec.workload_id}", spec.start_ms
+        sim = simulation.sim
+        self._gap = _interarrival(spec.arrival).sampler(
+            sim.stream(f"arrivals/{spec.workload_id}"), ms=True
         )
+        # each op draws its key, then whether it is a put, then a put's size
+        ops = sim.stream(f"ops/{spec.workload_id}")
+        self._unit = Dist.uniform(0.0, 1.0).sampler(ops)
+        self._size = spec.value_size.sampler(ops, ms=True)
+        sim.schedule(self._fire, f"workload:{spec.workload_id}", spec.start_ms)
 
     def _fire(self):
         s, spec = self.s, self.spec
@@ -288,18 +291,18 @@ class KvWorkload:
         now = s.sim.now
         self.issued += 1
         service = s.kv_services[spec.cloudlet]
-        index = int(self._ops.uniform01() * spec.key_space)
+        index = int(self._unit() * spec.key_space)
         key = self._keys.get(index)
         if key is None:
             key = self._keys[index] = f"k{index}"
-        is_put = self._ops.uniform01() < spec.put_ratio
+        is_put = self._unit() < spec.put_ratio
         if is_put:
             self.seq += 1
-            size = draw_ms(self._ops, spec.value_size)
+            size = self._size()
             service.put(key, f"{spec.workload_id}:{self.seq}", size=size)
         else:
             service.get(key, self.bindings)
-        delay = draw_ms(self._stream, self._gap)
+        delay = self._gap()
         if now + delay <= self.horizon:
             s.sim.schedule(self._fire, f"workload:{spec.workload_id}", delay)
 

@@ -190,6 +190,11 @@ class Field(NamedTuple):
 
 
 def field(key: str, kind: Kind, default=REQUIRED, bound=None, attr: str = "") -> Field:
+    if not (default is None or type(default) in (Fallback, _Marker) or kind.nested):
+        # a literal default passes through the field's coercion, typed as if
+        # the document had given it, so the echo of an omitted field (1024.0,
+        # not 1024) parses back to itself
+        default = kind.read(kind.write(default))
     return Field(key, attr or key, kind.read, kind.write, kind.nested, default, bound)
 
 
@@ -502,9 +507,8 @@ DEFAULTS_FIELDS = (
 )
 
 # What an omitted field falls back to where the document's `defaults` section
-# leaves a setting out: its DEFAULTS value passed through its own coercion,
-# so the field is typed as if the document had given it.
-_FALLBACK = {f.key: f.read(f.write(f.default)) for f in DEFAULTS_FIELDS}
+# leaves a setting out.
+_FALLBACK = {f.key: f.default for f in DEFAULTS_FIELDS}
 
 SECTIONS = frozenset(
     ("run", "defaults", "fleet", "cloudlets", "workloads", "reservations", "qos",

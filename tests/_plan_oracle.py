@@ -4,6 +4,7 @@ replaced with one effect pass, kept as an exact oracle.
 Consistency, availability, performance, intrusion and cost each walk the plan
 on their own; a Rereplicate is priced from its key's snapshot size, and an
 element removal is found in an element -> allocation map over every member.
+Availability walks every key of every plan, with a memo of its own per plan.
 Every float is summed in the order the simulator's evaluator sums it, so the
 two agree with ``==``.
 """
@@ -15,6 +16,7 @@ from adhoc_sim.adaptation import (
     AddElement,
     RemoveElement,
     Rereplicate,
+    generate_plans,
 )
 from adhoc_sim.errors import InconsistentPlan
 from adhoc_sim.qos import availability_of
@@ -32,6 +34,20 @@ def evaluate_plan(plan: tuple, snapshot, weights) -> float:
         - weights.w_intr * intr
         - weights.w_cost * cost
     )
+
+
+def select_plan(snapshot, policy, weights) -> tuple:
+    """``adaptation.select_plan``'s rule over ``evaluate_plan`` above: each
+    candidate of ``generate_plans`` (the no-op plan first) scored on its own."""
+    noop_utility = evaluate_plan((), snapshot, weights)
+    best, best_u = (), noop_utility
+    for plan in generate_plans(snapshot, policy)[1:]:
+        u = evaluate_plan(plan, snapshot, weights)
+        if u > best_u or (u == best_u and len(plan) < len(best)):
+            best, best_u = plan, u
+    if best_u <= noop_utility + policy.epsilon:
+        return (), noop_utility, noop_utility
+    return best, best_u, noop_utility
 
 
 def _check_consistent(plan: tuple, snapshot) -> None:

@@ -2,7 +2,9 @@
 for neither side, quartiles taken inclusively, the gain-claim rule, events/s
 as traced event counts over untraced event-loop seconds, and the per-span
 call counts of the traced runs, identical only when both trees made the same
-calls on every document."""
+calls on every document. In-process pairs: each tree's package imported
+under its own name, the first side alternating, and the head/base ratios'
+quartiles and wins."""
 
 import os
 import sys
@@ -95,5 +97,65 @@ def test_span_calls_are_recorded_per_tree_and_document(monkeypatch, tmp_path,
     assert calls == {"base": [base["d0"], base["d1"]], "head": [head["d0"], head["d1"]]}
     assert identical["span_calls"] is same
     assert all(identical[name] for name in ab.OUTPUTS + ("simulated_outcomes",))
+    assert identical["outcomes_not_identical"] == []
     # events/s still reads the kernel's events from the traced counts
     assert [row["base"]["kernel.events_per_s"] for row in rows] == [1300 / 4.0] * 2
+
+
+def test_differing_entries_name_each_leaf_that_differs():
+    base = {"kv": {"issued": 5, "failures": {"other": 0}}, "bytes": 10, "gone": 1}
+    head = {"kv": {"issued": 5, "failures": {"other": 2}}, "bytes": 12, "new": 1}
+    assert ab.differing_entries("counts", base, head) == [
+        "counts.bytes", "counts.gone", "counts.kv.failures.other", "counts.new",
+    ]
+    assert ab.differing_entries("kv", base, dict(base)) == []
+
+
+def test_ratios_summarize_each_pair_as_head_over_base():
+    rows = [{"first": "base", "base": 2.0, "head": head} for head in (1.0, 1.5, 2.0, 3.0, 1.8)]
+    summary = ab.summarize_ratios(rows)
+    assert summary["head_over_base"] == {"q1": 0.75, "median": 0.9, "q3": 1.0}
+    # a ratio of exactly 1 is a tie, not a win
+    assert (summary["head_won"], summary["pairs"], summary["values"]) == (3, 5, rows)
+
+
+class FakeCli:
+    def __init__(self, side, calls, code=0):
+        self.side, self.calls, self.code = side, calls, code
+
+    def main(self, argv):
+        self.calls.append((self.side, argv[argv.index("--scenario") + 1]))
+        return self.code
+
+
+def test_inproc_pairs_alternate_the_side_that_runs_first(tmp_path):
+    calls = []
+    clis = {side: FakeCli(side, calls) for side in ab.SIDES}
+    rows = ab.inproc_pairs(clis, ["d0", "d1"], 3, str(tmp_path))
+    assert [row["first"] for row in rows] == ["base", "head", "base"]
+    base, head = ([(side, "d0"), (side, "d1")] for side in ab.SIDES)
+    assert calls == base + head + head + base + base + head
+    assert all(row[side] >= 0.0 for row in rows for side in ab.SIDES)
+    clis["head"].code = 1
+    with pytest.raises(RuntimeError):
+        ab.inproc_pairs(clis, ["d0"], 2, str(tmp_path))
+
+
+def test_load_package_imports_each_tree_under_its_own_name(tmp_path):
+    for answer, side in enumerate(ab.SIDES):
+        package = tmp_path / side / "src" / "adhoc_sim"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "answer.py").write_text(f"ANSWER = {answer}\n")
+        (package / "cli.py").write_text(
+            "from .answer import ANSWER\n\n\ndef main(argv=None):\n    return ANSWER\n"
+        )
+    names = {side: f"fake_adhoc_{side}" for side in ab.SIDES}
+    try:
+        clis = {side: ab.load_package(str(tmp_path / side), names[side]) for side in ab.SIDES}
+        assert [clis[side].main() for side in ab.SIDES] == [0, 1]
+        assert clis["head"].__name__ == "fake_adhoc_head.cli"
+    finally:
+        for name in list(sys.modules):
+            if name.split(".")[0] in names.values():
+                del sys.modules[name]

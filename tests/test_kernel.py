@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import weakref
 
@@ -5,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhoc_sim.kernel import (
-    Dist, EventLog, RngStream, SimulationAbort, Simulator, draw_ms, json_line,
-)
+from adhoc_sim import kernel
+from adhoc_sim.kernel import Dist, EventLog, RngStream, SimulationAbort, Simulator, json_line
 
 
 def ndjson(log):
@@ -165,10 +165,10 @@ class TestLog:
     def test_two_runs_same_seed_bit_identical_log(self):
         def run():
             sim = make_sim(seed=77)
-            st = sim.stream("churn")
+            draw = Dist.exponential(100).sampler(sim.stream("churn"), ms=True)
 
             def tick(p):
-                d = draw_ms(st, Dist.exponential(100))
+                d = draw()
                 sim.record("A", {"event": "tick", "draw": d, "n": p})
                 if p < 20:
                     sim.schedule(lambda: tick(p + 1), "A", d)
@@ -195,6 +195,17 @@ _json_values = st.recursive(
 )
 
 
+# records whose encoding has a trap: float reprs, tuples, nesting, None and
+# bools, and strings that need escaping, non-ASCII ones among them
+TRICKY_RECORDS = [
+    {"f": [1e-7, 1e16, -0.0, 0.1 + 0.2, 5e-324, 1e22, 2.5, 7]},
+    {"tuple": (1, "a", (2.5, None)), "nested": [[1, [2, [3, []]]], {}]},
+    {"none": None, "yes": True, "no": False, "zero": 0, "big": 2**70},
+    {"esc": 'q"uote\\back\nline\ttab\x00\x1f\x7f', "uni": "k\u00e9\u4e2d\U0001f600",
+     "k\u00e9y": "v", "": ""},
+]
+
+
 class TestLogLine:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -209,6 +220,26 @@ class TestLogLine:
             separators=(",", ":"),
         )
         assert json_line(t, component, record) == expected + "\n"
+
+    @pytest.mark.parametrize("component", ["kv:c1", 'n\u00e9"\\\n'])
+    @pytest.mark.parametrize("record", TRICKY_RECORDS)
+    def test_line_equals_json_dumps(self, component, record):
+        expected = json.dumps(
+            {"component": component, "record": record, "t": 12},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert json_line(12, component, record) == expected + "\n"
+
+    def test_fallback_without_the_c_encoder_writes_the_same_lines(self, monkeypatch):
+        # the kernel as imported where the json C accelerator is missing
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        spec = importlib.util.spec_from_file_location("kernel_without_c", kernel.__file__)
+        fallback = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fallback)
+        assert fallback._encode_record is not kernel._encode_record
+        for record in TRICKY_RECORDS:
+            assert fallback.json_line(5, "c", record) == json_line(5, "c", record)
 
     def test_ndjson_is_one_line_per_entry(self):
         sim = make_sim()
@@ -268,9 +299,14 @@ class TestEventLogModes:
         assert not path.exists()
 
 
+UNIT = Dist.uniform(0.0, 1.0)  # its draws are the stream's fractions u themselves
+
+
 class TestPinnedDraws:
     """Draw values recorded before the draw path was rewritten: a change to
-    the hash input, the bit selection or the scaling moves them."""
+    the hash input, the bit selection or the scaling moves them. Each kind's
+    sampler reproduces the values that ``draw_ms`` and ``uniform01`` drew
+    before every draw went through ``Dist.sampler``."""
 
     def test_next_u64(self):
         s = RngStream(7, "net")
@@ -282,7 +318,8 @@ class TestPinnedDraws:
 
     def test_uniform01(self):
         s = RngStream(7, "net")
-        assert [s.uniform01() for _ in range(6)] == [
+        draw = UNIT.sampler(s)
+        assert [draw() for _ in range(6)] == [
             0.11836869780658221, 0.43892132698324704, 0.40819265471809174,
             0.10312120548572068, 0.24167075949385486, 0.838856190147159,
         ]
@@ -298,8 +335,16 @@ class TestPinnedDraws:
     )
     def test_draw_ms_per_kind(self, dist, expected, draws_used):
         s = RngStream(7, "net")
-        assert [draw_ms(s, dist) for _ in range(6)] == expected
+        draw = dist.sampler(s, ms=True)
+        assert [draw() for _ in range(6)] == expected
         assert s.counter == draws_used
+        # without ms the same draws, unrounded; sample() is one of them
+        s, again = RngStream(7, "net"), RngStream(7, "net")
+        draw = dist.sampler(s)
+        values = [draw() for _ in range(6)]
+        assert [max(0, round(x)) for x in values] == expected
+        assert [dist.sample(again) for _ in range(6)] == values
+        assert s.counter == again.counter == draws_used
 
 
 class TestStreams:
@@ -316,16 +361,16 @@ class TestStreams:
 
     def test_stream_isolation(self):
         # draws on A must not perturb B's sequence
-        solo = RngStream(3, "B")
-        expected = [solo.uniform01() for _ in range(50)]
+        solo = UNIT.sampler(RngStream(3, "B"))
+        expected = [solo() for _ in range(50)]
 
-        a = RngStream(3, "A")
-        b = RngStream(3, "B")
+        a = UNIT.sampler(RngStream(3, "A"))
+        b = UNIT.sampler(RngStream(3, "B"))
         got = []
         for i in range(50):
             for _ in range(i % 5):
-                a.uniform01()
-            got.append(b.uniform01())
+                a()
+            got.append(b())
         assert got == expected
 
     def test_exponential_mean_within_two_percent(self):

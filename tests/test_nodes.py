@@ -10,7 +10,6 @@ from adhoc_sim.nodes import (
     Node,
     ScriptedChurn,
     TraceLoad,
-    next_churn_transition,
 )
 from adhoc_sim.resources import ResourceVector as RV
 
@@ -57,13 +56,14 @@ class TestChurn:
         assert node.liveness == UP
 
     def test_next_churn_transition_alternates(self):
+        # each phase's length is drawn from its own distribution as it begins
         sim = Simulator(seed=1)
         node = Node(sim, "n1", RV(4), churn=ChurnModel(Dist.constant(100), Dist.constant(7)))
-        liveness, at = next_churn_transition(node, sim.stream("churn/n1"))
-        assert (liveness, at) == (DOWN, 100)
-        node.liveness = DOWN
-        liveness, at = next_churn_transition(node, sim.stream("churn/n1"))
-        assert (liveness, at) == (UP, 7)
+        node.start()
+        sim.run_until(300)
+        assert list(node.liveness_history) == [
+            (0, UP), (100, DOWN), (107, UP), (207, DOWN), (214, UP),
+        ]
 
     def test_long_run_uptime_matches_closed_form(self):
         # E_up/(E_up+E_down) = 0.9; measured over 4e9 ms of exponential churn

@@ -1,7 +1,10 @@
 """The one-pass plan evaluator against the five-pass reference in
 ``_plan_oracle``: on random snapshots and plans, ``evaluate_plan`` returns
 exactly the oracle's utility (``==``, not approx), and both raise
-``InconsistentPlan`` on the same plans.
+``InconsistentPlan`` on the same plans. ``select_plan``, which rates the
+no-op plan's availability terms once and lets each candidate recompute only
+the keys it touches, returns exactly the plan and the utilities that the
+oracle finds by scoring every candidate on its own.
 
 Snapshots mix kv and compute cloudlets, cloudlets with no members or no keys,
 nodes that are down or have zero headroom, members on nodes the snapshot does
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 import _plan_oracle
 from adhoc_sim.adaptation import (
+    AdaptationPolicy,
     AddElement,
     CloudletSnapshot,
     CloudStateSnapshot,
@@ -27,6 +31,8 @@ from adhoc_sim.adaptation import (
     Rereplicate,
     UtilityWeights,
     evaluate_plan,
+    generate_plans,
+    select_plan,
 )
 from adhoc_sim.errors import InconsistentPlan
 from adhoc_sim.membership import CloudletPolicy
@@ -167,6 +173,7 @@ MIXED = (
                UtilityWeights()))
 @example(case=(PINNED, (AddElement("idle", "n2", ALLOC),), UtilityWeights()))
 @example(case=(PINNED, (AddElement("idle", "n3", ALLOC),), UtilityWeights()))
+@example(case=(PINNED, (RemoveElement("kv", "e1"),), UtilityWeights()))
 def test_evaluate_plan_equals_the_five_pass_oracle(case):
     snapshot, plan, weights = case
     try:
@@ -176,3 +183,64 @@ def test_evaluate_plan_equals_the_five_pass_oracle(case):
             evaluate_plan(plan, snapshot, weights)
         return
     assert evaluate_plan(plan, snapshot, weights) == expected
+
+
+def shared_node_snapshot(utilization):
+    """A kv cloudlet whose members e1 and e2 share node n1: key x has two
+    live replicas on one node, z its three replicas on two nodes (under
+    target by distinct node, not by count), and no member can take a copy
+    of w, so a repair needs a new member."""
+    kv = (MemberSnapshot("e1", "n1", 1.0, 1.0), MemberSnapshot("e2", "n1", 0.5, 1.0),
+          MemberSnapshot("e3", "n4", 1.0, 1.0))
+    return CloudStateSnapshot(
+        nodes={
+            "n1": node("n1", free=1.0),
+            "n2": node("n2", p=0.7),
+            "n3": node("n3", p=0.6, free=6.0),
+            "n4": node("n4", p=0.5, free=2.0),
+        },
+        cloudlets={"kv": CloudletSnapshot(
+            "kv", "kv_store", kv,
+            (key("w", (kv[0], kv[2]), 7), key("x", kv[:2], 1000), key("y", kv[:1], 5),
+             key("z", kv, 20)),
+            CloudletPolicy(target_replication=3), utilization=utilization,
+        )},
+        agreements=(("n2", "n3"),),
+    )
+
+
+# the intrusion a removal saves outweighs the availability it costs
+REMOVAL_WINS = UtilityWeights(1.0, 0.0, 100.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases(), epsilon=st.sampled_from([0.0, 1e-6]))
+@example(case=(PINNED, (), UtilityWeights()), epsilon=1e-6)
+@example(case=(shared_node_snapshot(0.9), (), UtilityWeights()), epsilon=1e-6)
+@example(case=(shared_node_snapshot(0.1), (), UtilityWeights()), epsilon=1e-6)
+@example(case=(shared_node_snapshot(0.1), (), UtilityWeights(1.0, 0.0, 0.0, 0.0)), epsilon=0.0)
+@example(case=(shared_node_snapshot(0.1), (), REMOVAL_WINS), epsilon=1e-6)
+def test_select_plan_equals_the_oracle(case, epsilon):
+    snapshot, _plan, weights = case
+    policy = AdaptationPolicy(epsilon=epsilon)
+    assert select_plan(snapshot, policy, weights) == _plan_oracle.select_plan(
+        snapshot, policy, weights
+    )
+
+
+def test_shared_node_snapshot_plans_touch_every_kind_of_key():
+    """The pinned examples above reach each case ``select_plan`` patches:
+    re-replications, an AddElement into a cloudlet with keys under target
+    by distinct node, and the removal of a replica holder."""
+    plans = {
+        u: generate_plans(shared_node_snapshot(u), AdaptationPolicy()) for u in (0.9, 0.1)
+    }
+    actions = [a for u in plans for plan in plans[u] for a in plan]
+    assert {a.key for a in actions if isinstance(a, Rereplicate)} == {"x", "y"}
+    assert any(isinstance(a, AddElement) for plan in plans[0.9] for a in plan)
+    assert any(isinstance(a, AddElement) for plan in plans[0.1] for a in plan)  # for w
+    removed = [a.element_id for plan in plans[0.1] for a in plan if isinstance(a, RemoveElement)]
+    assert removed == ["e1"]  # the holder of every key
+    assert select_plan(shared_node_snapshot(0.1), AdaptationPolicy(), REMOVAL_WINS)[0] == (
+        RemoveElement("kv", "e1"),
+    )
