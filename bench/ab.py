@@ -45,6 +45,7 @@ each pair's seconds and the head/base ratio's quartiles and wins
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import importlib
@@ -202,6 +203,53 @@ def compare(trees: dict, docs: list, pairs: int, workdir: str) -> tuple[list, di
     return rows, identical, calls
 
 
+def revisions(args) -> dict:
+    """side -> the full commit id of ``args.base`` / ``args.head``."""
+    return {side: _git("rev-parse", "--verify", getattr(args, side) + "^{commit}")
+            for side in SIDES}
+
+
+def provenance(revs: dict) -> dict:
+    """side -> its commit and the git tree of its ``src/``, for an output file."""
+    return {side: {"rev": revs[side], "src_tree": _git("rev-parse", f"{revs[side]}:src")}
+            for side in SIDES}
+
+
+@contextlib.contextmanager
+def worktrees(revs: dict):
+    """Yields (a temporary directory, side -> a detached ``git worktree`` of
+    its revision in it); both worktrees and the directory are removed on
+    exit."""
+    workdir = tempfile.mkdtemp(prefix="adhoc-ab-")
+    trees = {}
+    try:
+        for side in SIDES:
+            trees[side] = os.path.join(workdir, side)
+            _git("worktree", "add", "--detach", trees[side], revs[side])
+        yield workdir, trees
+    finally:
+        for tree in trees.values():
+            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
+                           capture_output=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def write_documents(generate, workload: str, seed: int, replications: int,
+                    workdir: str) -> tuple[list, list]:
+    """Each replication's document written into workdir by the ``generate``
+    module: (paths, [{"replication", "sha256"}])."""
+    docs, documents = [], []
+    for r in range(replications):
+        doc = generate.generate(workload, seed, r)
+        path = os.path.join(workdir, f"{workload}-{seed}-{r}.json")
+        with open(path, "wb") as fh:
+            fh.write(generate.dump(doc))
+        docs.append(path)
+        documents.append({"replication": r, "sha256": generate.digest(doc)})
+    return docs, documents
+
+
 def load_package(tree: str, name: str):
     """The tree's ``src/adhoc_sim`` imported as the package ``name``; returns
     its ``cli`` module."""
@@ -266,25 +314,13 @@ def main(argv=None) -> int:
         parser.error("quartiles need --pairs >= 2 and --inproc 0 or >= 2, "
                      "and a pair at least one replication")
 
-    revs = {side: _git("rev-parse", "--verify", getattr(args, side) + "^{commit}")
-            for side in SIDES}
-    workdir = tempfile.mkdtemp(prefix="adhoc-ab-")
-    trees = {}
-    try:
-        for side in SIDES:
-            trees[side] = os.path.join(workdir, side)
-            _git("worktree", "add", "--detach", trees[side], revs[side])
+    revs = revisions(args)
+    with worktrees(revs) as (workdir, trees):
         sys.path.insert(0, os.path.join(trees["head"], "perfbench"))
         import generate
 
-        docs, documents = [], []
-        for r in range(args.replications):
-            doc = generate.generate(args.workload, args.seed, r)
-            path = os.path.join(workdir, f"{args.workload}-{args.seed}-{r}.json")
-            with open(path, "wb") as fh:
-                fh.write(generate.dump(doc))
-            docs.append(path)
-            documents.append({"replication": r, "sha256": generate.digest(doc)})
+        docs, documents = write_documents(generate, args.workload, args.seed,
+                                          args.replications, workdir)
         rows, identical, calls = compare(trees, docs, args.pairs,
                                          os.path.join(workdir, "runs"))
         inproc = None
@@ -293,19 +329,12 @@ def main(argv=None) -> int:
             inproc = summarize_ratios(
                 inproc_pairs(clis, docs, args.inproc, os.path.join(workdir, "inproc"))
             )
-    finally:
-        for tree in trees.values():
-            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
-                           capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-        shutil.rmtree(workdir, ignore_errors=True)
 
     result = {
         "workload": args.workload,
         "seed": args.seed,
         "replications": args.replications,
-        **{side: {"rev": revs[side], "src_tree": _git("rev-parse", f"{revs[side]}:src")}
-           for side in SIDES},
+        **provenance(revs),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "documents": documents,

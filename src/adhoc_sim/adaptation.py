@@ -1,19 +1,33 @@
-"""Autonomic control loop: each epoch, enumerate speculative plans, score
-them with a weighted multi-objective utility, and execute the best one under
-hard non-intrusiveness constraints re-checked at execution time. A plan is a
-tuple of actions; the empty plan ``NOOP_PLAN`` changes nothing.
+"""Autonomic control loop, one per cloudlet (Kephart & Chess, "The Vision of
+Autonomic Computing", IEEE Computer 2003). Each epoch the controller builds
+one snapshot of the cloud. Then each cloudlet, in id order, plans over its
+own part of that snapshot and executes its plan at once, with every
+constraint re-checked against fresh node state. A plan is a tuple of
+actions; the empty plan changes nothing.
 
-U = w_avail*A' + w_perf*P' - w_intr*I' - w_cost*C, where A' is the mean
-predicted availability over keys and agreements after the plan, P' the
-predicted service/arrival ratio capped at 1, I' the mean per-node
-allocation-to-headroom pressure, and C the summed action costs (deploy 1,
-destroy 0.2, re-replication proportional to the bytes a ``Rereplicate``
-carries). Scaling every weight by the same positive factor leaves the
-selected plan unchanged.
-A plan is walked once (``_effect``); the predictors read that effect, and
-each cloudlet's snapshot carries its ``CloudletPolicy``. ``select_plan``
-rates the no-op plan's availability terms once per snapshot, and each
-candidate recomputes only the terms of the keys it touches (``_KeyTerms``).
+A kv cloudlet repairs by rule: every key with some, but fewer than
+``target_replication``, live replicas gets one ``Rereplicate`` onto a member
+that holds no replica of it and shares no node with one, where such a member
+exists. Repairs are neither capped nor scored.
+
+Scaling is scored. A cloudlet takes at most one scaling action: an
+``AddElement`` on one of the three non-member nodes with the most free cpu
+(a candidate when a deficient key has no repair target, or when utilisation
+is above the high watermark), or a ``RemoveElement`` of a spare member (when
+utilisation is below the low watermark). Each candidate is scored, in the
+cloudlet's own terms, by
+
+U = w_avail*A' + w_perf*P' - w_intr*I' - w_cost*C,
+
+where A' is the mean predicted availability of the cloudlet's keys after
+this epoch's repairs (1.0 for a cloudlet without keys), P' its predicted
+service/arrival ratio capped at 1 (1.0 for kv), I' the mean per-node
+allocation-to-headroom cpu pressure over up nodes, and C the action's cost
+(add 1, remove 0.2). A candidate is taken only if it beats the repairs alone
+by ``epsilon``. Scaling every weight by the same positive factor leaves the
+choice unchanged. The snapshot is not updated between cloudlets, so an add
+whose node's headroom a cloudlet earlier in the order took is downgraded at
+execution, and logged.
 
 ``GoalSpec`` and ``aggregate_metrics``, the log aggregation of metrics.py,
 stay importable from here.
@@ -25,7 +39,6 @@ from typing import NamedTuple, Optional
 
 from . import metrics
 from .defaults import DEFAULTS
-from .errors import InconsistentPlan
 from .infrastructure import RUNNING
 from .membership import CloudletPolicy
 from .qos import availability_of
@@ -33,8 +46,6 @@ from .resources import ResourceVector
 
 ADD_COST = 1.0
 REMOVE_COST = 0.2
-REREPLICATE_COST_PER_BYTE = 1e-6
-MAX_REREPLICATE_CANDIDATES = 8  # deficient keys considered per cloudlet and epoch
 
 
 class UtilityWeights(NamedTuple):
@@ -61,12 +72,7 @@ class RemoveElement(NamedTuple):
 class Rereplicate(NamedTuple):
     cloudlet_id: str
     key: str
-    source_element: str
     target_element: str
-    size: int  # the key's bytes, which price the copy
-
-
-NOOP_PLAN = ()
 
 
 def describe(plan: tuple) -> list:
@@ -84,7 +90,6 @@ def describe(plan: tuple) -> list:
 
 class AdaptationPolicy(NamedTuple):
     epoch_ms: int = DEFAULTS["epoch_ms"]
-    max_actions_per_epoch: int = DEFAULTS["max_actions_per_epoch"]
     epsilon: float = DEFAULTS["epsilon"]
     enabled: bool = DEFAULTS["adaptation_enabled"]
 
@@ -105,7 +110,6 @@ class KeySnapshot(NamedTuple):
     key: str
     live_replica_elements: tuple
     live_replica_nodes: tuple
-    size: int
 
 
 class MemberSnapshot(NamedTuple):
@@ -131,73 +135,54 @@ class CloudletSnapshot(NamedTuple):
 class CloudStateSnapshot(NamedTuple):
     nodes: dict
     cloudlets: dict
-    agreements: tuple = ()  # reserved node ids of each active agreement
     reserved_elements: frozenset = frozenset()
 
 
 # -- candidate generation -------------------------------------------------------
 
 
-def generate_plans(snapshot: CloudStateSnapshot, policy: AdaptationPolicy) -> list[tuple]:
-    """Deterministic candidate enumeration: the no-op plan, per-key
-    re-replication (plus a bundled repair plan), membership repair when no
-    member can take a copy, watermark-driven scale out (top-3 nodes by free
-    headroom), and scale in."""
-    plans: list[tuple] = [NOOP_PLAN]
-    for cid in sorted(snapshot.cloudlets):
-        cloudlet = snapshot.cloudlets[cid]
-        if cloudlet.engine_kind == "kv_store":
-            plans.extend(_repair_plans(snapshot, cloudlet, policy))
-        plans.extend(_watermark_plans(snapshot, cloudlet))
-    return plans
+def generate_plans(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) -> list[tuple]:
+    """The cloudlet's candidate plans, in order: its repairs alone, then its
+    repairs followed by each scaling action (adds on the top-3 nodes by free
+    headroom, then scale in)."""
+    repairs, waiting = _repairs(cloudlet)
+    policy = cloudlet.policy
+    scaling = []
+    if (
+        (waiting or cloudlet.utilization > policy.scale_high_watermark)
+        and len(cloudlet.members) < policy.max_members
+    ):
+        for ns in _feasible_nodes(snapshot, cloudlet)[:3]:
+            scaling.append(AddElement(
+                cloudlet.cloudlet_id, ns.node_id, cloudlet.element_allocation
+            ))
+    if (
+        cloudlet.utilization < policy.scale_low_watermark
+        and len(cloudlet.members) > policy.min_members
+    ):
+        targets = {a.target_element for a in repairs}
+        victim = _scale_in_victim(snapshot, cloudlet, targets)
+        if victim is not None:
+            scaling.append(RemoveElement(cloudlet.cloudlet_id, victim.element_id))
+    return [repairs] + [repairs + (a,) for a in scaling]
 
 
-def _feasible_nodes(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) -> list[NodeSnapshot]:
-    member_nodes = {m.node_id for m in cloudlet.members}
-    out = [
-        ns
-        for ns in snapshot.nodes.values()
-        if ns.up
-        and ns.node_id not in member_nodes
-        and cloudlet.element_allocation.le(ns.available_headroom)
-    ]
-    out.sort(key=lambda ns: (-ns.available_headroom.cpu, ns.node_id))
-    return out
+def _deficient(cloudlet: CloudletSnapshot, ks: KeySnapshot) -> bool:
+    return 0 < len(ks.live_replica_elements) < cloudlet.policy.target_replication
 
 
-def _repair_plans(snapshot, cloudlet, policy) -> list[tuple]:
-    deficient = [
-        ks
-        for ks in cloudlet.keys
-        if len(ks.live_replica_elements) < cloudlet.policy.target_replication
-        and len(ks.live_replica_elements) > 0
-    ]
-    if not deficient:
-        return []
-    deficient = deficient[:MAX_REREPLICATE_CANDIDATES]
-    plans = []
-    repair_actions = []
-    needs_new_member = False
-    for ks in deficient:
-        target = _repair_target(cloudlet, ks)
-        if target is None:
-            needs_new_member = True
-            continue
-        action = Rereplicate(
-            cloudlet.cloudlet_id, ks.key, min(ks.live_replica_elements), target.element_id,
-            ks.size,
-        )
-        plans.append((action,))
-        repair_actions.append(action)
-    if len(repair_actions) > 1:
-        plans.append(tuple(repair_actions[: policy.max_actions_per_epoch]))
-    if needs_new_member:
-        feasible = _feasible_nodes(snapshot, cloudlet)
-        if feasible and len(cloudlet.members) < cloudlet.policy.max_members:
-            plans.append((AddElement(
-                cloudlet.cloudlet_id, feasible[0].node_id, cloudlet.element_allocation
-            ),))
-    return plans
+def _repairs(cloudlet: CloudletSnapshot) -> tuple[tuple, bool]:
+    """One Rereplicate per deficient key that has a repair target, key
+    order; and whether some deficient key has none."""
+    repairs, waiting = [], False
+    for ks in cloudlet.keys:
+        if _deficient(cloudlet, ks):
+            target = _repair_target(cloudlet, ks)
+            if target is None:
+                waiting = True
+            else:
+                repairs.append(Rereplicate(cloudlet.cloudlet_id, ks.key, target.element_id))
+    return tuple(repairs), waiting
 
 
 def _repair_target(cloudlet, key_snapshot) -> Optional[MemberSnapshot]:
@@ -214,33 +199,28 @@ def _repair_target(cloudlet, key_snapshot) -> Optional[MemberSnapshot]:
     return min(candidates, key=lambda m: (-m.effective_cpu, m.element_id))
 
 
-def _watermark_plans(snapshot, cloudlet) -> list[tuple]:
-    plans = []
-    if (
-        cloudlet.utilization > cloudlet.policy.scale_high_watermark
-        and len(cloudlet.members) < cloudlet.policy.max_members
-    ):
-        for ns in _feasible_nodes(snapshot, cloudlet)[:3]:
-            plans.append((AddElement(
-                cloudlet.cloudlet_id, ns.node_id, cloudlet.element_allocation
-            ),))
-    if (
-        cloudlet.utilization < cloudlet.policy.scale_low_watermark
-        and len(cloudlet.members) > cloudlet.policy.min_members
-    ):
-        victim = _scale_in_victim(snapshot, cloudlet)
-        if victim is not None:
-            plans.append((RemoveElement(cloudlet.cloudlet_id, victim.element_id),))
-    return plans
+def _feasible_nodes(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) -> list[NodeSnapshot]:
+    member_nodes = {m.node_id for m in cloudlet.members}
+    out = [
+        ns
+        for ns in snapshot.nodes.values()
+        if ns.up
+        and ns.node_id not in member_nodes
+        and cloudlet.element_allocation.le(ns.available_headroom)
+    ]
+    out.sort(key=lambda ns: (-ns.available_headroom.cpu, ns.node_id))
+    return out
 
 
-def _scale_in_victim(snapshot, cloudlet) -> Optional[MemberSnapshot]:
-    """Spare member on the most constrained node; never a replica holder or a
-    reserved element."""
+def _scale_in_victim(snapshot, cloudlet, repair_targets) -> Optional[MemberSnapshot]:
+    """Spare member on the most constrained node; never a replica holder, a
+    repair target or a reserved element."""
     eligible = [
         m
         for m in cloudlet.members
-        if not m.hosts_keys and m.element_id not in snapshot.reserved_elements
+        if not m.hosts_keys
+        and m.element_id not in repair_targets
+        and m.element_id not in snapshot.reserved_elements
     ]
     if not eligible:
         return None
@@ -255,206 +235,115 @@ def _scale_in_victim(snapshot, cloudlet) -> Optional[MemberSnapshot]:
 # -- evaluation -------------------------------------------------------------------
 
 
-def evaluate_plan(plan: tuple, snapshot: CloudStateSnapshot, weights: UtilityWeights,
-                  key_terms: Optional["_KeyTerms"] = None) -> float:
-    """The plan's utility. The plans of one snapshot share its ``key_terms``,
-    so the no-op plan's availability terms are rated once."""
-    if key_terms is None:
-        key_terms = _KeyTerms(snapshot)
-    added_node, added_cpu, removed, copy_node, cpu_delta, cost = _effect(plan, snapshot)
-    return (
-        weights.w_avail * key_terms.availability(added_node, removed, copy_node)
-        + weights.w_perf * _predicted_performance(snapshot, added_cpu, removed)
-        - weights.w_intr * _predicted_intrusion(snapshot, cpu_delta)
-        - weights.w_cost * cost
-    )
+def _pressure(ns: NodeSnapshot, cpu_delta: float = 0.0) -> float:
+    """A node's allocated/headroom cpu pressure, clamped to [0, 1]."""
+    allocated = ns.allocated_cpu + cpu_delta
+    if ns.headroom.cpu <= 0:
+        return 1.0 if allocated > 0 else 0.0
+    return min(1.0, max(0.0, allocated / ns.headroom.cpu))
 
 
-def _member(snapshot, cloudlet_id: str, element_id: str) -> Optional[MemberSnapshot]:
-    members = snapshot.cloudlets[cloudlet_id].members
-    return next((m for m in members if m.element_id == element_id), None)
+def node_pressure(snapshot: CloudStateSnapshot) -> tuple[float, int]:
+    """The summed no-op pressure over up nodes, and their count: rated once
+    per snapshot and shared by every cloudlet's plans."""
+    up = [ns for ns in snapshot.nodes.values() if ns.up]
+    return sum(_pressure(ns) for ns in up), len(up)
 
 
-def _effect(plan: tuple, snapshot: CloudStateSnapshot) -> tuple:
-    """One pass in plan order: cloudlet -> last added node, cloudlet -> added
-    cpu, removed elements, (cloudlet, key) -> node of the last copy target
-    (None if no member), node -> allocated cpu delta, and the summed cost.
-    Raises InconsistentPlan on an AddElement its node cannot host, or on
-    removing an element that a re-replication reads or writes."""
-    added_node, added_cpu, copy_node, cpu_delta = {}, {}, {}, {}
-    removed, copying = set(), set()
-    cost = 0.0
-    for a in plan:
-        if isinstance(a, AddElement):
-            ns = snapshot.nodes.get(a.node_id)
-            if ns is None or not ns.up or a.allocation.exceeds_any(ns.available_headroom):
-                raise InconsistentPlan(f"AddElement node {a.node_id} is down or lacks headroom")
-            added_node[a.cloudlet_id] = a.node_id
-            added_cpu[a.cloudlet_id] = added_cpu.get(a.cloudlet_id, 0.0) + a.allocation.cpu
-            cpu_delta[a.node_id] = cpu_delta.get(a.node_id, 0.0) + a.allocation.cpu
-            cost += ADD_COST
-        elif isinstance(a, RemoveElement):
-            if a.element_id in copying:
-                raise InconsistentPlan(f"plan removes re-replication element {a.element_id}")
-            removed.add(a.element_id)
-            m = _member(snapshot, a.cloudlet_id, a.element_id)
-            if m is not None:
-                cpu_delta[m.node_id] = cpu_delta.get(m.node_id, 0.0) - m.allocation_cpu
-            cost += REMOVE_COST
-        else:
-            if a.source_element in removed or a.target_element in removed:
-                raise InconsistentPlan(
-                    f"plan removes element involved in re-replication of {a.key!r}"
-                )
-            copying.update((a.source_element, a.target_element))
-            target = _member(snapshot, a.cloudlet_id, a.target_element)
-            copy_node[(a.cloudlet_id, a.key)] = target.node_id if target else None
-            cost += a.size * REREPLICATE_COST_PER_BYTE
-    return added_node, added_cpu, removed, copy_node, cpu_delta, cost
+def _rater(nodes: dict):
+    """availability_of over a set of node ids, rated once per distinct set:
+    many keys share a replica node set."""
+    memo: dict[frozenset, float] = {}
 
-
-class _KeyTerms:
-    """Predicted availability over one snapshot: the mean, over kv keys and
-    active agreements, of 1 - prod(1 - p) across the replica/reserved nodes
-    after a plan.
-
-    The no-op plan's terms are worked out once. A plan changes only the
-    terms of keys it touches: a key with a replica in ``removed``, a key it
-    re-replicates, and, in a cloudlet it adds a member to, a key under its
-    replication target by distinct node. ``availability`` recomputes those
-    and sums the whole patched list in key order, so the result has the bits
-    of a full walk over every key."""
-
-    def __init__(self, snapshot: CloudStateSnapshot):
-        self._nodes = snapshot.nodes
-        # many keys share a replica node set (on the benchmark workloads over
-        # 95% of lookups hit): rate each distinct set once per snapshot
-        self._memo: dict[frozenset, float] = {}
-        self._keys = []  # (cloudlet id, replication target, KeySnapshot) per term
-        self._index = {}  # (cloudlet id, key) -> term index
-        self._held = {}  # element id -> indices of the keys it replicates
-        self._under_target = {}  # cloudlet id -> indices of its keys under target
-        terms = []
-        for cid in sorted(snapshot.cloudlets):
-            cloudlet = snapshot.cloudlets[cid]
-            if cloudlet.engine_kind != "kv_store":
-                continue
-            target = cloudlet.policy.target_replication
-            under = self._under_target[cid] = []
-            for ks in cloudlet.keys:
-                i = len(terms)
-                self._keys.append((cid, target, ks))
-                self._index[(cid, ks.key)] = i
-                for eid in ks.live_replica_elements:
-                    self._held.setdefault(eid, []).append(i)
-                nodes = frozenset(ks.live_replica_nodes)
-                if len(nodes) < target:
-                    under.append(i)
-                terms.append(self._rate(nodes))
-        for reserved_nodes in snapshot.agreements:
-            terms.append(self._rate(frozenset(reserved_nodes)))
-        self._terms = terms
-        self._noop = sum(terms) / len(terms) if terms else 1.0
-
-    def _rate(self, nodes: frozenset) -> float:
-        p = self._memo.get(nodes)
+    def rate(node_ids: frozenset) -> float:
+        p = memo.get(node_ids)
         if p is None:
-            ps = []
-            for node_id in sorted(nodes):
-                ns = self._nodes.get(node_id)
-                ps.append(ns.availability if ns else 0.0)
-            p = self._memo[nodes] = availability_of(ps)
+            p = memo[node_ids] = availability_of(
+                nodes[n].availability if n in nodes else 0.0 for n in sorted(node_ids)
+            )
         return p
 
-    def availability(self, added_node: dict, removed: set, copy_node: dict) -> float:
-        touched = set()
-        for eid in removed:
-            touched.update(self._held.get(eid, ()))
-        for cid_key in copy_node:
-            i = self._index.get(cid_key)
-            if i is not None:
-                touched.add(i)
-        for cid in added_node:
-            touched.update(self._under_target.get(cid, ()))
-        if not touched:
-            return self._noop
-        terms = self._terms.copy()
-        for i in touched:
-            cid, target, ks = self._keys[i]
-            nodes = {
-                node
-                for eid, node in zip(ks.live_replica_elements, ks.live_replica_nodes)
-                if eid not in removed
-            }
-            copy_to = copy_node.get((cid, ks.key))
-            if copy_to is not None:
-                nodes.add(copy_to)
-            elif cid in added_node and len(nodes) < target:
-                # a freshly added member is the prospective host for the
-                # pending re-replication of deficient keys
-                nodes.add(added_node[cid])
-            terms[i] = self._rate(frozenset(nodes))
-        return sum(terms) / len(terms)
+    return rate
 
 
-def _predicted_performance(snapshot: CloudStateSnapshot, added_cpu: dict,
-                           removed: set) -> float:
-    """Mean over compute cloudlets of min(1, service_rate / arrival_rate)."""
-    terms = []
-    for cid in sorted(snapshot.cloudlets):
-        cloudlet = snapshot.cloudlets[cid]
-        if cloudlet.engine_kind != "compute":
-            continue
-        eff_cpu = sum(
-            m.effective_cpu for m in cloudlet.members if m.element_id not in removed
-        )
-        eff_cpu += added_cpu.get(cid, 0.0)
-        if cloudlet.arrival_rate_per_ms <= 0:
-            terms.append(1.0)
-            continue
-        work = max(cloudlet.mean_work_units, 1e-9)
-        service_rate = eff_cpu / 1000.0 / work  # tasks per ms
-        terms.append(min(1.0, service_rate / cloudlet.arrival_rate_per_ms))
-    if not terms:
+def _performance(cloudlet: CloudletSnapshot, eff_cpu: float) -> float:
+    """min(1, service_rate / arrival_rate) of a compute cloudlet; 1.0 for kv
+    and for a cloudlet with no arrivals."""
+    if cloudlet.engine_kind != "compute" or cloudlet.arrival_rate_per_ms <= 0:
         return 1.0
-    return sum(terms) / len(terms)
+    work = max(cloudlet.mean_work_units, 1e-9)
+    service_rate = eff_cpu / 1000.0 / work  # tasks per ms
+    return min(1.0, service_rate / cloudlet.arrival_rate_per_ms)
 
 
-def _predicted_intrusion(snapshot: CloudStateSnapshot, cpu_delta: dict) -> float:
-    """Mean over up nodes of allocated/headroom cpu pressure, clamped to [0,1]."""
-    ratios = []
-    for node_id in sorted(snapshot.nodes):
-        ns = snapshot.nodes[node_id]
-        if not ns.up:
-            continue
-        allocated = ns.allocated_cpu + cpu_delta.get(node_id, 0.0)
-        if ns.headroom.cpu <= 0:
-            ratios.append(1.0 if allocated > 0 else 0.0)
-        else:
-            ratios.append(min(1.0, max(0.0, allocated / ns.headroom.cpu)))
-    if not ratios:
-        return 0.0
-    return sum(ratios) / len(ratios)
+def evaluate_plans(
+    snapshot: CloudStateSnapshot,
+    cloudlet: CloudletSnapshot,
+    weights: UtilityWeights,
+    pressure: Optional[tuple[float, int]] = None,
+) -> list[tuple[tuple, float]]:
+    """Each candidate of ``generate_plans`` with its utility, in order; the
+    repairs alone come first. ``pressure`` is ``node_pressure(snapshot)``."""
+    plans = generate_plans(snapshot, cloudlet)
+    total_pressure, up_nodes = pressure if pressure is not None else node_pressure(snapshot)
+
+    # A': each key's nodes after the repairs; a deficient key without a
+    # repair target waits for a new member, which an AddElement supplies
+    members = {m.element_id: m for m in cloudlet.members}
+    copy_to = {a.key: members[a.target_element].node_id for a in plans[0]}
+    rate = _rater(snapshot.nodes)
+    key_total, waiting = 0.0, []
+    for ks in cloudlet.keys:
+        nodes = frozenset(ks.live_replica_nodes)
+        if ks.key in copy_to:
+            nodes = nodes | {copy_to[ks.key]}
+        elif _deficient(cloudlet, ks):
+            waiting.append(nodes)
+        key_total += rate(nodes)
+    eff_cpu = sum(m.effective_cpu for m in cloudlet.members)
+
+    def utility(action) -> float:
+        avail_total, cpu, intrusion, cost = key_total, eff_cpu, total_pressure, 0.0
+        if isinstance(action, AddElement):
+            for nodes in waiting:
+                avail_total += rate(nodes | {action.node_id}) - rate(nodes)
+            cpu += action.allocation.cpu
+            ns = snapshot.nodes[action.node_id]
+            intrusion += _pressure(ns, action.allocation.cpu) - _pressure(ns)
+            cost = ADD_COST
+        elif isinstance(action, RemoveElement):
+            m = members[action.element_id]
+            cpu -= m.effective_cpu
+            ns = snapshot.nodes.get(m.node_id)
+            if ns is not None and ns.up:
+                intrusion += _pressure(ns, -m.allocation_cpu) - _pressure(ns)
+            cost = REMOVE_COST
+        avail = avail_total / len(cloudlet.keys) if cloudlet.keys else 1.0
+        return (
+            weights.w_avail * avail
+            + weights.w_perf * _performance(cloudlet, cpu)
+            - weights.w_intr * (intrusion / up_nodes if up_nodes else 0.0)
+            - weights.w_cost * cost
+        )
+
+    return [(plans[0], utility(None))] + [(plan, utility(plan[-1])) for plan in plans[1:]]
 
 
 def select_plan(
-    snapshot: CloudStateSnapshot, policy: AdaptationPolicy, weights: UtilityWeights
+    snapshot: CloudStateSnapshot,
+    cloudlet: CloudletSnapshot,
+    weights: UtilityWeights,
+    epsilon: float,
+    pressure: Optional[tuple[float, int]] = None,
 ) -> tuple[tuple, float, float]:
-    """(plan, its utility, the no-op plan's utility) for the argmax-utility
-    plan (ties: fewest actions, then enumeration order); falls back to the
-    empty no-op plan unless the winner beats it by epsilon."""
-    candidates = generate_plans(snapshot, policy)
-    key_terms = _KeyTerms(snapshot)
-    noop_utility = evaluate_plan(NOOP_PLAN, snapshot, weights, key_terms)
-    best, best_u = NOOP_PLAN, noop_utility
-    for plan in candidates:
-        if plan is NOOP_PLAN:  # generate_plans lists it first; scored above
-            continue
-        u = evaluate_plan(plan, snapshot, weights, key_terms)
-        if u > best_u or (u == best_u and len(plan) < len(best)):
-            best, best_u = plan, u
-    if best_u <= noop_utility + policy.epsilon:
-        return NOOP_PLAN, noop_utility, noop_utility
+    """(plan, its utility, the repairs' utility) for one cloudlet: the
+    candidate with the highest utility, the first one on ties, unless it
+    fails to beat the repairs alone by epsilon."""
+    scored = evaluate_plans(snapshot, cloudlet, weights, pressure)
+    repairs, noop_utility = scored[0]
+    best, best_u = max(scored, key=lambda pair: pair[1])  # the first of equals
+    if best_u <= noop_utility + epsilon:
+        return repairs, noop_utility, noop_utility
     return best, best_u, noop_utility
 
 
@@ -462,9 +351,9 @@ def select_plan(
 
 
 class AdaptationController:
-    """Epoch-driven executor: build a snapshot, pick a plan, apply it through
-    the infrastructure and engine operations with constraints re-checked
-    against fresh node state."""
+    """Epoch-driven executor: build a snapshot, then let each cloudlet pick
+    and apply its plan through the infrastructure and engine operations,
+    with constraints re-checked against fresh node state."""
 
     def __init__(self, simulation, policy: AdaptationPolicy, weights: UtilityWeights):
         self.simulation = simulation
@@ -503,20 +392,13 @@ class AdaptationController:
             nodes[node_id] = NodeSnapshot(
                 node_id, up, p, headroom, available, infra.committed().cpu
             )
-        reserved = s.broker.reserved_element_ids()
         cloudlets = {}
         for cid in sorted(s.cloudlets):
             cloudlets[cid] = self._cloudlet_snapshot(cid, now)
-        agreements = []
-        for aid in sorted(s.broker.agreements):
-            ag = s.broker.agreements[aid]
-            if ag.state == "active":
-                agreements.append(tuple(ag.reserved_nodes()))
         return CloudStateSnapshot(
             nodes=nodes,
             cloudlets=cloudlets,
-            agreements=tuple(agreements),
-            reserved_elements=frozenset(reserved),
+            reserved_elements=frozenset(s.broker.reserved_element_ids()),
         )
 
     def _cloudlet_snapshot(self, cid: str, now: int) -> CloudletSnapshot:
@@ -534,9 +416,7 @@ class AdaptationController:
                 for eid in live:
                     holders.setdefault(eid, []).append(key)
                 live_nodes = tuple(runtime.elements[eid].node_id for eid in live)
-                keys.append(KeySnapshot(
-                    key, tuple(live), live_nodes, runtime.metadata.key_sizes.get(key, 0)
-                ))
+                keys.append(KeySnapshot(key, tuple(live), live_nodes))
         members = []
         for el in runtime.serving_members():
             members.append(MemberSnapshot(
@@ -571,36 +451,44 @@ class AdaptationController:
 
     # -- execution
 
-    def adapt_step(self, snapshot: CloudStateSnapshot) -> tuple:
-        """Select and execute the best plan for the snapshot. An action whose
-        constraints fail at execution is skipped and logged as downgraded;
-        the empty no-op plan executes nothing."""
-        plan, utility, noop_utility = select_plan(snapshot, self.policy, self.weights)
-        executed = []
-        for action in plan:
-            ok, reason = self._execute_action(action)
-            if ok:
-                executed.append(action)
-            else:
-                self.sim.record(
-                    "adaptation",
-                    {
-                        "event": "action_downgraded",
-                        "action": describe((action,))[0],
-                        "reason": reason,
-                    },
-                )
-        self.sim.record(
-            "adaptation",
-            {
-                "event": "adapt_step",
-                "plan": describe(plan),
-                "executed": describe(executed) if executed else [],
-                "utility": utility,
-                "noop_utility": noop_utility,
-            },
-        )
-        return plan
+    def adapt_step(self, snapshot: CloudStateSnapshot) -> dict:
+        """Each cloudlet, in id order, selects its plan over the snapshot and
+        executes it before the next one plans. An action whose constraints
+        fail at execution is skipped and logged as downgraded. Returns
+        cloudlet id -> its plan."""
+        pressure = node_pressure(snapshot)
+        plans = {}
+        for cid in sorted(snapshot.cloudlets):
+            plan, utility, noop_utility = select_plan(
+                snapshot, snapshot.cloudlets[cid], self.weights, self.policy.epsilon, pressure
+            )
+            executed = []
+            for action in plan:
+                ok, reason = self._execute_action(action)
+                if ok:
+                    executed.append(action)
+                else:
+                    self.sim.record(
+                        "adaptation",
+                        {
+                            "event": "action_downgraded",
+                            "action": describe((action,))[0],
+                            "reason": reason,
+                        },
+                    )
+            self.sim.record(
+                "adaptation",
+                {
+                    "event": "adapt_step",
+                    "cloudlet": cid,
+                    "plan": describe(plan),
+                    "executed": describe(executed) if executed else [],
+                    "utility": utility,
+                    "noop_utility": noop_utility,
+                },
+            )
+            plans[cid] = plan
+        return plans
 
     def _execute_action(self, action) -> tuple[bool, str]:
         s = self.simulation

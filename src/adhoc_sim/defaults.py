@@ -23,7 +23,6 @@ DEFAULTS = MappingProxyType({
     # per-node intrusiveness policy
     "grace_ms": 1000,
     "throttle_first": True,
-    "max_violation_fraction": 0.01,
     "throttle_floor": 0.1,
     "enforce": True,
     # per-cloudlet policy
@@ -41,7 +40,6 @@ DEFAULTS = MappingProxyType({
     # adaptation loop and its utility weights
     "adaptation_enabled": True,
     "epoch_ms": 30_000,
-    "max_actions_per_epoch": 3,
     "epsilon": 1e-6,
     "w_avail": 100.0,
     "w_perf": 10.0,

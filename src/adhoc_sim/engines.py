@@ -226,7 +226,7 @@ class KvService:
         """Write value; acknowledged once a majority of the key's replica set
         holds it. The first put creates the key through the metadata order."""
         handle = OpHandle()
-        meta = self.runtime.metadata_quorum_update(("ensure_key", key, size))
+        meta = self.runtime.metadata_quorum_update(("ensure_key", key))
 
         def after_meta(meta_handle: OpHandle):
             if not meta_handle.ok():
@@ -347,8 +347,9 @@ class KvService:
     # -- repair ----------------------------------------------------------------
 
     def repair_replicas(self, key: str, target_eid: str) -> OpHandle:
-        """Copy the highest live version of key onto target and swap it into
-        the replica set in place of the dead members."""
+        """Copy the highest live version of key onto target, timed by that
+        version's size, and swap it into the replica set in place of the
+        dead members."""
         handle = OpHandle()
         if key not in self.runtime.metadata.replica_map:
             handle._finish(self.sim.now, error=UnknownKey(f"key {key!r} unknown"))
@@ -369,7 +370,7 @@ class KvService:
 
         def on_replies(replies):
             version, record, _stale = merge_read_replies(replies)
-            size = self.runtime.metadata.key_sizes.get(key, 0)
+            size = record.size if record is not None else 0
             copy_delay = round(size / (1024.0 * 1024.0) * self.copy_ms_per_mb)
 
             def deliver_copy():

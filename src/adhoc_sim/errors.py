@@ -45,10 +45,6 @@ class NoSourceReplica(AdhocSimError):
     """All replicas of a key are lost; data cannot be re-created."""
 
 
-class InconsistentPlan(AdhocSimError):
-    """Plan actions contradict each other or the snapshot."""
-
-
 class IncompleteLog(AdhocSimError):
     """Event log does not cover the queried window."""
 

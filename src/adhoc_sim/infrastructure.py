@@ -78,7 +78,6 @@ class CloudElement:
 class IntrusivenessPolicy(NamedTuple):
     grace_ms: int = DEFAULTS["grace_ms"]
     throttle_first: bool = DEFAULTS["throttle_first"]
-    max_violation_fraction: float = DEFAULTS["max_violation_fraction"]
     throttle_floor: float = DEFAULTS["throttle_floor"]  # lowest cpu fraction a throttle may impose
     enforce: bool = DEFAULTS["enforce"]
 

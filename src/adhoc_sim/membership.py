@@ -55,7 +55,6 @@ class MetadataState:
         self.version = 0
         self.replica_map: dict[str, list[str]] = {}
         self.key_versions: dict[str, int] = {}
-        self.key_sizes: dict[str, int] = {}
 
 
 class CloudletRuntime:
@@ -325,13 +324,12 @@ class CloudletRuntime:
     def _apply_mutation(self, mutation: tuple) -> dict:
         kind = mutation[0]
         if kind == "ensure_key":
-            _, key, size = mutation
+            _, key = mutation
             if key not in self.metadata.replica_map:
                 replicas = self._place_replicas()
                 self.metadata.replica_map[key] = replicas
                 self.metadata.key_versions[key] = 0
             self.metadata.key_versions[key] += 1
-            self.metadata.key_sizes[key] = size
             self.metadata.version += 1
             return {
                 "key": key,

@@ -373,7 +373,6 @@ USER_LOAD = _tagged("user load", {
 INTRUSIVENESS = (
     _d("grace_ms", INT, NON_NEGATIVE),
     _d("throttle_first", BOOL),
-    _d("max_violation_fraction", FLOAT, FRACTION),
     _d("throttle_floor", FLOAT, FRACTION),
     _d("enforce", BOOL),
 )
@@ -453,7 +452,6 @@ QOS = (
 ADAPTATION = (
     _d("enabled", BOOL, name="adaptation_enabled"),
     _d("epoch_ms", INT, POSITIVE),
-    _d("max_actions_per_epoch", INT, AT_LEAST_ONE),
     _d("epsilon", FLOAT, NON_NEGATIVE),
 )
 

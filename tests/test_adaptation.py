@@ -11,17 +11,17 @@ from adhoc_sim.adaptation import (
     KeySnapshot,
     MemberSnapshot,
     NodeSnapshot,
-    NOOP_PLAN,
     RemoveElement,
     Rereplicate,
     UtilityWeights,
     aggregate_metrics,
     describe,
-    evaluate_plan,
+    evaluate_plans,
     generate_plans,
+    node_pressure,
     select_plan,
 )
-from adhoc_sim.errors import IncompleteLog, InconsistentPlan
+from adhoc_sim.errors import IncompleteLog
 from adhoc_sim.kernel import EventLog
 from adhoc_sim.membership import CloudletPolicy
 from adhoc_sim.nodes import DOWN, ScriptedChurn
@@ -29,6 +29,7 @@ from adhoc_sim.resources import ResourceVector as RV
 from adhoc_sim.runner import Simulation
 
 ALLOC = RV(1.0, 512, 1024, 5)
+EPSILON = AdaptationPolicy().epsilon
 
 
 def node_snap(node_id, p=0.9, free_cpu=4.0, allocated=1.0, up=True):
@@ -42,29 +43,36 @@ def node_snap(node_id, p=0.9, free_cpu=4.0, allocated=1.0, up=True):
     )
 
 
-def kv_snapshot(live_per_key=3, n_nodes=5, members_on=None, utilization=0.5,
-                reserved=(), agreements=()):
-    """kv cloudlet with one key; members_on lists node indices hosting members."""
+def kv_cloudlet(live_per_key=3, members_on=None, utilization=0.5, n_keys=1,
+                cloudlet_id="c1", min_members=3):
+    """kv cloudlet whose keys all sit on the first live_per_key members;
+    members_on lists node indices hosting members."""
     members_on = members_on if members_on is not None else [1, 2, 3]
+    names = ["x"] if n_keys == 1 else [f"k{i:02d}" for i in range(n_keys)]
     members = tuple(
         MemberSnapshot(f"e{i:04d}", f"n{i}", effective_cpu=1.0, allocation_cpu=1.0,
-                       hosts_keys=("x",) if i <= live_per_key else ())
-        for i in members_on
+                       hosts_keys=tuple(names) if j < live_per_key else ())
+        for j, i in enumerate(members_on)
     )
     replicas = tuple(f"e{i:04d}" for i in members_on[:live_per_key])
     replica_nodes = tuple(f"n{i}" for i in members_on[:live_per_key])
-    cloudlet = CloudletSnapshot(
-        cloudlet_id="c1",
+    return CloudletSnapshot(
+        cloudlet_id=cloudlet_id,
         engine_kind="kv_store",
         members=members,
-        keys=(KeySnapshot("x", replicas, replica_nodes, size=1_000_000),),
-        policy=CloudletPolicy(target_replication=3, min_members=3),
+        keys=tuple(KeySnapshot(k, replicas, replica_nodes) for k in names),
+        policy=CloudletPolicy(target_replication=3, min_members=min_members),
         utilization=utilization,
     )
-    nodes = {f"n{i}": node_snap(f"n{i}") for i in range(1, n_nodes + 1)}
+
+
+def kv_snapshot(live_per_key=3, n_nodes=5, members_on=None, utilization=0.5,
+                reserved=(), p=0.9, n_keys=1, min_members=3):
+    cloudlet = kv_cloudlet(live_per_key, members_on, utilization, n_keys,
+                           min_members=min_members)
+    nodes = {f"n{i}": node_snap(f"n{i}", p=p) for i in range(1, n_nodes + 1)}
     return CloudStateSnapshot(
-        nodes=nodes, cloudlets={"c1": cloudlet},
-        agreements=tuple(agreements), reserved_elements=frozenset(reserved),
+        nodes=nodes, cloudlets={"c1": cloudlet}, reserved_elements=frozenset(reserved),
     )
 
 
@@ -91,71 +99,88 @@ def compute_snapshot(utilization, n_members=2, n_nodes=6, arrival_rate=0.001,
     return CloudStateSnapshot(nodes=nodes, cloudlets={"c1": cloudlet})
 
 
+def plans_of(snapshot, cid="c1"):
+    return generate_plans(snapshot, snapshot.cloudlets[cid])
+
+
+def select(snapshot, weights=UtilityWeights(), epsilon=EPSILON, cid="c1"):
+    return select_plan(snapshot, snapshot.cloudlets[cid], weights, epsilon)
+
+
+def scaling_actions(plans):
+    """The scaling action of each candidate after the repairs alone."""
+    return [plan[-1] for plan in plans[1:]]
+
+
 class TestGeneratePlans:
     def test_healthy_snapshot_noop_only(self):
-        snap = kv_snapshot(live_per_key=3, utilization=0.5)
-        plans = generate_plans(snap, AdaptationPolicy())
-        assert plans == [NOOP_PLAN]
+        assert plans_of(kv_snapshot(live_per_key=3, utilization=0.5)) == [()]
 
     def test_deficit_with_viable_member_yields_rereplicate(self):
-        # 4 members, key on 2 of them: the spare member is the copy target
+        # key on 2 of 3 members: the spare member is the copy target
+        plans = plans_of(kv_snapshot(live_per_key=2, members_on=[1, 2, 4]))
+        assert plans == [(Rereplicate("c1", "x", "e0004"),)]
+
+    def test_every_deficient_key_is_repaired_uncapped(self):
+        # twenty deficient keys, all with the same spare member as target
+        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4], n_keys=20)
+        repairs = plans_of(snap)[0]
+        assert [a.key for a in repairs] == [f"k{i:02d}" for i in range(20)]
+        assert {a.target_element for a in repairs} == {"e0004"}
+        plan, _, _ = select(snap)
+        assert plan == repairs
+
+    def test_keys_without_live_replica_or_at_target_are_not_repaired(self):
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
-        plans = generate_plans(snap, AdaptationPolicy())
-        reps = [
-            a
-            for p in plans
-            for a in p
-            if isinstance(a, Rereplicate)
-        ]
-        assert reps
-        assert reps[0].key == "x"
-        assert reps[0].target_element == "e0004"
+        cloudlet = snap.cloudlets["c1"]
+        lost = KeySnapshot("lost", (), ())
+        whole = KeySnapshot("whole", ("e0001", "e0002", "e0004"), ("n1", "n2", "n4"))
+        snap = snap._replace(cloudlets={"c1": cloudlet._replace(keys=cloudlet.keys + (lost, whole))})
+        assert [a.key for a in plans_of(snap)[0]] == ["x"]
 
     def test_deficit_without_member_target_yields_add_element(self):
         # all members hold the key: membership must grow before repair
-        snap = kv_snapshot(live_per_key=2, members_on=[1, 2])
-        plans = generate_plans(snap, AdaptationPolicy())
-        adds = [a for p in plans for a in p if isinstance(a, AddElement)]
-        assert len(adds) == 1
-        assert adds[0].node_id == "n3"  # highest free headroom among non-members
+        plans = plans_of(kv_snapshot(live_per_key=2, members_on=[1, 2]))
+        assert plans[0] == ()
+        adds = scaling_actions(plans)
+        assert all(isinstance(a, AddElement) for a in adds)
+        # top-3 free headroom among non-members; all tie, so node id order
+        assert [a.node_id for a in adds] == ["n3", "n4", "n5"]
 
     def test_high_watermark_top3_feasible_nodes(self):
-        snap = compute_snapshot(utilization=0.95, n_members=2, n_nodes=6)
-        plans = generate_plans(snap, AdaptationPolicy())
-        adds = [p[0] for p in plans if p and isinstance(p[0], AddElement)]
-        assert len(adds) == 3
+        plans = plans_of(compute_snapshot(utilization=0.95, n_members=2, n_nodes=6))
+        adds = scaling_actions(plans)
+        assert plans[0] == ()
         # nodes 3..6 are feasible (1,2 host members); top-3 by free cpu
         assert [a.node_id for a in adds] == ["n5", "n3", "n6"]
 
     def test_low_watermark_remove_candidate(self):
-        snap = compute_snapshot(utilization=0.1, n_members=2)
-        plans = generate_plans(snap, AdaptationPolicy())
-        removes = [p[0] for p in plans if p and isinstance(p[0], RemoveElement)]
-        assert len(removes) == 1
-        assert removes[0].element_id == "e0001"  # most constrained node
+        plans = plans_of(compute_snapshot(utilization=0.1, n_members=2))
+        assert scaling_actions(plans) == [RemoveElement("c1", "e0001")]  # most constrained node
 
     def test_low_watermark_respects_min_members(self):
-        snap = compute_snapshot(utilization=0.1, n_members=2, min_members=2)
-        plans = generate_plans(snap, AdaptationPolicy())
-        assert not [p for p in plans if p and isinstance(p[0], RemoveElement)]
+        plans = plans_of(compute_snapshot(utilization=0.1, n_members=2, min_members=2))
+        assert plans == [()]
 
     def test_reserved_elements_never_removal_victims(self):
         snap = compute_snapshot(utilization=0.1, n_members=2)
-        snap = CloudStateSnapshot(
-            nodes=snap.nodes, cloudlets=snap.cloudlets,
-            reserved_elements=frozenset({"e0001"}),
-        )
-        plans = generate_plans(snap, AdaptationPolicy())
-        removes = [p[0] for p in plans if p and isinstance(p[0], RemoveElement)]
-        assert [r.element_id for r in removes] == ["e0002"]
+        snap = snap._replace(reserved_elements=frozenset({"e0001"}))
+        assert scaling_actions(plans_of(snap)) == [RemoveElement("c1", "e0002")]
+
+    def test_repair_targets_never_removal_victims(self):
+        # e0004 and e0005 hold no key; e0004 takes this epoch's copy
+        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4, 5], utilization=0.0,
+                           min_members=1)
+        plans = plans_of(snap)
+        assert plans[0] == (Rereplicate("c1", "x", "e0004"),)
+        assert scaling_actions(plans) == [RemoveElement("c1", "e0005")]
 
     def test_monotone_candidates(self):
-        # fixing the replica deficit never adds candidates
+        # fixing the replica deficit never adds scaling candidates
         deficient = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
         healthy = kv_snapshot(live_per_key=3, members_on=[1, 2, 4])
-        policy = AdaptationPolicy()
-        assert set(map(repr, generate_plans(healthy, policy))) <= set(
-            map(repr, generate_plans(deficient, policy))
+        assert set(scaling_actions(plans_of(healthy))) <= set(
+            scaling_actions(plans_of(deficient))
         )
 
 
@@ -164,70 +189,76 @@ class TestDescribe:
         plan = (
             AddElement("c1", "n5", ALLOC),
             RemoveElement("c1", "e0001"),
-            Rereplicate("c1", "x", "e0001", "e0004", 1_000_000),
+            Rereplicate("c1", "x", "e0004"),
         )
         assert describe(plan) == [
             ["add", "c1", "n5"],
             ["remove", "c1", "e0001"],
             ["rereplicate", "c1", "x", "e0004"],
         ]
-        assert describe(NOOP_PLAN) == describe(()) == [["noop"]]
+        assert describe(()) == [["noop"]]
+
+
+AVAIL_ONLY = UtilityWeights(w_avail=1.0, w_perf=0, w_intr=0, w_cost=0)
 
 
 class TestEvaluatePlan:
     def test_rereplicate_raises_key_availability(self):
+        # the copy onto e0004 is in every candidate: A' is rated after it
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
-        w_only_avail = UtilityWeights(w_avail=1.0, w_perf=0, w_intr=0, w_cost=0)
-        noop_u = evaluate_plan(NOOP_PLAN, snap, w_only_avail)
-        repair = (Rereplicate("c1", "x", "e0001", "e0004", 1_000_000),)
-        repair_u = evaluate_plan(repair, snap, w_only_avail)
-        assert noop_u == pytest.approx(0.99)  # 1 - 0.1^2
-        assert repair_u == pytest.approx(0.999)  # 1 - 0.1^3
+        [(plan, u)] = evaluate_plans(snap, snap.cloudlets["c1"], AVAIL_ONLY)
+        assert plan == (Rereplicate("c1", "x", "e0004"),)
+        assert u == pytest.approx(0.999)  # 1 - 0.1^3
 
-    def test_agreement_availability_counts(self):
-        snap = kv_snapshot(
-            live_per_key=3,
-            agreements=[("n1", "n2")],
-        )
-        w = UtilityWeights(w_avail=1.0, w_perf=0, w_intr=0, w_cost=0)
-        u = evaluate_plan(NOOP_PLAN, snap, w)
-        assert u == pytest.approx((0.999 + 0.99) / 2)
+    def test_an_add_hosts_the_keys_no_member_can_take(self):
+        snap = kv_snapshot(live_per_key=2, members_on=[1, 2])
+        scored = evaluate_plans(snap, snap.cloudlets["c1"], AVAIL_ONLY)
+        assert [u for _, u in scored] == pytest.approx([0.99, 0.999, 0.999, 0.999])
 
-    def test_inconsistent_remove_and_rereplicate(self):
-        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
-        bad = (
-            RemoveElement("c1", "e0004"),
-            Rereplicate("c1", "x", "e0001", "e0004", 1_000_000),
-        )
-        with pytest.raises(InconsistentPlan):
-            evaluate_plan(bad, snap, UtilityWeights())
+    def test_a_cloudlet_without_keys_rates_availability_one(self):
+        snap = compute_snapshot(utilization=0.5, arrival_rate=0.0)
+        [(_, u)] = evaluate_plans(snap, snap.cloudlets["c1"], AVAIL_ONLY)
+        assert u == 1.0
 
-    def test_add_element_over_headroom_inconsistent(self):
-        snap = kv_snapshot()
-        bad = (AddElement("c1", "n4", RV(99.0)),)
-        with pytest.raises(InconsistentPlan):
-            evaluate_plan(bad, snap, UtilityWeights())
+    def test_performance_counts_the_added_cpu(self):
+        # 2 members x 2 cpu at 5 units per task serve 0.0008 tasks/ms
+        snap = compute_snapshot(utilization=0.95, arrival_rate=0.0016)
+        w = UtilityWeights(w_avail=0, w_perf=1.0, w_intr=0, w_cost=0)
+        scored = evaluate_plans(snap, snap.cloudlets["c1"], w)
+        assert [u for _, u in scored] == pytest.approx([0.5, 0.625, 0.625, 0.625])
+
+    def test_intrusion_moves_only_the_node_an_action_touches(self):
+        # six up nodes at 1/6 pressure; an add on n5 takes it to 2/6
+        snap = compute_snapshot(utilization=0.95)
+        w = UtilityWeights(w_avail=0, w_perf=0, w_intr=1.0, w_cost=0)
+        scored = evaluate_plans(snap, snap.cloudlets["c1"], w)
+        assert scored[0][1] == pytest.approx(-1 / 6)
+        assert scored[1][1] == pytest.approx(-(5 / 6 + 2 / 6) / 6)
+        assert node_pressure(snap) == (pytest.approx(1.0), 6)
+        down = snap._replace(nodes={**snap.nodes, "n6": node_snap("n6", up=False)})
+        assert node_pressure(down) == (pytest.approx(5 / 6), 5)
 
     def test_cost_reduces_utility(self):
-        snap = compute_snapshot(utilization=0.95)
         w = UtilityWeights(w_avail=0, w_perf=0, w_intr=0, w_cost=1.0)
-        add = (AddElement("c1", "n5", ALLOC),)
-        assert evaluate_plan(add, snap, w) == pytest.approx(-1.0)
-        rem = (RemoveElement("c1", "e0001"),)
-        assert evaluate_plan(rem, snap, w) == pytest.approx(-0.2)
+        add = compute_snapshot(utilization=0.95)
+        assert evaluate_plans(add, add.cloudlets["c1"], w)[1][1] == pytest.approx(-1.0)
+        rem = compute_snapshot(utilization=0.1)
+        assert evaluate_plans(rem, rem.cloudlets["c1"], w)[1][1] == pytest.approx(-0.2)
 
 
 class TestSelectPlan:
     def test_replica_deficit_selects_repair(self):
-        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
-        plan, utility, noop_u = select_plan(snap, AdaptationPolicy(), UtilityWeights())
-        assert any(isinstance(a, Rereplicate) for a in plan)
-        assert utility > noop_u
+        plan, utility, noop_u = select(kv_snapshot(live_per_key=2, members_on=[1, 2, 4]))
+        assert plan == (Rereplicate("c1", "x", "e0004"),)
+        assert utility == noop_u
+
+    def test_keys_on_nodes_rated_one_are_repaired(self):
+        # a copy adds no predicted availability there: repair is not scored
+        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4], p=1.0)
+        assert select(snap)[0] == (Rereplicate("c1", "x", "e0004"),)
 
     def test_selection_equals_exhaustive_argmax(self):
-        # independent argmax over the candidate set with the same tie rules
         rng = random.Random(5)
-        policy = AdaptationPolicy()
         weights = UtilityWeights()
         for trial in range(50):
             kind = rng.choice(["kv", "compute"])
@@ -235,47 +266,67 @@ class TestSelectPlan:
                 live = rng.randint(1, 3)
                 members = sorted(rng.sample(range(1, 6), rng.randint(live, 4)))
                 snap = kv_snapshot(live_per_key=live, members_on=members,
-                                   utilization=rng.random())
+                                   utilization=rng.random(), min_members=1)
             else:
                 snap = compute_snapshot(
                     utilization=rng.random(), n_members=rng.randint(1, 3),
                     arrival_rate=rng.choice([0.0, 0.001, 0.01]),
                 )
-            chosen, utility, noop_u = select_plan(snap, policy, weights)
-            best, best_u = None, None
-            for p in generate_plans(snap, policy):
-                u = evaluate_plan(p, snap, weights)
-                if best is None or u > best_u or (u == best_u and len(p) < len(best)):
-                    best, best_u = p, u
-            noop_ref = evaluate_plan(NOOP_PLAN, snap, weights)
-            expected = best if best_u > noop_ref + policy.epsilon else NOOP_PLAN
-            assert chosen == expected, (trial, kind)
+            scored = evaluate_plans(snap, snap.cloudlets["c1"], weights)
+            best, best_u = scored[0]
+            for plan, u in scored:
+                if u > best_u:
+                    best, best_u = plan, u
+            repairs, noop_u = scored[0]
+            if best_u > noop_u + EPSILON:
+                expected = (best, best_u, noop_u)
+            else:
+                expected = (repairs, noop_u, noop_u)
+            assert select(snap, weights) == expected, (trial, kind)
 
     def test_healthy_state_keeps_noop(self):
-        snap = kv_snapshot(live_per_key=3)
-        plan, _, _ = select_plan(snap, AdaptationPolicy(), UtilityWeights())
-        assert plan == NOOP_PLAN
+        assert select(kv_snapshot(live_per_key=3))[0] == ()
+
+    def test_shared_pressure_equals_the_snapshot_own(self):
+        snap = compute_snapshot(utilization=0.95)
+        cloudlet = snap.cloudlets["c1"]
+        assert select_plan(snap, cloudlet, UtilityWeights(), EPSILON, node_pressure(snap)) == (
+            select_plan(snap, cloudlet, UtilityWeights(), EPSILON)
+        )
+
+    def test_utility_ignores_other_cloudlets_keys(self):
+        # c1 plans the same whatever c2's keys hold or lack
+        base = kv_snapshot(live_per_key=2, members_on=[1, 2])
+        reference = select(base)
+        for live in (1, 2, 3):
+            for n_keys in (1, 30):
+                other = kv_cloudlet(live, members_on=[3, 4, 5], n_keys=n_keys,
+                                    cloudlet_id="c2")
+                snap = base._replace(cloudlets={**base.cloudlets, "c2": other})
+                assert select(snap) == reference, (live, n_keys)
 
     def test_argmax_invariant_under_weight_scaling(self):
         rng = random.Random(17)
-        policy = AdaptationPolicy()
         base = UtilityWeights()
         for trial in range(30):
             live = rng.randint(1, 3)
             members = sorted(rng.sample(range(1, 6), rng.randint(max(live, 1), 4)))
             snap = kv_snapshot(live_per_key=live, members_on=members,
-                               utilization=rng.random())
-            reference, _, _ = select_plan(snap, policy, base)
+                               utilization=rng.random(), min_members=1)
+            reference = select(snap, base)[0]
             for c in (0.1, 3, 10):
                 scaled = UtilityWeights(
                     base.w_avail * c, base.w_perf * c, base.w_intr * c, base.w_cost * c
                 )
-                scaled_plan, _, _ = select_plan(snap, policy, scaled)
-                assert scaled_plan == reference, (trial, c)
+                assert select(snap, scaled)[0] == reference, (trial, c)
+
+
+def adapt_steps(s):
+    return [e.record for e in s.sim.log if e.record.get("event") == "adapt_step"]
 
 
 class TestAdaptStepInSim:
-    def repair_sim(self):
+    def repair_sim(self, keys=("x",)):
         s = Simulation(seed=3)
         for i in range(1, 5):
             churn = ScriptedChurn(((100_000, DOWN),)) if i == 1 else None
@@ -288,9 +339,9 @@ class TestAdaptStepInSim:
         s.start()
         s.run_until(2100)
         kv = s.kv_services["c1"]
-        put = kv.put("x", "payload", size=4096)
+        puts = [kv.put(key, "payload", size=4096) for key in keys]
         s.run_until(5000)
-        assert put.ok()
+        assert all(put.ok() for put in puts)
         return s
 
     def test_two_epoch_membership_repair(self):
@@ -304,11 +355,66 @@ class TestAdaptStepInSim:
         replicas = runtime.metadata.replica_map["x"]
         nodes = {runtime.elements[e].node_id for e in replicas}
         assert "n4" in nodes
-        adds = [
-            e for e in s.sim.log
-            if e.record.get("event") == "adapt_step" and e.record["executed"]
-        ]
-        assert adds
+        executed = [r["executed"] for r in adapt_steps(s) if r["executed"]]
+        assert executed == [[["add", "c1", "n4"]], [["rereplicate", "c1", "x", "e0004"]]]
+        assert all(r["cloudlet"] == "c1" for r in adapt_steps(s))
+
+    def test_more_than_eight_deficient_keys_repaired_in_one_epoch(self):
+        keys = [f"k{i:02d}" for i in range(12)]
+        s = self.repair_sim(keys)
+        s.run_until(200_000)
+        repairs = [r for r in adapt_steps(s)
+                   if r["executed"] and r["executed"][0][0] == "rereplicate"]
+        assert len(repairs) == 1
+        assert [a[2] for a in repairs[0]["executed"]] == keys
+        done = [e.record["key"] for e in s.sim.log if e.record.get("event") == "repair_done"]
+        assert sorted(done) == keys
+        snapshot = s.controller.build_snapshot()
+        assert {len(ks.live_replica_elements) for ks in snapshot.cloudlets["c1"].keys} == {3}
+
+    @pytest.mark.parametrize("n4_cpu,compute_adds", [(2.0, True), (1.5, False)])
+    def test_each_cloudlet_executes_its_own_plan_in_one_epoch(self, n4_cpu, compute_adds):
+        """A kv cloudlet (c1) needs a member for a key no member can take a
+        copy of; a compute cloudlet (c2) needs cpu. n4 is the only node
+        either can grow on. c1 plans and executes first; with room for one
+        element only, c2's add on the same node is downgraded."""
+        s = Simulation(seed=6)
+        for i in range(1, 5):
+            cpu = n4_cpu if i == 4 else 1.0
+            s.add_node(f"n{i}", RV(cpu, 8192, 100_000, 100), reserve_margin=RV.zero(),
+                       forecast_availability=0.9)
+        s.add_cloudlet("c1", "kv_store", CloudletPolicy(target_replication=3, min_members=2))
+        s.add_cloudlet("c2", "compute", CloudletPolicy(min_members=1))
+        for i in (1, 2):
+            s.deploy_element(f"n{i}", "c1", ALLOC)
+        s.deploy_element("n3", "c2", ALLOC)
+        controller = s.attach_adaptation(AdaptationPolicy(enabled=False))
+        s.start()
+        s.run_until(2100)
+        put = s.kv_services["c1"].put("x", "v", size=64)
+        s.run_until(5000)
+        assert put.ok()
+        snapshot = controller.build_snapshot()
+        busy = snapshot.cloudlets["c2"]._replace(
+            utilization=0.95, arrival_rate_per_ms=0.0004, mean_work_units=5.0
+        )
+        snapshot = snapshot._replace(cloudlets={**snapshot.cloudlets, "c2": busy})
+        plans = controller.adapt_step(snapshot)
+        assert plans == {"c1": (AddElement("c1", "n4", ALLOC),),
+                         "c2": (AddElement("c2", "n4", ALLOC),)}
+        steps = {r["cloudlet"]: r for r in adapt_steps(s)}
+        assert steps["c1"]["executed"] == [["add", "c1", "n4"]]
+        assert steps["c2"]["plan"] == [["add", "c2", "n4"]]
+        downgraded = [e.record for e in s.sim.log
+                      if e.record.get("event") == "action_downgraded"]
+        if compute_adds:
+            assert steps["c2"]["executed"] == [["add", "c2", "n4"]]
+            assert downgraded == []
+        else:
+            assert steps["c2"]["executed"] == []
+            assert downgraded == [{"event": "action_downgraded",
+                                   "action": ["add", "c2", "n4"],
+                                   "reason": "insufficient_headroom"}]
 
     def test_stale_snapshot_downgrades_add(self):
         s = Simulation(seed=4)
@@ -320,13 +426,9 @@ class TestAdaptStepInSim:
         controller = s.attach_adaptation()
         s.start()
         s.run_until(3000)
-        snapshot = controller.build_snapshot()
-        # hand-build a plan situation: force an AddElement on n2, then crash n2
+        # a plan from a snapshot that still shows n2 up, executed after n2 crashed
         s.nodes["n2"]._apply_liveness(DOWN)
-        from adhoc_sim.adaptation import AddElement as AE
-
-        plan_snapshot = snapshot  # stale: still shows n2 up
-        ok, reason = controller._execute_action(AE("c1", "n2", ALLOC))
+        ok, reason = controller._execute_action(AddElement("c1", "n2", ALLOC))
         assert not ok and reason == "node_down"
 
 

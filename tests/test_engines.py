@@ -396,6 +396,20 @@ class TestRepair:
         assert fresh in runtime.metadata.replica_map["x"]
         assert held(runtime.elements[fresh].engine) == (1, "v7")
 
+    def test_repair_copy_is_timed_by_the_size_of_the_version_it_copies(self):
+        # a 100 MB put whose metadata round runs just before the repair: the
+        # repair copies the acked 2 KiB version 1, so the copy takes no 10 s
+        s, kv, eids = self.repair_setup()
+        s.run_until(70_000)  # n1 crashed and detected
+        fresh = s.deploy_element("n4", "c1", ALLOC)
+        s.run_until(75_000)
+        kv.put("x", "big", size=100 * 1024 * 1024)
+        issued = s.sim.now
+        h = kv.repair_replicas("x", fresh)
+        settle(s, 15_000)
+        assert h.ok() and h.result == 1
+        assert h.completed_at - issued < 1000
+
     def test_repair_with_all_replicas_lost(self):
         s = Simulation(seed=5)
         for i in range(1, 5):

@@ -9,7 +9,9 @@ is pinned the same way.
 - mixed: kv and compute cloudlets, an estimator broker with one reservation,
   owner load and churn.
 - mixed_window: mixed with the estimator's trailing window cut to 60 s, so
-  its history queries start after the first breakpoint.
+  its history queries start after the first breakpoint. Its event log is
+  mixed's: the shorter window changes only the forecasts of nodes that no
+  logged utility rates.
 - loss_and_rejection: scripted crashes of every compute node and of one
   single-replica kv node, with adaptation off and one reservation too large
   to admit, so the run loses and skips tasks, rejects a reservation and
@@ -35,11 +37,11 @@ from adhoc_sim.scenario import load_scenario
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 DIGESTS = {
-    "kv_churn_crash": "d23b527d42c6e3c140f947aa6e8d3014394c0730545ea8bd64007dbcfc6fae93",
+    "kv_churn_crash": "32bbf0709c8b43ce650ec50dfc4fcd28ceb01d107583cb881414fa6f777d4163",
     "loss_and_rejection": "de34822ad74224cc17be2a6aad39634d5f72032dd23b543687b85ad6dced621c",
-    "mixed": "2a6b715c42643a14a30817ababf39c86d2d17cf5860b40bcde76f08b19efaff6",
-    "mixed_window": "b00619716a8c5d8d406379917f2b5fab45492e76b09023dbb3ea97d2a6851c80",
-    "scale_in": "ba720806d36c47d6d704e6f8f91703fe65ef283e3f4477ee2c088dae08515962",
+    "mixed": "bd0070b82498ae5e379811c0e4c5c095ad6d1730edcf80cfae20f484d9755c59",
+    "mixed_window": "bd0070b82498ae5e379811c0e4c5c095ad6d1730edcf80cfae20f484d9755c59",
+    "scale_in": "fa0ce9c3ab0342111a868bdf95bba60a8ced72a0836e674aff26eacee1a158b4",
 }
 
 
@@ -118,6 +120,21 @@ def test_scale_in_executes_a_remove(tmp_path):
         for action in entry.record["executed"]
     ]
     assert "remove" in executed
+
+
+def test_kv_churn_crash_ends_with_every_key_at_target():
+    """Repair is a rule, not a scored plan: keys whose replicas sit on nodes
+    rated 1.0 (scripted churn) are repaired too."""
+    _summary, _rows, simulation = run_scenario(
+        load_scenario(os.path.join(GOLDEN_DIR, "kv_churn_crash.json"))
+    )
+    runtime = simulation.cloudlets["kv"]
+    live = [
+        sum(eid in runtime.view.members for eid in replicas)
+        for replicas in runtime.metadata.replica_map.values()
+    ]
+    assert len(live) == 399
+    assert min(live) == runtime.policy.target_replication == 3
 
 
 def test_event_log_independent_of_hash_seed(tmp_path):

@@ -231,7 +231,7 @@ class TestMetadataQuorum:
             churn={"n1": ScriptedChurn(((10_000, DOWN),))}
         )
         s.run_until(12_000)  # n1 down, not yet detected: 2/3 serving
-        handle = runtime.metadata_quorum_update(("ensure_key", "x", 64))
+        handle = runtime.metadata_quorum_update(("ensure_key", "x"))
         s.run_until(13_000)
         assert handle.ok()
         assert handle.result["key_version"] == 1
@@ -244,7 +244,7 @@ class TestMetadataQuorum:
             }
         )
         s.run_until(12_000)
-        handle = runtime.metadata_quorum_update(("ensure_key", "x", 64))
+        handle = runtime.metadata_quorum_update(("ensure_key", "x"))
         s.run_until(13_000)
         assert isinstance(handle.error, MetadataQuorumUnavailable)
 
@@ -252,7 +252,7 @@ class TestMetadataQuorum:
         acks = record_metadata_acks(monkeypatch)
         s, runtime, eids = kv_fabric()
         s.run_until(2100)
-        handle = runtime.metadata_quorum_update(("ensure_key", "x", 64))
+        handle = runtime.metadata_quorum_update(("ensure_key", "x"))
         assert not handle.done  # commits only on the replicas' acks
         s.run_until(3000)
         assert handle.ok()
@@ -269,8 +269,8 @@ class TestMetadataQuorum:
             acks.clear()
             s, runtime, eids = kv_fabric(seed=seed)
             s.run_until(2100)
-            first = runtime.metadata_quorum_update(("ensure_key", "a", 8))
-            second = runtime.metadata_quorum_update(("ensure_key", "b", 8))
+            first = runtime.metadata_quorum_update(("ensure_key", "a"))
+            second = runtime.metadata_quorum_update(("ensure_key", "b"))
             s.run_until(3000)
             assert first.ok() and second.ok()
             assert set(runtime.metadata.replica_map) == {"a", "b"}

@@ -132,8 +132,8 @@ class TestRecordsBuild:
             available_headroom=RV(1.0), allocated_cpu=1.0,
         )
         assert n.available_headroom.cpu == 1.0 and n.up
-        k = KeySnapshot(key="x", live_replica_elements=("e1",), live_replica_nodes=("n1",), size=3)
-        assert (k.key, k.size) == ("x", 3)
+        k = KeySnapshot(key="x", live_replica_elements=("e1",), live_replica_nodes=("n1",))
+        assert (k.key, k.live_replica_nodes) == ("x", ("n1",))
         m = MemberSnapshot(element_id="e1", node_id="n1", effective_cpu=0.5)
         assert (m.allocation_cpu, m.hosts_keys) == (0.0, ())
         v = VersionedValue(key="x", value="v", version=2)

@@ -29,9 +29,9 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # (`defaults.element_allocation` and a kv workload's `value_size` as floats:
 # "memory": 512.0, not 512)
 ECHO_DIGESTS = {
-    "kv_churn_crash": "8478a276ba8c04f8946e704d3761d9dc3352fbd9d3a3df38119c87d42bbba8e7",
-    "mixed": "eadece4432157ef96a9af523d2620f1187a8dba5a784bb7dbfe06e41915ce4cc",
-    "mixed_window": "832d6bc0d9fc7a00b2bad2bcce1df6dd84d0ae5621950702291348ba63d8e13a",
+    "kv_churn_crash": "885ac9993e42cec636203055ffcbc9a2e266dcb2661dec86e8751eb36afa49dc",
+    "mixed": "3fa451f5e4296673b1855ca7407a094cf0d3bdd1eada15e7553ec5490efe8900",
+    "mixed_window": "8c96131a34111e951d6f36afaa01d4a884727cddfa557d5208889f04de38720c",
 }
 
 
