@@ -17,8 +17,11 @@ Per document and tree it records:
   ``get`` like perfbench's, since the event log records no kv failure;
 - kv p50 and p99 latency of the ops that succeeded (nearest rank);
 - tasks issued, skipped at submission, submitted, completed and lost;
-- ``cloudlet_availability_min`` from the summary's metrics;
+- ``cloudlet_availability_min``, the adaptation actions executed by kind
+  and ``action_downgrades`` from the summary's metrics;
 - repairs run: ``KvService.repair_replicas`` calls that completed ok;
+- repairs dropped: ``Rereplicate`` actions that
+  ``AdaptationController._execute_action`` refused;
 - ``failed_share``, the share the benchmark gates: failed kv ops plus lost
   and skipped tasks over kv ops and tasks issued.
 
@@ -44,6 +47,7 @@ import ab
 
 KV_ERRORS = ("UnknownKey", "QuorumUnavailable", "MetadataQuorumUnavailable",
              "NoLiveElement", "other")
+ACTION_KINDS = ("add", "remove", "rereplicate")  # as the adapt_step records name them
 METRICS = {  # name -> the direction that is better; None: neither
     "failed_share": "lower",
     "kv_issued": None,
@@ -59,7 +63,10 @@ METRICS = {  # name -> the direction that is better; None: neither
     "tasks_completed": "higher",
     "tasks_lost": "lower",
     "cloudlet_availability_min": "higher",
+    **{f"actions.{kind}": None for kind in ACTION_KINDS},
+    "action_downgrades": "lower",
     "repairs_run": None,
+    "repairs_dropped": "lower",
 }
 WORKLOADS = ("kv_put_heavy", "kv_read_churn", "compute_fleet")
 SEEDS = (7, 101, 102)
@@ -76,33 +83,36 @@ def nearest_rank(sorted_values: list, q: float):
 def run_document(package: str, doc: str) -> dict:
     """The outcomes of one document run by the package imported as
     ``package``."""
+    adaptation = importlib.import_module(f"{package}.adaptation")
     engines = importlib.import_module(f"{package}.engines")
     runner = importlib.import_module(f"{package}.runner")
     scenario = importlib.import_module(f"{package}.scenario")
-    ops, repairs = [], []
-    watched = {"put": ops, "get": ops, "repair_replicas": repairs}
-    originals = {name: getattr(engines.KvService, name) for name in watched}
+    ops, repairs, actions = [], [], []
+    watched = [(engines.KvService, "put", ops), (engines.KvService, "get", ops),
+               (engines.KvService, "repair_replicas", repairs),
+               (adaptation.AdaptationController, "_execute_action", actions)]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in watched]
 
     def observe(fn, into):
-        def observed(service, *args, **kwargs):
-            issued_at = service.sim.now
-            handle = fn(service, *args, **kwargs)
-            into.append((issued_at, handle))
-            return handle
+        def observed(owner, *args, **kwargs):
+            issued_at = owner.sim.now
+            result = fn(owner, *args, **kwargs)
+            into.append((issued_at, args, result))
+            return result
 
         return observed
 
-    for name, into in watched.items():
-        setattr(engines.KvService, name, observe(originals[name], into))
+    for owner, name, into in watched:
+        setattr(owner, name, observe(getattr(owner, name), into))
     try:
         summary, _rows, sim = runner.run_scenario(scenario.load_scenario(doc))
     finally:
-        for name, fn in originals.items():
-            setattr(engines.KvService, name, fn)
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
 
     out = dict.fromkeys(METRICS, 0)
     latencies = []
-    for issued_at, handle in ops:
+    for issued_at, _args, handle in ops:
         if not handle.done:
             out["kv_in_flight"] += 1
         elif handle.error is not None:
@@ -124,9 +134,17 @@ def run_document(package: str, doc: str) -> dict:
         out["tasks_submitted"] += service.submitted
         out["tasks_completed"] += service.completed
         out["tasks_lost"] += service.lost
-    availability = summary["metrics"]["cloudlet_availability"].values()
+    metrics = summary["metrics"]
+    availability = metrics["cloudlet_availability"].values()
     out["cloudlet_availability_min"] = min((v["value"] for v in availability), default=None)
-    out["repairs_run"] = sum(handle.ok() for _, handle in repairs)
+    for kind in ACTION_KINDS:
+        out[f"actions.{kind}"] = metrics["adaptation_actions"].get(kind, 0)
+    out["action_downgrades"] = metrics["action_downgrades"]
+    out["repairs_run"] = sum(handle.ok() for _, _, handle in repairs)
+    out["repairs_dropped"] = sum(
+        isinstance(action, adaptation.Rereplicate) and not ok
+        for _, (action,), (ok, _reason) in actions
+    )
     attempted = out["kv_issued"] + out["tasks_issued"]
     failed = out["kv_failed"] + out["tasks_lost"] + out["tasks_skipped"]
     out["failed_share"] = failed / attempted if attempted else 0.0

@@ -5,29 +5,31 @@ own part of that snapshot and executes its plan at once, with every
 constraint re-checked against fresh node state. A plan is a tuple of
 actions; the empty plan changes nothing.
 
-A kv cloudlet repairs by rule: every key with some, but fewer than
-``target_replication``, live replicas gets one ``Rereplicate`` onto a member
-that holds no replica of it and shares no node with one, where such a member
-exists. Repairs are neither capped nor scored.
+A kv cloudlet keeps its replication by rule. Every key with some, but fewer
+than ``target_replication``, live replicas gets one ``Rereplicate`` onto a
+serving member that holds no replica of it and shares no node with one,
+where such a member exists. When some deficient key has no such member and
+the cloudlet is below ``max_members``, the plan then adds one
+``AddElement`` on the non-member node with the most free cpu, so the next
+epoch can repair that key. Rule actions are neither capped nor scored.
 
-Scaling is scored. A cloudlet takes at most one scaling action: an
-``AddElement`` on one of the three non-member nodes with the most free cpu
-(a candidate when a deficient key has no repair target, or when utilisation
-is above the high watermark), or a ``RemoveElement`` of a spare member (when
+Scaling is scored. A cloudlet takes at most one scaling action after its
+rule actions: an ``AddElement`` on one of the three non-member nodes with
+the most free cpu (when utilisation is above the high watermark, which only
+compute cloudlets cross), or a ``RemoveElement`` of a spare member (when
 utilisation is below the low watermark). Each candidate is scored, in the
 cloudlet's own terms, by
 
-U = w_avail*A' + w_perf*P' - w_intr*I' - w_cost*C,
+U = w_perf*P' - w_intr*I' - w_cost*C,
 
-where A' is the mean predicted availability of the cloudlet's keys after
-this epoch's repairs (1.0 for a cloudlet without keys), P' its predicted
-service/arrival ratio capped at 1 (1.0 for kv), I' the mean per-node
-allocation-to-headroom cpu pressure over up nodes, and C the action's cost
-(add 1, remove 0.2). A candidate is taken only if it beats the repairs alone
-by ``epsilon``. Scaling every weight by the same positive factor leaves the
-choice unchanged. The snapshot is not updated between cloudlets, so an add
-whose node's headroom a cloudlet earlier in the order took is downgraded at
-execution, and logged.
+where P' is the cloudlet's predicted service/arrival ratio capped at 1 (1.0
+for kv), I' the mean per-node allocation-to-headroom cpu pressure over up
+nodes, and C the action's cost (add 1, remove 0.2). The rule actions alone
+are rated as the cloudlet stands; a candidate is taken only if it beats
+them by ``epsilon``. Scaling every weight by the same positive factor leaves
+the choice unchanged. The snapshot is not updated between cloudlets, so an
+add whose node's headroom a cloudlet earlier in the order took is
+downgraded at execution, and logged.
 
 ``GoalSpec`` and ``aggregate_metrics``, the log aggregation of metrics.py,
 stay importable from here.
@@ -39,9 +41,7 @@ from typing import NamedTuple, Optional
 
 from . import metrics
 from .defaults import DEFAULTS
-from .infrastructure import RUNNING
 from .membership import CloudletPolicy
-from .qos import availability_of
 from .resources import ResourceVector
 
 ADD_COST = 1.0
@@ -49,7 +49,6 @@ REMOVE_COST = 0.2
 
 
 class UtilityWeights(NamedTuple):
-    w_avail: float = DEFAULTS["w_avail"]
     w_perf: float = DEFAULTS["w_perf"]
     w_intr: float = DEFAULTS["w_intr"]
     w_cost: float = DEFAULTS["w_cost"]
@@ -100,7 +99,6 @@ class AdaptationPolicy(NamedTuple):
 class NodeSnapshot(NamedTuple):
     node_id: str
     up: bool
-    availability: float  # forecast p
     headroom: ResourceVector
     available_headroom: ResourceVector
     allocated_cpu: float  # committed element allocations
@@ -142,20 +140,25 @@ class CloudStateSnapshot(NamedTuple):
 
 
 def generate_plans(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) -> list[tuple]:
-    """The cloudlet's candidate plans, in order: its repairs alone, then its
-    repairs followed by each scaling action (adds on the top-3 nodes by free
-    headroom, then scale in)."""
+    """The cloudlet's candidate plans, in order: its rule actions alone (the
+    repairs, then an add when some deficient key has no repair target), then
+    the rule actions followed by each scaling action (adds on the top-3
+    nodes by free headroom, then scale in)."""
     repairs, waiting = _repairs(cloudlet)
     policy = cloudlet.policy
-    scaling = []
+    rule, scaling = repairs, []
     if (
         (waiting or cloudlet.utilization > policy.scale_high_watermark)
         and len(cloudlet.members) < policy.max_members
     ):
-        for ns in _feasible_nodes(snapshot, cloudlet)[:3]:
-            scaling.append(AddElement(
-                cloudlet.cloudlet_id, ns.node_id, cloudlet.element_allocation
-            ))
+        adds = [
+            AddElement(cloudlet.cloudlet_id, ns.node_id, cloudlet.element_allocation)
+            for ns in _feasible_nodes(snapshot, cloudlet)[:3]
+        ]
+        if waiting:
+            rule += tuple(adds[:1])
+        else:
+            scaling = adds
     if (
         cloudlet.utilization < policy.scale_low_watermark
         and len(cloudlet.members) > policy.min_members
@@ -164,11 +167,7 @@ def generate_plans(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) -> 
         victim = _scale_in_victim(snapshot, cloudlet, targets)
         if victim is not None:
             scaling.append(RemoveElement(cloudlet.cloudlet_id, victim.element_id))
-    return [repairs] + [repairs + (a,) for a in scaling]
-
-
-def _deficient(cloudlet: CloudletSnapshot, ks: KeySnapshot) -> bool:
-    return 0 < len(ks.live_replica_elements) < cloudlet.policy.target_replication
+    return [rule] + [rule + (a,) for a in scaling]
 
 
 def _repairs(cloudlet: CloudletSnapshot) -> tuple[tuple, bool]:
@@ -176,7 +175,7 @@ def _repairs(cloudlet: CloudletSnapshot) -> tuple[tuple, bool]:
     order; and whether some deficient key has none."""
     repairs, waiting = [], False
     for ks in cloudlet.keys:
-        if _deficient(cloudlet, ks):
+        if 0 < len(ks.live_replica_elements) < cloudlet.policy.target_replication:
             target = _repair_target(cloudlet, ks)
             if target is None:
                 waiting = True
@@ -200,6 +199,8 @@ def _repair_target(cloudlet, key_snapshot) -> Optional[MemberSnapshot]:
 
 
 def _feasible_nodes(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) -> list[NodeSnapshot]:
+    """Up non-member nodes with room for an element: most free cpu first,
+    node id ascending."""
     member_nodes = {m.node_id for m in cloudlet.members}
     out = [
         ns
@@ -244,26 +245,9 @@ def _pressure(ns: NodeSnapshot, cpu_delta: float = 0.0) -> float:
 
 
 def node_pressure(snapshot: CloudStateSnapshot) -> tuple[float, int]:
-    """The summed no-op pressure over up nodes, and their count: rated once
-    per snapshot and shared by every cloudlet's plans."""
+    """The summed pressure over up nodes before any action, and their count."""
     up = [ns for ns in snapshot.nodes.values() if ns.up]
     return sum(_pressure(ns) for ns in up), len(up)
-
-
-def _rater(nodes: dict):
-    """availability_of over a set of node ids, rated once per distinct set:
-    many keys share a replica node set."""
-    memo: dict[frozenset, float] = {}
-
-    def rate(node_ids: frozenset) -> float:
-        p = memo.get(node_ids)
-        if p is None:
-            p = memo[node_ids] = availability_of(
-                nodes[n].availability if n in nodes else 0.0 for n in sorted(node_ids)
-            )
-        return p
-
-    return rate
 
 
 def _performance(cloudlet: CloudletSnapshot, eff_cpu: float) -> float:
@@ -280,33 +264,18 @@ def evaluate_plans(
     snapshot: CloudStateSnapshot,
     cloudlet: CloudletSnapshot,
     weights: UtilityWeights,
-    pressure: Optional[tuple[float, int]] = None,
 ) -> list[tuple[tuple, float]]:
     """Each candidate of ``generate_plans`` with its utility, in order; the
-    repairs alone come first. ``pressure`` is ``node_pressure(snapshot)``."""
+    rule actions alone come first, rated as the cloudlet stands, and every
+    other candidate is rated by its last action, the scaling one."""
     plans = generate_plans(snapshot, cloudlet)
-    total_pressure, up_nodes = pressure if pressure is not None else node_pressure(snapshot)
-
-    # A': each key's nodes after the repairs; a deficient key without a
-    # repair target waits for a new member, which an AddElement supplies
+    total_pressure, up_nodes = node_pressure(snapshot)
     members = {m.element_id: m for m in cloudlet.members}
-    copy_to = {a.key: members[a.target_element].node_id for a in plans[0]}
-    rate = _rater(snapshot.nodes)
-    key_total, waiting = 0.0, []
-    for ks in cloudlet.keys:
-        nodes = frozenset(ks.live_replica_nodes)
-        if ks.key in copy_to:
-            nodes = nodes | {copy_to[ks.key]}
-        elif _deficient(cloudlet, ks):
-            waiting.append(nodes)
-        key_total += rate(nodes)
     eff_cpu = sum(m.effective_cpu for m in cloudlet.members)
 
     def utility(action) -> float:
-        avail_total, cpu, intrusion, cost = key_total, eff_cpu, total_pressure, 0.0
+        cpu, intrusion, cost = eff_cpu, total_pressure, 0.0
         if isinstance(action, AddElement):
-            for nodes in waiting:
-                avail_total += rate(nodes | {action.node_id}) - rate(nodes)
             cpu += action.allocation.cpu
             ns = snapshot.nodes[action.node_id]
             intrusion += _pressure(ns, action.allocation.cpu) - _pressure(ns)
@@ -318,10 +287,8 @@ def evaluate_plans(
             if ns is not None and ns.up:
                 intrusion += _pressure(ns, -m.allocation_cpu) - _pressure(ns)
             cost = REMOVE_COST
-        avail = avail_total / len(cloudlet.keys) if cloudlet.keys else 1.0
         return (
-            weights.w_avail * avail
-            + weights.w_perf * _performance(cloudlet, cpu)
+            weights.w_perf * _performance(cloudlet, cpu)
             - weights.w_intr * (intrusion / up_nodes if up_nodes else 0.0)
             - weights.w_cost * cost
         )
@@ -334,16 +301,15 @@ def select_plan(
     cloudlet: CloudletSnapshot,
     weights: UtilityWeights,
     epsilon: float,
-    pressure: Optional[tuple[float, int]] = None,
 ) -> tuple[tuple, float, float]:
-    """(plan, its utility, the repairs' utility) for one cloudlet: the
+    """(plan, its utility, the rule actions' utility) for one cloudlet: the
     candidate with the highest utility, the first one on ties, unless it
-    fails to beat the repairs alone by epsilon."""
-    scored = evaluate_plans(snapshot, cloudlet, weights, pressure)
-    repairs, noop_utility = scored[0]
+    fails to beat the rule actions alone by epsilon."""
+    scored = evaluate_plans(snapshot, cloudlet, weights)
+    rule, noop_utility = scored[0]
     best, best_u = max(scored, key=lambda pair: pair[1])  # the first of equals
     if best_u <= noop_utility + epsilon:
-        return repairs, noop_utility, noop_utility
+        return rule, noop_utility, noop_utility
     return best, best_u, noop_utility
 
 
@@ -378,7 +344,6 @@ class AdaptationController:
     def build_snapshot(self) -> CloudStateSnapshot:
         s = self.simulation
         now = self.sim.now
-        forecast = s.broker.forecaster.forecast_capacity((now, now + self.policy.epoch_ms))
         nodes = {}
         for node_id in sorted(s.nodes):
             node = s.nodes[node_id]
@@ -386,11 +351,10 @@ class AdaptationController:
             up = node.is_up()
             headroom = node.headroom() if up else ResourceVector.zero()
             available = infra.available_headroom() if up else ResourceVector.zero()
-            p = forecast[node_id].availability
             # records are built positionally: a NamedTuple built by keyword
             # costs about twice as much, once per node, key and member
             nodes[node_id] = NodeSnapshot(
-                node_id, up, p, headroom, available, infra.committed().cpu
+                node_id, up, headroom, available, infra.committed().cpu
             )
         cloudlets = {}
         for cid in sorted(s.cloudlets):
@@ -456,11 +420,10 @@ class AdaptationController:
         executes it before the next one plans. An action whose constraints
         fail at execution is skipped and logged as downgraded. Returns
         cloudlet id -> its plan."""
-        pressure = node_pressure(snapshot)
         plans = {}
         for cid in sorted(snapshot.cloudlets):
             plan, utility, noop_utility = select_plan(
-                snapshot, snapshot.cloudlets[cid], self.weights, self.policy.epsilon, pressure
+                snapshot, snapshot.cloudlets[cid], self.weights, self.policy.epsilon
             )
             executed = []
             for action in plan:
@@ -511,8 +474,8 @@ class AdaptationController:
         if isinstance(action, Rereplicate):
             runtime = s.cloudlets[action.cloudlet_id]
             el = runtime.elements.get(action.target_element)
-            if el is None or el.state != RUNNING:
-                return False, "target_not_running"
+            if el is None or not el.is_serving():
+                return False, "target_not_serving"
             service = s.kv_services[action.cloudlet_id]
             service.repair_replicas(action.key, action.target_element)
             return True, ""

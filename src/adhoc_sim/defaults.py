@@ -41,7 +41,6 @@ DEFAULTS = MappingProxyType({
     "adaptation_enabled": True,
     "epoch_ms": 30_000,
     "epsilon": 1e-6,
-    "w_avail": 100.0,
     "w_perf": 10.0,
     "w_intr": 1.0,
     "w_cost": 0.1,

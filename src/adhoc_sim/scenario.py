@@ -455,7 +455,7 @@ ADAPTATION = (
     _d("epsilon", FLOAT, NON_NEGATIVE),
 )
 
-WEIGHTS = tuple(_d(w, FLOAT, NON_NEGATIVE) for w in ("w_avail", "w_perf", "w_intr", "w_cost"))
+WEIGHTS = tuple(_d(w, FLOAT, NON_NEGATIVE) for w in ("w_perf", "w_intr", "w_cost"))
 
 
 # conditions that span an object's fields: class -> ((holds(obj), diagnostic), ...)
@@ -477,7 +477,7 @@ CHECKS = {
         (lambda r: r.demand.any_positive(), "demand must be positive somewhere"),
     ),
     UtilityWeights: (
-        (lambda w: any((w.w_avail, w.w_perf, w.w_intr, w.w_cost)),
+        (lambda w: any(w),
          "at least one utility weight must be positive"),
     ),
 }

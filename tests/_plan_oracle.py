@@ -1,48 +1,29 @@
 """Reference scorer for ``adaptation.evaluate_plans``: each candidate plan is
 rated from scratch, and no term is shared between candidates.
 
-Availability walks every key of the cloudlet with the plan applied: a
-removed member's replicas drop out, a Rereplicate adds its target's node,
-and an AddElement's node joins each key with some but fewer than
-``target_replication`` live replicas that the plan does not copy.
-Performance sums the members that remain plus the added cpu. Intrusion
-recomputes every up node's pressure with the plan's cpu change. It agrees
-with the simulator's evaluator to rounding, not bit for bit: that one rates
-the repairs once and adds each candidate's change to them.
+A plan starts with the cloudlet's rule actions, which are not rated; only
+the scaling action after them is. Performance sums the members that remain
+plus the added cpu. Intrusion recomputes every up node's pressure with the
+scaling action's cpu change. It agrees with the simulator's evaluator to
+rounding, not bit for bit: that one rates the cloudlet as it stands once
+and adds each candidate's change to it.
 """
 
-from adhoc_sim.adaptation import ADD_COST, REMOVE_COST, AddElement, RemoveElement, Rereplicate
-from adhoc_sim.qos import availability_of
+from adhoc_sim.adaptation import ADD_COST, REMOVE_COST, AddElement, RemoveElement
 
 
-def evaluate_plan(plan: tuple, snapshot, cloudlet, weights) -> float:
+def evaluate_plan(plan: tuple, rule: tuple, snapshot, cloudlet, weights) -> float:
+    """The utility of ``plan``, which starts with the rule actions ``rule``."""
+    assert plan[:len(rule)] == rule
+    scaling = plan[len(rule):]
     members = {m.element_id: m for m in cloudlet.members}
-    copies = {a.key: members[a.target_element].node_id
-              for a in plan if isinstance(a, Rereplicate)}
-    added = [a for a in plan if isinstance(a, AddElement)]
-    removed = [members[a.element_id] for a in plan if isinstance(a, RemoveElement)]
+    added = [a for a in scaling if isinstance(a, AddElement)]
+    removed = [members[a.element_id] for a in scaling if isinstance(a, RemoveElement)]
     return (
-        weights.w_avail * _availability(snapshot, cloudlet, copies, added, removed)
-        + weights.w_perf * _performance(cloudlet, added, removed)
+        weights.w_perf * _performance(cloudlet, added, removed)
         - weights.w_intr * _intrusion(snapshot, added, removed)
         - weights.w_cost * (ADD_COST * len(added) + REMOVE_COST * len(removed))
     )
-
-
-def _availability(snapshot, cloudlet, copies, added, removed) -> float:
-    gone = {m.element_id for m in removed}
-    terms = []
-    for ks in cloudlet.keys:
-        nodes = {node for eid, node in zip(ks.live_replica_elements, ks.live_replica_nodes)
-                 if eid not in gone}
-        if ks.key in copies:
-            nodes.add(copies[ks.key])
-        elif 0 < len(ks.live_replica_elements) < cloudlet.policy.target_replication:
-            nodes.update(a.node_id for a in added)
-        ps = [snapshot.nodes[n].availability if n in snapshot.nodes else 0.0
-              for n in sorted(nodes)]
-        terms.append(availability_of(ps))
-    return sum(terms) / len(terms) if terms else 1.0
 
 
 def _performance(cloudlet, added, removed) -> float:

@@ -22,9 +22,10 @@ from adhoc_sim.adaptation import (
     select_plan,
 )
 from adhoc_sim.errors import IncompleteLog
+from adhoc_sim.infrastructure import THROTTLED
 from adhoc_sim.kernel import EventLog
 from adhoc_sim.membership import CloudletPolicy
-from adhoc_sim.nodes import DOWN, ScriptedChurn
+from adhoc_sim.nodes import DOWN, ScriptedChurn, TraceLoad
 from adhoc_sim.resources import ResourceVector as RV
 from adhoc_sim.runner import Simulation
 
@@ -32,11 +33,10 @@ ALLOC = RV(1.0, 512, 1024, 5)
 EPSILON = AdaptationPolicy().epsilon
 
 
-def node_snap(node_id, p=0.9, free_cpu=4.0, allocated=1.0, up=True):
+def node_snap(node_id, free_cpu=4.0, allocated=1.0, up=True):
     return NodeSnapshot(
         node_id=node_id,
         up=up,
-        availability=p,
         headroom=RV(6.0, 4096, 50_000, 50),
         available_headroom=RV(free_cpu, 2048, 20_000, 20),
         allocated_cpu=allocated,
@@ -67,10 +67,10 @@ def kv_cloudlet(live_per_key=3, members_on=None, utilization=0.5, n_keys=1,
 
 
 def kv_snapshot(live_per_key=3, n_nodes=5, members_on=None, utilization=0.5,
-                reserved=(), p=0.9, n_keys=1, min_members=3):
+                reserved=(), n_keys=1, min_members=3):
     cloudlet = kv_cloudlet(live_per_key, members_on, utilization, n_keys,
                            min_members=min_members)
-    nodes = {f"n{i}": node_snap(f"n{i}", p=p) for i in range(1, n_nodes + 1)}
+    nodes = {f"n{i}": node_snap(f"n{i}") for i in range(1, n_nodes + 1)}
     return CloudStateSnapshot(
         nodes=nodes, cloudlets={"c1": cloudlet}, reserved_elements=frozenset(reserved),
     )
@@ -139,13 +139,27 @@ class TestGeneratePlans:
         assert [a.key for a in plans_of(snap)[0]] == ["x"]
 
     def test_deficit_without_member_target_yields_add_element(self):
-        # all members hold the key: membership must grow before repair
+        # all members hold the key: membership must grow before repair, by
+        # rule, on the node with the most free cpu; all tie, so node id order
         plans = plans_of(kv_snapshot(live_per_key=2, members_on=[1, 2]))
-        assert plans[0] == ()
-        adds = scaling_actions(plans)
-        assert all(isinstance(a, AddElement) for a in adds)
-        # top-3 free headroom among non-members; all tie, so node id order
-        assert [a.node_id for a in adds] == ["n3", "n4", "n5"]
+        assert plans == [(AddElement("c1", "n3", ALLOC),)]
+
+    def test_rule_add_follows_the_repairs_and_respects_max_members(self):
+        # target 4: x (on e0001 and e0002) is copied to e0004; y, on all
+        # three members, has no target and waits for the added member
+        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
+        y = KeySnapshot("y", ("e0001", "e0002", "e0004"), ("n1", "n2", "n4"))
+        cloudlet = snap.cloudlets["c1"]._replace(
+            keys=snap.cloudlets["c1"].keys + (y,),
+            policy=CloudletPolicy(target_replication=4, min_members=3),
+        )
+        assert plans_of(snap._replace(cloudlets={"c1": cloudlet})) == [
+            (Rereplicate("c1", "x", "e0004"), AddElement("c1", "n3", ALLOC))
+        ]
+        full = cloudlet._replace(policy=cloudlet.policy._replace(max_members=3))
+        assert plans_of(snap._replace(cloudlets={"c1": full})) == [
+            (Rereplicate("c1", "x", "e0004"),)
+        ]
 
     def test_high_watermark_top3_feasible_nodes(self):
         plans = plans_of(compute_snapshot(utilization=0.95, n_members=2, n_nodes=6))
@@ -199,38 +213,43 @@ class TestDescribe:
         assert describe(()) == [["noop"]]
 
 
-AVAIL_ONLY = UtilityWeights(w_avail=1.0, w_perf=0, w_intr=0, w_cost=0)
+INTRUSION_AND_COST = UtilityWeights(w_perf=0, w_intr=1.0, w_cost=1.0)
 
 
 class TestEvaluatePlan:
-    def test_rereplicate_raises_key_availability(self):
-        # the copy onto e0004 is in every candidate: A' is rated after it
+    def test_rule_actions_are_not_scored(self):
+        # the copy onto e0004 is rated as the cloudlet stands: as no plan
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
-        [(plan, u)] = evaluate_plans(snap, snap.cloudlets["c1"], AVAIL_ONLY)
+        healthy = kv_snapshot(live_per_key=3, members_on=[1, 2, 4])
+        [(plan, u)] = evaluate_plans(snap, snap.cloudlets["c1"], INTRUSION_AND_COST)
         assert plan == (Rereplicate("c1", "x", "e0004"),)
-        assert u == pytest.approx(0.999)  # 1 - 0.1^3
+        assert evaluate_plans(healthy, healthy.cloudlets["c1"], INTRUSION_AND_COST) == [((), u)]
+        assert u == pytest.approx(-1 / 6)  # five up nodes at 1/6 pressure, no cost
 
     def test_an_add_hosts_the_keys_no_member_can_take(self):
+        # the add is a rule action: one candidate, without the add's
+        # pressure or cost
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2])
-        scored = evaluate_plans(snap, snap.cloudlets["c1"], AVAIL_ONLY)
-        assert [u for _, u in scored] == pytest.approx([0.99, 0.999, 0.999, 0.999])
+        scored = evaluate_plans(snap, snap.cloudlets["c1"], INTRUSION_AND_COST)
+        assert scored == [((AddElement("c1", "n3", ALLOC),), pytest.approx(-1 / 6))]
 
-    def test_a_cloudlet_without_keys_rates_availability_one(self):
+    def test_a_cloudlet_without_arrivals_rates_performance_one(self):
         snap = compute_snapshot(utilization=0.5, arrival_rate=0.0)
-        [(_, u)] = evaluate_plans(snap, snap.cloudlets["c1"], AVAIL_ONLY)
+        [(_, u)] = evaluate_plans(snap, snap.cloudlets["c1"],
+                                  UtilityWeights(w_perf=1.0, w_intr=0, w_cost=0))
         assert u == 1.0
 
     def test_performance_counts_the_added_cpu(self):
         # 2 members x 2 cpu at 5 units per task serve 0.0008 tasks/ms
         snap = compute_snapshot(utilization=0.95, arrival_rate=0.0016)
-        w = UtilityWeights(w_avail=0, w_perf=1.0, w_intr=0, w_cost=0)
+        w = UtilityWeights(w_perf=1.0, w_intr=0, w_cost=0)
         scored = evaluate_plans(snap, snap.cloudlets["c1"], w)
         assert [u for _, u in scored] == pytest.approx([0.5, 0.625, 0.625, 0.625])
 
     def test_intrusion_moves_only_the_node_an_action_touches(self):
         # six up nodes at 1/6 pressure; an add on n5 takes it to 2/6
         snap = compute_snapshot(utilization=0.95)
-        w = UtilityWeights(w_avail=0, w_perf=0, w_intr=1.0, w_cost=0)
+        w = UtilityWeights(w_perf=0, w_intr=1.0, w_cost=0)
         scored = evaluate_plans(snap, snap.cloudlets["c1"], w)
         assert scored[0][1] == pytest.approx(-1 / 6)
         assert scored[1][1] == pytest.approx(-(5 / 6 + 2 / 6) / 6)
@@ -239,7 +258,7 @@ class TestEvaluatePlan:
         assert node_pressure(down) == (pytest.approx(5 / 6), 5)
 
     def test_cost_reduces_utility(self):
-        w = UtilityWeights(w_avail=0, w_perf=0, w_intr=0, w_cost=1.0)
+        w = UtilityWeights(w_perf=0, w_intr=0, w_cost=1.0)
         add = compute_snapshot(utilization=0.95)
         assert evaluate_plans(add, add.cloudlets["c1"], w)[1][1] == pytest.approx(-1.0)
         rem = compute_snapshot(utilization=0.1)
@@ -251,11 +270,6 @@ class TestSelectPlan:
         plan, utility, noop_u = select(kv_snapshot(live_per_key=2, members_on=[1, 2, 4]))
         assert plan == (Rereplicate("c1", "x", "e0004"),)
         assert utility == noop_u
-
-    def test_keys_on_nodes_rated_one_are_repaired(self):
-        # a copy adds no predicted availability there: repair is not scored
-        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4], p=1.0)
-        assert select(snap)[0] == (Rereplicate("c1", "x", "e0004"),)
 
     def test_selection_equals_exhaustive_argmax(self):
         rng = random.Random(5)
@@ -287,13 +301,6 @@ class TestSelectPlan:
     def test_healthy_state_keeps_noop(self):
         assert select(kv_snapshot(live_per_key=3))[0] == ()
 
-    def test_shared_pressure_equals_the_snapshot_own(self):
-        snap = compute_snapshot(utilization=0.95)
-        cloudlet = snap.cloudlets["c1"]
-        assert select_plan(snap, cloudlet, UtilityWeights(), EPSILON, node_pressure(snap)) == (
-            select_plan(snap, cloudlet, UtilityWeights(), EPSILON)
-        )
-
     def test_utility_ignores_other_cloudlets_keys(self):
         # c1 plans the same whatever c2's keys hold or lack
         base = kv_snapshot(live_per_key=2, members_on=[1, 2])
@@ -315,9 +322,7 @@ class TestSelectPlan:
                                utilization=rng.random(), min_members=1)
             reference = select(snap, base)[0]
             for c in (0.1, 3, 10):
-                scaled = UtilityWeights(
-                    base.w_avail * c, base.w_perf * c, base.w_intr * c, base.w_cost * c
-                )
+                scaled = UtilityWeights(*(w * c for w in base))
                 assert select(snap, scaled)[0] == reference, (trial, c)
 
 
@@ -326,12 +331,14 @@ def adapt_steps(s):
 
 
 class TestAdaptStepInSim:
-    def repair_sim(self, keys=("x",)):
+    def repair_sim(self, keys=("x",), crashed=(1,), n_nodes=4, p=0.9):
+        """Three members on n1-n3 of n_nodes; the crashed nodes go down at
+        100 s; every node is rated p."""
         s = Simulation(seed=3)
-        for i in range(1, 5):
-            churn = ScriptedChurn(((100_000, DOWN),)) if i == 1 else None
+        for i in range(1, n_nodes + 1):
+            churn = ScriptedChurn(((100_000, DOWN),)) if i in crashed else None
             s.add_node(f"n{i}", RV(8, 8192, 100_000, 100), churn=churn,
-                       reserve_margin=RV.zero(), forecast_availability=0.9)
+                       reserve_margin=RV.zero(), forecast_availability=p)
         s.add_cloudlet("c1", "kv_store", CloudletPolicy(target_replication=3, min_members=3))
         for i in range(1, 4):
             s.deploy_element(f"n{i}", "c1", ALLOC)
@@ -358,6 +365,52 @@ class TestAdaptStepInSim:
         executed = [r["executed"] for r in adapt_steps(s) if r["executed"]]
         assert executed == [[["add", "c1", "n4"]], [["rereplicate", "c1", "x", "e0004"]]]
         assert all(r["cloudlet"] == "c1" for r in adapt_steps(s))
+
+    def test_keys_on_nodes_rated_one_are_repaired(self):
+        """Two of three members lost on nodes rated 1.0: each epoch in which
+        some key has no repair target adds one member by rule, and the next
+        one copies every key onto it, until every key is back at three."""
+        keys = [f"k{i}" for i in range(5)]
+        s = self.repair_sim(keys, crashed=(1, 2), n_nodes=5, p=1.0)
+        s.run_until(300_000)
+        steps = [(r["plan"], r["executed"]) for r in adapt_steps(s) if r["executed"]]
+        assert steps == [
+            ([["add", "c1", "n4"]], [["add", "c1", "n4"]]),
+            ([["rereplicate", "c1", k, "e0004"] for k in keys],) * 2,
+            ([["add", "c1", "n5"]], [["add", "c1", "n5"]]),
+            ([["rereplicate", "c1", k, "e0005"] for k in keys],) * 2,
+        ]
+        snapshot = s.controller.build_snapshot()
+        assert {len(ks.live_replica_elements) for ks in snapshot.cloudlets["c1"].keys} == {3}
+
+    def test_a_throttled_member_receives_its_repairs(self):
+        """n1 crashes at 100 s; the key's repair target, e0004 on n4, is
+        throttled by its owner's burst from 90 s on. A throttled member
+        serves, so the epoch at 150 s copies the key onto it."""
+        s = Simulation(seed=3)
+        for i in range(1, 5):
+            churn = ScriptedChurn(((100_000, DOWN),)) if i == 1 else None
+            load = TraceLoad(((0, RV.zero()), (90_000, RV(7.5)))) if i == 4 else None
+            s.add_node(f"n{i}", RV(8, 8192, 100_000, 100), churn=churn, user_load=load,
+                       reserve_margin=RV.zero(), forecast_availability=0.9)
+        # min_members 4 keeps the spare e0004 from being scaled in
+        s.add_cloudlet("c1", "kv_store", CloudletPolicy(target_replication=3, min_members=4))
+        for i in range(1, 4):
+            s.deploy_element(f"n{i}", "c1", ALLOC)
+        s.attach_adaptation()
+        s.start()
+        s.run_until(2100)
+        put = s.kv_services["c1"].put("x", "payload", size=4096)
+        s.run_until(5000)
+        assert put.ok()
+        e4 = s.deploy_element("n4", "c1", ALLOC)
+        s.run_until(150_000)
+        assert s.cloudlets["c1"].elements[e4].state == THROTTLED
+        s.run_until(200_000)
+        executed = [r["executed"] for r in adapt_steps(s) if r["executed"]]
+        assert executed == [[["rereplicate", "c1", "x", e4]]]
+        assert not [e for e in s.sim.log if e.record.get("event") == "action_downgraded"]
+        assert e4 in s.cloudlets["c1"].metadata.replica_map["x"]
 
     def test_more_than_eight_deficient_keys_repaired_in_one_epoch(self):
         keys = [f"k{i:02d}" for i in range(12)]

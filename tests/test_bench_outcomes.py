@@ -1,7 +1,9 @@
 """The outcome grid of bench/outcomes.py: per workload and metric, each
 side's mean and worst run and the runs the head moved, in the direction the
-metric declares; and one short benchmark document run by the same tree
-imported twice reads no difference on any metric."""
+metric declares; one short benchmark document run by the same tree
+imported twice reads no difference on any metric; and a run records its
+adaptation actions by kind, its downgrades and the repairs execution
+refused."""
 
 import os
 import sys
@@ -71,3 +73,36 @@ def test_a_tree_against_itself_reads_no_difference(tmp_path):
     for summary in outcomes.summarize_grid(rows)["kv_read_churn"].values():
         moved = {k: summary.get(k) for k in ("improved", "worsened", "higher", "lower")}
         assert not any(moved.values()), summary
+
+
+MIXED = os.path.join(ROOT, "tests", "golden", "mixed.json")
+
+
+def test_a_run_records_its_adaptation_actions_and_dropped_repairs():
+    """The mixed golden executes 18 repairs, a rule add and a removal on its
+    kv cloudlet and a scored add on its compute one."""
+    out = outcomes.run_document("adhoc_sim", MIXED)
+    assert {k: out[k] for k in ("actions.add", "actions.remove", "actions.rereplicate",
+                                "action_downgrades", "repairs_run", "repairs_dropped")} == {
+        "actions.add": 2, "actions.remove": 1, "actions.rereplicate": 18,
+        "action_downgrades": 0, "repairs_run": 18, "repairs_dropped": 0,
+    }
+
+
+def test_a_refused_repair_counts_as_dropped(monkeypatch):
+    """run_document wraps the controller method it finds and puts it back."""
+    from adhoc_sim.adaptation import AdaptationController, Rereplicate
+
+    execute = AdaptationController._execute_action
+
+    def refuse_repairs(controller, action):
+        if isinstance(action, Rereplicate):
+            return False, "refused"
+        return execute(controller, action)
+
+    monkeypatch.setattr(AdaptationController, "_execute_action", refuse_repairs)
+    out = outcomes.run_document("adhoc_sim", MIXED)
+    # a refused key stays deficient, so each later epoch plans it again
+    assert out["repairs_dropped"] == out["action_downgrades"] > 18
+    assert (out["actions.rereplicate"], out["repairs_run"]) == (0, 0)
+    assert AdaptationController._execute_action is refuse_repairs

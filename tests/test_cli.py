@@ -159,7 +159,11 @@ def _node_id_not_string(doc):
 
 
 def _weight_not_finite(doc):
-    doc["weights"] = {"w_avail": float("nan")}
+    doc["weights"] = {"w_perf": float("nan")}
+
+
+def _removed_weight_given(doc):
+    doc["weights"] = {"w_avail": 100.0}
 
 
 def _unknown_node_key(doc):
@@ -208,7 +212,8 @@ def _exhaustive_threshold_given(doc):
         (_sample_interval_zero, "invalid: defaults.sample_interval_ms: must be > 0"),
         (_enabled_not_boolean, "invalid: adaptation.enabled: must be true or false"),
         (_node_id_not_string, "invalid: fleet[0].node_id: must be a non-empty string"),
-        (_weight_not_finite, "invalid: weights.w_avail: must be a finite number"),
+        (_weight_not_finite, "invalid: weights.w_perf: must be a finite number"),
+        (_removed_weight_given, "invalid: weights: unknown keys ['w_avail']"),
         (_unknown_node_key, "invalid: fleet[0]: unknown keys ['colour']"),
         (_exhaustive_threshold_given, "invalid: qos: unknown keys ['exhaustive_threshold']"),
     ],

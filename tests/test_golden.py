@@ -8,10 +8,10 @@ is pinned the same way.
   churn, scripted crashes and restarts, and owner load.
 - mixed: kv and compute cloudlets, an estimator broker with one reservation,
   owner load and churn.
-- mixed_window: mixed with the estimator's trailing window cut to 60 s, so
-  its history queries start after the first breakpoint. Its event log is
-  mixed's: the shorter window changes only the forecasts of nodes that no
-  logged utility rates.
+- mixed_window: mixed with the estimator's trailing window cut to 60 s and
+  the reservation submitted at 200 s, more than 60 s after n3's scripted
+  outage, so the window forgets every outage and the broker reserves
+  another node than over the full history.
 - loss_and_rejection: scripted crashes of every compute node and of one
   single-replica kv node, with adaptation off and one reservation too large
   to admit, so the run loses and skips tasks, rejects a reservation and
@@ -22,6 +22,7 @@ is pinned the same way.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -32,16 +33,16 @@ import adhoc_sim
 from adhoc_sim import cli, engines
 from adhoc_sim.errors import NoLiveElement
 from adhoc_sim.runner import run_scenario
-from adhoc_sim.scenario import load_scenario
+from adhoc_sim.scenario import load_scenario, parse_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 DIGESTS = {
-    "kv_churn_crash": "32bbf0709c8b43ce650ec50dfc4fcd28ceb01d107583cb881414fa6f777d4163",
+    "kv_churn_crash": "8943731ef09bf8c168872bee41602eaa1556a8be19ee75c5c419db557cc6c208",
     "loss_and_rejection": "de34822ad74224cc17be2a6aad39634d5f72032dd23b543687b85ad6dced621c",
-    "mixed": "bd0070b82498ae5e379811c0e4c5c095ad6d1730edcf80cfae20f484d9755c59",
-    "mixed_window": "bd0070b82498ae5e379811c0e4c5c095ad6d1730edcf80cfae20f484d9755c59",
-    "scale_in": "fa0ce9c3ab0342111a868bdf95bba60a8ced72a0836e674aff26eacee1a158b4",
+    "mixed": "176071fbf0aa8ad87ccad355ea4e4c38db77753ba6200ac4493616b3008c3ba8",
+    "mixed_window": "87fd13dedada2810e1939467a4c98f15d5c7e1c0709341e3b7bf2cd7b2cce97a",
+    "scale_in": "33340677118a61eae1300c57b907b45d23ba49c6a48af3e5654b7f18b18ef5c2",
 }
 
 
@@ -49,8 +50,8 @@ DIGESTS = {
 SERIES_DIGESTS = {
     "kv_churn_crash": "fe3443590611279e87f46d308f9e4137ef65d510d8d1f23ce728f2481b0030a9",
     "loss_and_rejection": "ee1b0bdbba423e971c6d777916faf753f0f20ca0437841c7c371243e9f314372",
-    "mixed": "66bc678c78a51b8c7e5554a180988e99c530d3bb5707ad4773725e718edc4a69",
-    "mixed_window": "66bc678c78a51b8c7e5554a180988e99c530d3bb5707ad4773725e718edc4a69",
+    "mixed": "ceec2d898b9816bf0f572f7846eaebae53d2e2ce53a1ab6f7f4e4687bffc6ee3",
+    "mixed_window": "624c0aab5e36d816e2f2d4b051842de3acadc5d1188cbac10da10fdfbc9461e3",
     "scale_in": "aecbdf94894cdfb713fe5d56e948dc7358c9bd0377834bd445e87b56d3470580",
 }
 
@@ -120,6 +121,21 @@ def test_scale_in_executes_a_remove(tmp_path):
         for action in entry.record["executed"]
     ]
     assert "remove" in executed
+
+
+def test_mixed_window_reserves_by_its_window():
+    """Over the 60 s before r1's submit at 200 s every node was up, and n2
+    has the most headroom; over the full history n2's outage at 32-54 s
+    ranks it below n4, which never went down."""
+    with open(os.path.join(GOLDEN_DIR, "mixed_window.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    nodes = {}
+    for window in (True, False):
+        if not window:
+            del doc["qos"]["trailing_window_ms"]
+        summary, _rows, _simulation = run_scenario(parse_scenario(doc))
+        nodes[window] = summary["reservations"]["r1"]["nodes"]
+    assert nodes == {True: ["n2"], False: ["n4"]}
 
 
 def test_kv_churn_crash_ends_with_every_key_at_target():

@@ -1,8 +1,8 @@
 """The per-cloudlet plan scorer against the from-scratch reference in
 ``_plan_oracle``: on random snapshots, every candidate that
 ``evaluate_plans`` scores has the oracle's utility (to rounding), and
-``select_plan`` takes the oracle's best candidate, or the repairs alone when
-no candidate beats them by epsilon.
+``select_plan`` takes the oracle's best candidate, or the rule actions alone
+when no candidate beats them by epsilon.
 
 Snapshots mix kv and compute cloudlets, cloudlets with no members or no keys,
 keys with no live replica, nodes that are down or have zero headroom, and
@@ -38,8 +38,8 @@ cpus = st.floats(0.0, 8.0)
 probabilities = st.floats(0.0, 1.0)
 
 
-def node(node_id, up=True, p=0.9, headroom=6.0, free=4.0, allocated=1.0):
-    return NodeSnapshot(node_id, up, p, RV(headroom, 4096, 50_000, 50),
+def node(node_id, up=True, headroom=6.0, free=4.0, allocated=1.0):
+    return NodeSnapshot(node_id, up, RV(headroom, 4096, 50_000, 50),
                         RV(free, 2048, 20_000, 20), allocated)
 
 
@@ -90,7 +90,7 @@ def snapshots(draw):
     kinds = draw(st.lists(st.sampled_from(["kv_store", "compute"]), min_size=1, max_size=3))
     return CloudStateSnapshot(
         nodes={
-            node_id: node(node_id, draw(st.booleans()), draw(probabilities),
+            node_id: node(node_id, draw(st.booleans()),
                           draw(st.sampled_from([0.0, 2.0, 6.0])), draw(cpus), draw(cpus))
             for node_id in node_ids
         },
@@ -102,14 +102,15 @@ def snapshots(draw):
     )
 
 
-weights = st.builds(UtilityWeights, *(st.floats(0.0, 200.0) for _ in range(4)))
+weights = st.builds(UtilityWeights, *(st.floats(0.0, 200.0) for _ in range(3)))
 
 
 def shared_node_snapshot(utilization):
     """A kv cloudlet whose members e0 and e1 share node n1 and whose e3 sits
     on a node the snapshot does not list: x has a copy target (e2), y has
     none (e1 shares y's node n1) and waits for an added member, z has lost
-    every replica, and e1 is the one spare member. n2 is down and n5 has no
+    every replica, and e1 is the one spare member. A compute cloudlet at
+    ``utilization`` has one member on n1. n2 is down and n5 has no
     headroom."""
     hosts = [("n1", (1.0, 1.0)), ("n1", (0.5, 1.0)), ("n4", (1.0, 1.0)), (GHOST, (1.0, 1.0))]
     kv = cloudlet(
@@ -117,15 +118,19 @@ def shared_node_snapshot(utilization):
         CloudletPolicy(target_replication=4, min_members=1),
         utilization=utilization,
     )
+    compute = cloudlet(
+        "cp", "compute", [("n1", (2.0, 2.0))], {}, CloudletPolicy(min_members=1),
+        utilization=utilization, arrival_rate_per_ms=0.001, mean_work_units=5.0,
+    )
     return CloudStateSnapshot(
         nodes={
             "n1": node("n1", free=1.0),
             "n2": node("n2", up=False, headroom=0.0, free=0.0, allocated=0.0),
-            "n3": node("n3", p=0.6, free=6.0),
-            "n4": node("n4", p=0.5, free=2.0),
-            "n5": node("n5", p=0.7, headroom=0.0, free=3.0, allocated=0.0),
+            "n3": node("n3", free=6.0),
+            "n4": node("n4", free=2.0),
+            "n5": node("n5", headroom=0.0, free=3.0, allocated=0.0),
         },
-        cloudlets={"kv": kv},
+        cloudlets={"kv": kv, "cp": compute},
     )
 
 
@@ -136,12 +141,14 @@ PINNED = (shared_node_snapshot(0.1), UtilityWeights())
 @settings(max_examples=300, deadline=None)
 @given(case=st.tuples(snapshots(), weights))
 @example(case=PINNED)
-@example(case=(shared_node_snapshot(0.9), UtilityWeights(1.0, 0.0, 100.0, 0.0)))
+@example(case=(shared_node_snapshot(0.9), UtilityWeights(1.0, 100.0, 0.0)))
 def test_evaluate_plans_equals_the_oracle(case):
     snapshot, w = case
     for cl in snapshot.cloudlets.values():
-        for plan, utility in evaluate_plans(snapshot, cl, w):
-            expected = _plan_oracle.evaluate_plan(plan, snapshot, cl, w)
+        scored = evaluate_plans(snapshot, cl, w)
+        rule = scored[0][0]
+        for plan, utility in scored:
+            expected = _plan_oracle.evaluate_plan(plan, rule, snapshot, cl, w)
             assert utility == pytest.approx(expected, rel=1e-9, abs=1e-9), plan
 
 
@@ -153,29 +160,33 @@ def test_select_plan_equals_the_oracle(case, epsilon):
     tolerance = 1e-9
     for cl in snapshot.cloudlets.values():
         scored = evaluate_plans(snapshot, cl, w)
-        oracle = {plan: _plan_oracle.evaluate_plan(plan, snapshot, cl, w) for plan, _ in scored}
-        repairs = scored[0][0]
+        rule = scored[0][0]
+        oracle = {plan: _plan_oracle.evaluate_plan(plan, rule, snapshot, cl, w)
+                  for plan, _ in scored}
         best = max(oracle.values())
         plan, utility, noop_utility = select_plan(snapshot, cl, w, epsilon)
-        assert noop_utility == pytest.approx(oracle[repairs], rel=1e-9, abs=1e-9)
+        assert noop_utility == pytest.approx(oracle[rule], rel=1e-9, abs=1e-9)
         assert utility == pytest.approx(oracle[plan], rel=1e-9, abs=1e-9)
-        if plan == repairs:
-            assert best <= oracle[repairs] + epsilon + tolerance
+        if plan == rule:
+            assert best <= oracle[rule] + epsilon + tolerance
         else:
             assert oracle[plan] >= best - tolerance
-            assert oracle[plan] > oracle[repairs] + epsilon - tolerance
+            assert oracle[plan] > oracle[rule] + epsilon - tolerance
 
 
 def test_shared_node_snapshot_plans_touch_every_kind_of_key():
-    """The pinned examples above score a repair, adds for a waiting key on
-    an up node and on one with zero headroom, and a removal of the spare
-    member that leaves the repair target and the replica holders alone."""
+    """The pinned examples above plan a repair and, for the waiting key, a
+    rule add on the node with the most free cpu; they score a removal of
+    the spare member that leaves the repair target and the replica holders
+    alone, and compute adds on an up node and on one with zero headroom."""
+    def plans(snapshot, cid):
+        return [plan for plan, _ in evaluate_plans(snapshot, snapshot.cloudlets[cid], w)]
+
     snapshot, w = PINNED
-    plans = [plan for plan, _ in evaluate_plans(snapshot, snapshot.cloudlets["kv"], w)]
-    repair = (Rereplicate("kv", "x", "kv-e2"),)
-    assert plans == [
-        repair,
-        repair + (AddElement("kv", "n3", ALLOC),),
-        repair + (AddElement("kv", "n5", ALLOC),),
-        repair + (RemoveElement("kv", "kv-e1"),),
+    rule = (Rereplicate("kv", "x", "kv-e2"), AddElement("kv", "n3", ALLOC))
+    assert plans(snapshot, "kv") == [rule, rule + (RemoveElement("kv", "kv-e1"),)]
+    busy = shared_node_snapshot(0.9)
+    assert plans(busy, "kv") == [rule]
+    assert plans(busy, "cp") == [()] + [
+        (AddElement("cp", node_id, ALLOC),) for node_id in ("n3", "n5", "n4")
     ]

@@ -128,7 +128,7 @@ class TestRecordsBuild:
         f = NodeForecast(node_id="n1", availability=0.9, expected_headroom=RV(1.0))
         assert (f.node_id, f.availability, f.expected_headroom) == ("n1", 0.9, RV(1.0))
         n = NodeSnapshot(
-            node_id="n1", up=True, availability=0.5, headroom=RV(2.0),
+            node_id="n1", up=True, headroom=RV(2.0),
             available_headroom=RV(1.0), allocated_cpu=1.0,
         )
         assert n.available_headroom.cpu == 1.0 and n.up

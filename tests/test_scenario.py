@@ -29,9 +29,9 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # (`defaults.element_allocation` and a kv workload's `value_size` as floats:
 # "memory": 512.0, not 512)
 ECHO_DIGESTS = {
-    "kv_churn_crash": "885ac9993e42cec636203055ffcbc9a2e266dcb2661dec86e8751eb36afa49dc",
-    "mixed": "3fa451f5e4296673b1855ca7407a094cf0d3bdd1eada15e7553ec5490efe8900",
-    "mixed_window": "8c96131a34111e951d6f36afaa01d4a884727cddfa557d5208889f04de38720c",
+    "kv_churn_crash": "3bd0b7a7a3fc861cea3169568e09b8197be1eb23df4e9472739082cdbccce208",
+    "mixed": "1718e997991e6996ba0a28a8e1b8863751a1025a028c78ce8d20dcea23f439f1",
+    "mixed_window": "208c81aa872debe5e72519c1cdad6d1ddfe7bbf3b123f742bbae909e4ae3035b",
 }
 
 
