@@ -16,7 +16,8 @@ Per document and tree it records:
   and still in flight at run end, through a wrapper on ``KvService.put`` and
   ``get`` like perfbench's, since the event log records no kv failure;
 - kv p50 and p99 latency of the ops that succeeded (nearest rank);
-- tasks issued, skipped at submission, submitted, completed and lost;
+- tasks issued, skipped at submission, submitted, completed and lost, and
+  those still queued or in transit at run end (``ComputeService.in_flight``);
 - ``cloudlet_availability_min``, the adaptation actions executed by kind
   and ``action_downgrades`` from the summary's metrics;
 - repairs run: ``KvService.repair_replicas`` calls that completed ok;
@@ -28,7 +29,9 @@ Per document and tree it records:
 Writes ``bench/OUTCOMES_<name>.json``: both revisions, the grid with each
 document's sha256, each run's figures on both trees, and, per workload and
 metric, each side's mean and worst run and the runs in which the head got
-better or worse (higher or lower for a figure with no better direction).
+better or worse (higher or lower for a figure with no better direction),
+and, per workload, the seeds whose mean failed share is higher on the head:
+the figure the benchmark gate decides on.
 Run from the repository root.
 """
 
@@ -62,6 +65,7 @@ METRICS = {  # name -> the direction that is better; None: neither
     "tasks_submitted": None,
     "tasks_completed": "higher",
     "tasks_lost": "lower",
+    "tasks_in_flight": "lower",
     "cloudlet_availability_min": "higher",
     **{f"actions.{kind}": None for kind in ACTION_KINDS},
     "action_downgrades": "lower",
@@ -134,6 +138,7 @@ def run_document(package: str, doc: str) -> dict:
         out["tasks_submitted"] += service.submitted
         out["tasks_completed"] += service.completed
         out["tasks_lost"] += service.lost
+        out["tasks_in_flight"] += service.in_flight()
     metrics = summary["metrics"]
     availability = metrics["cloudlet_availability"].values()
     out["cloudlet_availability_min"] = min((v["value"] for v in availability), default=None)
@@ -199,6 +204,23 @@ def summarize_grid(rows: list) -> dict:
     return out
 
 
+def failed_share_rose(rows: list) -> dict:
+    """workload -> [{seed, base, head}] for each seed whose mean failed
+    share over its replications is higher on the head, seed order."""
+    shares = {}
+    for r in rows:
+        pair = shares.setdefault(r["workload"], {}).setdefault(r["seed"], ([], []))
+        for i, side in enumerate(ab.SIDES):
+            pair[i].append(r[side]["failed_share"])
+    out = {}
+    for workload, seeds in shares.items():
+        means = ((seed, statistics.fmean(base), statistics.fmean(head))
+                 for seed, (base, head) in sorted(seeds.items()))
+        out[workload] = [{"seed": seed, "base": base, "head": head}
+                         for seed, base, head in means if head > base]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the parent")
@@ -232,6 +254,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "grid": {"workloads": WORKLOADS, "seeds": seeds, "replications": REPLICATIONS},
         "metrics": summarize_grid(rows),
+        "failed_share_rose": failed_share_rose(rows),
         "runs": rows,
     }
     out = os.path.join(ab.ROOT, "bench", f"OUTCOMES_{args.name}.json")

@@ -1,35 +1,33 @@
 """Autonomic control loop, one per cloudlet (Kephart & Chess, "The Vision of
 Autonomic Computing", IEEE Computer 2003). Each epoch the controller builds
 one snapshot of the cloud. Then each cloudlet, in id order, plans over its
-own part of that snapshot and executes its plan at once, with every
+own part of that snapshot by rule and executes its plan at once, with every
 constraint re-checked against fresh node state. A plan is a tuple of
-actions; the empty plan changes nothing.
+actions; the empty plan changes nothing. Nothing is scored.
 
-A kv cloudlet keeps its replication by rule. Every key with some, but fewer
-than ``target_replication``, live replicas gets one ``Rereplicate`` onto a
+A kv cloudlet keeps its replication. Every key with some, but fewer than
+``target_replication``, live replicas gets one ``Rereplicate`` onto a
 serving member that holds no replica of it and shares no node with one,
 where such a member exists. When some deficient key has no such member and
 the cloudlet is below ``max_members``, the plan then adds one
 ``AddElement`` on the non-member node with the most free cpu, so the next
-epoch can repair that key. Rule actions are neither capped nor scored.
+epoch can repair that key. A kv cloudlet never scales in: nothing measures
+its load.
 
-Scaling is scored. A cloudlet takes at most one scaling action after its
-rule actions: an ``AddElement`` on one of the three non-member nodes with
-the most free cpu (when utilisation is above the high watermark, which only
-compute cloudlets cross), or a ``RemoveElement`` of a spare member (when
-utilisation is below the low watermark). Each candidate is scored, in the
-cloudlet's own terms, by
+A compute cloudlet scales on U, the busy fraction of its members over the
+last epoch, and on the offered load rho = arrival rate x mean work / the
+members' summed effective cpu. It adds one member, on the non-member node
+with the most free cpu, when U is above ``scale_high_watermark``, rho is
+above 1 (the members cannot serve the arrivals) and it is below
+``max_members``. It removes a spare when U is below
+``scale_low_watermark``, it is above ``min_members``, and the members left
+would still hold rho under the high watermark with the largest of them
+lost as well; with no arrivals that always holds. The spare is the
+unreserved member on the node with the least free cpu.
 
-U = w_perf*P' - w_intr*I' - w_cost*C,
-
-where P' is the cloudlet's predicted service/arrival ratio capped at 1 (1.0
-for kv), I' the mean per-node allocation-to-headroom cpu pressure over up
-nodes, and C the action's cost (add 1, remove 0.2). The rule actions alone
-are rated as the cloudlet stands; a candidate is taken only if it beats
-them by ``epsilon``. Scaling every weight by the same positive factor leaves
-the choice unchanged. The snapshot is not updated between cloudlets, so an
-add whose node's headroom a cloudlet earlier in the order took is
-downgraded at execution, and logged.
+The snapshot is not updated between cloudlets, so an add whose node's
+headroom a cloudlet earlier in the order took is downgraded at execution,
+and logged.
 
 ``GoalSpec`` and ``aggregate_metrics``, the log aggregation of metrics.py,
 stay importable from here.
@@ -37,22 +35,13 @@ stay importable from here.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 from . import metrics
 from .defaults import DEFAULTS
 from .membership import CloudletPolicy
 from .resources import ResourceVector
-
-ADD_COST = 1.0
-REMOVE_COST = 0.2
-
-
-class UtilityWeights(NamedTuple):
-    w_perf: float = DEFAULTS["w_perf"]
-    w_intr: float = DEFAULTS["w_intr"]
-    w_cost: float = DEFAULTS["w_cost"]
-
 
 # -- plan actions (pure data) -------------------------------------------------
 
@@ -89,7 +78,6 @@ def describe(plan: tuple) -> list:
 
 class AdaptationPolicy(NamedTuple):
     epoch_ms: int = DEFAULTS["epoch_ms"]
-    epsilon: float = DEFAULTS["epsilon"]
     enabled: bool = DEFAULTS["adaptation_enabled"]
 
 
@@ -99,9 +87,7 @@ class AdaptationPolicy(NamedTuple):
 class NodeSnapshot(NamedTuple):
     node_id: str
     up: bool
-    headroom: ResourceVector
     available_headroom: ResourceVector
-    allocated_cpu: float  # committed element allocations
 
 
 class KeySnapshot(NamedTuple):
@@ -114,8 +100,6 @@ class MemberSnapshot(NamedTuple):
     element_id: str
     node_id: str
     effective_cpu: float
-    allocation_cpu: float = 0.0
-    hosts_keys: tuple = ()
 
 
 class CloudletSnapshot(NamedTuple):
@@ -136,38 +120,48 @@ class CloudStateSnapshot(NamedTuple):
     reserved_elements: frozenset = frozenset()
 
 
-# -- candidate generation -------------------------------------------------------
+# -- planning -------------------------------------------------------------------
 
 
 def generate_plans(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) -> list[tuple]:
-    """The cloudlet's candidate plans, in order: its rule actions alone (the
-    repairs, then an add when some deficient key has no repair target), then
-    the rule actions followed by each scaling action (adds on the top-3
-    nodes by free headroom, then scale in)."""
-    repairs, waiting = _repairs(cloudlet)
+    """The cloudlet's one plan, alone in a list: its repairs, then at most
+    one membership change. That is an add when some deficient key has no
+    repair target or the compute members are overloaded, else the removal
+    of a spare when they are underloaded and can lose it."""
+    plan, waiting = _repairs(cloudlet)
     policy = cloudlet.policy
-    rule, scaling = repairs, []
-    if (
-        (waiting or cloudlet.utilization > policy.scale_high_watermark)
-        and len(cloudlet.members) < policy.max_members
+    compute = cloudlet.engine_kind == "compute"
+    cpu = sum(m.effective_cpu for m in cloudlet.members)
+    if waiting or (
+        compute
+        and cloudlet.utilization > policy.scale_high_watermark
+        and _offered_load(cloudlet, cpu) > 1.0
     ):
-        adds = [
-            AddElement(cloudlet.cloudlet_id, ns.node_id, cloudlet.element_allocation)
-            for ns in _feasible_nodes(snapshot, cloudlet)[:3]
-        ]
-        if waiting:
-            rule += tuple(adds[:1])
-        else:
-            scaling = adds
-    if (
-        cloudlet.utilization < policy.scale_low_watermark
+        if len(cloudlet.members) < policy.max_members:
+            plan += tuple(
+                AddElement(cloudlet.cloudlet_id, ns.node_id, cloudlet.element_allocation)
+                for ns in _feasible_nodes(snapshot, cloudlet)[:1]
+            )
+    elif (
+        compute
+        and cloudlet.utilization < policy.scale_low_watermark
         and len(cloudlet.members) > policy.min_members
     ):
-        targets = {a.target_element for a in repairs}
-        victim = _scale_in_victim(snapshot, cloudlet, targets)
+        victim = _scale_in_victim(snapshot, cloudlet)
         if victim is not None:
-            scaling.append(RemoveElement(cloudlet.cloudlet_id, victim.element_id))
-    return [rule] + [rule + (a,) for a in scaling]
+            # the members left, less the largest of them
+            left = sorted(m.effective_cpu for m in cloudlet.members if m is not victim)[:-1]
+            if _offered_load(cloudlet, sum(left)) < policy.scale_high_watermark:
+                plan += (RemoveElement(cloudlet.cloudlet_id, victim.element_id),)
+    return [plan]
+
+
+def _offered_load(cloudlet: CloudletSnapshot, cpu: float) -> float:
+    """rho: the cpu the arrivals ask for over ``cpu``; 0.0 with no arrivals."""
+    demand = cloudlet.arrival_rate_per_ms * 1000.0 * cloudlet.mean_work_units
+    if demand <= 0:
+        return 0.0
+    return demand / cpu if cpu > 0 else math.inf
 
 
 def _repairs(cloudlet: CloudletSnapshot) -> tuple[tuple, bool]:
@@ -213,16 +207,9 @@ def _feasible_nodes(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) ->
     return out
 
 
-def _scale_in_victim(snapshot, cloudlet, repair_targets) -> Optional[MemberSnapshot]:
-    """Spare member on the most constrained node; never a replica holder, a
-    repair target or a reserved element."""
-    eligible = [
-        m
-        for m in cloudlet.members
-        if not m.hosts_keys
-        and m.element_id not in repair_targets
-        and m.element_id not in snapshot.reserved_elements
-    ]
+def _scale_in_victim(snapshot, cloudlet) -> Optional[MemberSnapshot]:
+    """The unreserved member on the most constrained node."""
+    eligible = [m for m in cloudlet.members if m.element_id not in snapshot.reserved_elements]
     if not eligible:
         return None
 
@@ -233,98 +220,22 @@ def _scale_in_victim(snapshot, cloudlet, repair_targets) -> Optional[MemberSnaps
     return min(eligible, key=lambda m: (node_free_cpu(m), m.element_id))
 
 
-# -- evaluation -------------------------------------------------------------------
-
-
-def _pressure(ns: NodeSnapshot, cpu_delta: float = 0.0) -> float:
-    """A node's allocated/headroom cpu pressure, clamped to [0, 1]."""
-    allocated = ns.allocated_cpu + cpu_delta
-    if ns.headroom.cpu <= 0:
-        return 1.0 if allocated > 0 else 0.0
-    return min(1.0, max(0.0, allocated / ns.headroom.cpu))
-
-
-def node_pressure(snapshot: CloudStateSnapshot) -> tuple[float, int]:
-    """The summed pressure over up nodes before any action, and their count."""
-    up = [ns for ns in snapshot.nodes.values() if ns.up]
-    return sum(_pressure(ns) for ns in up), len(up)
-
-
-def _performance(cloudlet: CloudletSnapshot, eff_cpu: float) -> float:
-    """min(1, service_rate / arrival_rate) of a compute cloudlet; 1.0 for kv
-    and for a cloudlet with no arrivals."""
-    if cloudlet.engine_kind != "compute" or cloudlet.arrival_rate_per_ms <= 0:
-        return 1.0
-    work = max(cloudlet.mean_work_units, 1e-9)
-    service_rate = eff_cpu / 1000.0 / work  # tasks per ms
-    return min(1.0, service_rate / cloudlet.arrival_rate_per_ms)
-
-
-def evaluate_plans(
-    snapshot: CloudStateSnapshot,
-    cloudlet: CloudletSnapshot,
-    weights: UtilityWeights,
-) -> list[tuple[tuple, float]]:
-    """Each candidate of ``generate_plans`` with its utility, in order; the
-    rule actions alone come first, rated as the cloudlet stands, and every
-    other candidate is rated by its last action, the scaling one."""
-    plans = generate_plans(snapshot, cloudlet)
-    total_pressure, up_nodes = node_pressure(snapshot)
-    members = {m.element_id: m for m in cloudlet.members}
-    eff_cpu = sum(m.effective_cpu for m in cloudlet.members)
-
-    def utility(action) -> float:
-        cpu, intrusion, cost = eff_cpu, total_pressure, 0.0
-        if isinstance(action, AddElement):
-            cpu += action.allocation.cpu
-            ns = snapshot.nodes[action.node_id]
-            intrusion += _pressure(ns, action.allocation.cpu) - _pressure(ns)
-            cost = ADD_COST
-        elif isinstance(action, RemoveElement):
-            m = members[action.element_id]
-            cpu -= m.effective_cpu
-            ns = snapshot.nodes.get(m.node_id)
-            if ns is not None and ns.up:
-                intrusion += _pressure(ns, -m.allocation_cpu) - _pressure(ns)
-            cost = REMOVE_COST
-        return (
-            weights.w_perf * _performance(cloudlet, cpu)
-            - weights.w_intr * (intrusion / up_nodes if up_nodes else 0.0)
-            - weights.w_cost * cost
-        )
-
-    return [(plans[0], utility(None))] + [(plan, utility(plan[-1])) for plan in plans[1:]]
-
-
-def select_plan(
-    snapshot: CloudStateSnapshot,
-    cloudlet: CloudletSnapshot,
-    weights: UtilityWeights,
-    epsilon: float,
-) -> tuple[tuple, float, float]:
-    """(plan, its utility, the rule actions' utility) for one cloudlet: the
-    candidate with the highest utility, the first one on ties, unless it
-    fails to beat the rule actions alone by epsilon."""
-    scored = evaluate_plans(snapshot, cloudlet, weights)
-    rule, noop_utility = scored[0]
-    best, best_u = max(scored, key=lambda pair: pair[1])  # the first of equals
-    if best_u <= noop_utility + epsilon:
-        return rule, noop_utility, noop_utility
-    return best, best_u, noop_utility
+def select_plan(snapshot: CloudStateSnapshot, cloudlet: CloudletSnapshot) -> tuple:
+    """The one cloudlet's plan."""
+    return generate_plans(snapshot, cloudlet)[0]
 
 
 # -- controller ---------------------------------------------------------------------
 
 
 class AdaptationController:
-    """Epoch-driven executor: build a snapshot, then let each cloudlet pick
+    """Epoch-driven executor: build a snapshot, then let each cloudlet plan
     and apply its plan through the infrastructure and engine operations,
     with constraints re-checked against fresh node state."""
 
-    def __init__(self, simulation, policy: AdaptationPolicy, weights: UtilityWeights):
+    def __init__(self, simulation, policy: AdaptationPolicy):
         self.simulation = simulation
         self.policy = policy
-        self.weights = weights
         self.sim = simulation.sim
 
     def start(self) -> None:
@@ -349,13 +260,10 @@ class AdaptationController:
             node = s.nodes[node_id]
             infra = s.infras[node_id]
             up = node.is_up()
-            headroom = node.headroom() if up else ResourceVector.zero()
             available = infra.available_headroom() if up else ResourceVector.zero()
             # records are built positionally: a NamedTuple built by keyword
             # costs about twice as much, once per node, key and member
-            nodes[node_id] = NodeSnapshot(
-                node_id, up, headroom, available, infra.committed().cpu
-            )
+            nodes[node_id] = NodeSnapshot(node_id, up, available)
         cloudlets = {}
         for cid in sorted(s.cloudlets):
             cloudlets[cid] = self._cloudlet_snapshot(cid, now)
@@ -368,7 +276,6 @@ class AdaptationController:
     def _cloudlet_snapshot(self, cid: str, now: int) -> CloudletSnapshot:
         s = self.simulation
         runtime = s.cloudlets[cid]
-        holders: dict[str, list[str]] = {}
         keys = []
         if runtime.engine_kind == "kv_store":
             for key in sorted(runtime.metadata.replica_map):
@@ -377,16 +284,12 @@ class AdaptationController:
                     for eid in runtime.metadata.replica_map[key]
                     if eid in runtime.view.members
                 ]
-                for eid in live:
-                    holders.setdefault(eid, []).append(key)
                 live_nodes = tuple(runtime.elements[eid].node_id for eid in live)
                 keys.append(KeySnapshot(key, tuple(live), live_nodes))
-        members = []
-        for el in runtime.serving_members():
-            members.append(MemberSnapshot(
-                el.element_id, el.node_id, el.effective_usage().cpu, el.allocation.cpu,
-                tuple(holders.get(el.element_id, ())),
-            ))
+        members = [
+            MemberSnapshot(el.element_id, el.node_id, el.effective_usage().cpu)
+            for el in runtime.serving_members()
+        ]
         utilization = 0.0
         arrival_rate = 0.0
         mean_work = 1.0
@@ -416,15 +319,13 @@ class AdaptationController:
     # -- execution
 
     def adapt_step(self, snapshot: CloudStateSnapshot) -> dict:
-        """Each cloudlet, in id order, selects its plan over the snapshot and
-        executes it before the next one plans. An action whose constraints
+        """Each cloudlet, in id order, plans over the snapshot and executes
+        its plan before the next one plans. An action whose constraints
         fail at execution is skipped and logged as downgraded. Returns
         cloudlet id -> its plan."""
         plans = {}
         for cid in sorted(snapshot.cloudlets):
-            plan, utility, noop_utility = select_plan(
-                snapshot, snapshot.cloudlets[cid], self.weights, self.policy.epsilon
-            )
+            plan = select_plan(snapshot, snapshot.cloudlets[cid])
             executed = []
             for action in plan:
                 ok, reason = self._execute_action(action)
@@ -446,8 +347,6 @@ class AdaptationController:
                     "cloudlet": cid,
                     "plan": describe(plan),
                     "executed": describe(executed) if executed else [],
-                    "utility": utility,
-                    "noop_utility": noop_utility,
                 },
             )
             plans[cid] = plan

@@ -37,13 +37,9 @@ DEFAULTS = MappingProxyType({
     # QoS broker
     "qos_mode": "oracle",
     "trailing_window_ms": 500_000_000,
-    # adaptation loop and its utility weights
+    # adaptation loop
     "adaptation_enabled": True,
     "epoch_ms": 30_000,
-    "epsilon": 1e-6,
-    "w_perf": 10.0,
-    "w_intr": 1.0,
-    "w_cost": 0.1,
     # workload generators
     "workload_start_ms": 5000,
 })

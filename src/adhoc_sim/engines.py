@@ -90,16 +90,15 @@ class KvReplicaEngine:
 
 
 class Task:
-    """A compute task: its work in cpu-seconds at one core, its arrival time
-    and whether it was retried after an interruption."""
+    """A compute task: its work in cpu-seconds at one core and its arrival
+    time."""
 
-    __slots__ = ("task_id", "work_units", "arrival", "retried")
+    __slots__ = ("task_id", "work_units", "arrival")
 
     def __init__(self, task_id: str, work_units: float, arrival: int):
         self.task_id = task_id
         self.work_units = work_units
         self.arrival = arrival
-        self.retried = False
 
 
 class ComputeElementEngine:
@@ -421,7 +420,7 @@ class KvService:
 
 
 class ComputeService:
-    """Task submission, FIFO execution, and single-retry crash recovery."""
+    """Task submission, FIFO execution, and crash recovery by retry."""
 
     def __init__(self, sim: Simulator, net: Network, runtime: CloudletRuntime):
         self.sim = sim
@@ -485,10 +484,8 @@ class ComputeService:
             self._retry_or_lose(task, exclude=element.element_id)
 
     def _retry_or_lose(self, task: Task, exclude: str) -> None:
-        if task.retried:
-            self._lose(task, "already retried once")
-            return
-        task.retried = True
+        """Send an interrupted task to another serving member, as often as
+        it is interrupted; it is lost only when no such member is left."""
         try:
             element = self.runtime.best_effort_pick(exclude=exclude)
         except NoLiveElement:

@@ -162,15 +162,11 @@ class Simulation:
             element.engine = ComputeElementEngine(self.sim, element, service.on_task_done)
         return eid
 
-    def attach_adaptation(self, policy=None, weights=None):
+    def attach_adaptation(self, policy=None):
         """Create the autonomic controller; epochs begin once the run starts."""
-        from .adaptation import AdaptationController, AdaptationPolicy, UtilityWeights
+        from .adaptation import AdaptationController, AdaptationPolicy
 
-        self.controller = AdaptationController(
-            self,
-            policy or AdaptationPolicy(),
-            weights or UtilityWeights(),
-        )
+        self.controller = AdaptationController(self, policy or AdaptationPolicy())
         return self.controller
 
     # -- transition routing -----------------------------------------------------
@@ -336,7 +332,7 @@ def build_simulation(scenario, seed: Optional[int] = None,
             policy=spec.intrusiveness,
             forecast_availability=spec.forecast_availability,
         )
-    s.attach_adaptation(scenario.adaptation, scenario.weights)
+    s.attach_adaptation(scenario.adaptation)
     for spec in scenario.cloudlets:
         s.add_cloudlet(
             spec.cloudlet_id,

@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from .adaptation import AdaptationPolicy, UtilityWeights
+from .adaptation import AdaptationPolicy
 from .defaults import DEFAULTS
 from .engines import COMPUTE, ENGINE_KINDS, KV_STORE
 from .errors import ScenarioParseError, ScenarioValidationError
@@ -77,7 +77,6 @@ class Scenario(NamedTuple):
     qos_mode: str
     trailing_window_ms: int
     adaptation: AdaptationPolicy
-    weights: UtilityWeights
 
 
 # -- coercions: a document value to a typed one, or ValueError, to which the
@@ -452,10 +451,7 @@ QOS = (
 ADAPTATION = (
     _d("enabled", BOOL, name="adaptation_enabled"),
     _d("epoch_ms", INT, POSITIVE),
-    _d("epsilon", FLOAT, NON_NEGATIVE),
 )
-
-WEIGHTS = tuple(_d(w, FLOAT, NON_NEGATIVE) for w in ("w_perf", "w_intr", "w_cost"))
 
 
 # conditions that span an object's fields: class -> ((holds(obj), diagnostic), ...)
@@ -476,10 +472,6 @@ CHECKS = {
         (lambda r: r.window[0] < r.window[1], "window start must precede end"),
         (lambda r: r.demand.any_positive(), "demand must be positive somewhere"),
     ),
-    UtilityWeights: (
-        (lambda w: any(w),
-         "at least one utility weight must be positive"),
-    ),
 }
 
 
@@ -499,7 +491,7 @@ DEFAULTS_FIELDS = (
     _setting("sample_interval_ms", INT, POSITIVE),
 ) + tuple(
     _setting(str(f.default), Kind(f.read, f.write), f.bound)
-    for table in (INTRUSIVENESS, POLICY, CLOUDLET, WORKLOAD, QOS, ADAPTATION, WEIGHTS)
+    for table in (INTRUSIVENESS, POLICY, CLOUDLET, WORKLOAD, QOS, ADAPTATION)
     for f in table
     if type(f.default) is Fallback
 )
@@ -510,7 +502,7 @@ _FALLBACK = {f.key: f.default for f in DEFAULTS_FIELDS}
 
 SECTIONS = frozenset(
     ("run", "defaults", "fleet", "cloudlets", "workloads", "reservations", "qos",
-     "adaptation", "weights")
+     "adaptation")
 )
 
 
@@ -670,7 +662,6 @@ def parse_scenario(doc: dict) -> Scenario:
     )
     qos = _read(doc.get("qos"), QOS, "qos", ctx)
     adaptation = _build(AdaptationPolicy, doc.get("adaptation"), ADAPTATION, "adaptation", ctx)
-    weights = _build(UtilityWeights, doc.get("weights"), WEIGHTS, "weights", ctx)
 
     if problems:
         raise ScenarioValidationError(problems)
@@ -683,7 +674,6 @@ def parse_scenario(doc: dict) -> Scenario:
         reservations=tuple(reservations),
         **qos,
         adaptation=adaptation,
-        weights=weights,
     )
 
 
@@ -716,5 +706,4 @@ def scenario_to_json(s: Scenario) -> dict:
         ],
         "qos": _write(s, QOS),
         "adaptation": _write(s.adaptation, ADAPTATION),
-        "weights": _write(s.weights, WEIGHTS),
     }

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from adhoc_sim.adaptation import (
@@ -13,12 +11,9 @@ from adhoc_sim.adaptation import (
     NodeSnapshot,
     RemoveElement,
     Rereplicate,
-    UtilityWeights,
     aggregate_metrics,
     describe,
-    evaluate_plans,
     generate_plans,
-    node_pressure,
     select_plan,
 )
 from adhoc_sim.errors import IncompleteLog
@@ -30,17 +25,11 @@ from adhoc_sim.resources import ResourceVector as RV
 from adhoc_sim.runner import Simulation
 
 ALLOC = RV(1.0, 512, 1024, 5)
-EPSILON = AdaptationPolicy().epsilon
+WORK = 5.0  # mean cpu-seconds per task of the compute snapshots
 
 
-def node_snap(node_id, free_cpu=4.0, allocated=1.0, up=True):
-    return NodeSnapshot(
-        node_id=node_id,
-        up=up,
-        headroom=RV(6.0, 4096, 50_000, 50),
-        available_headroom=RV(free_cpu, 2048, 20_000, 20),
-        allocated_cpu=allocated,
-    )
+def node_snap(node_id, free_cpu=4.0, up=True):
+    return NodeSnapshot(node_id=node_id, up=up, available_headroom=RV(free_cpu, 2048, 20_000, 20))
 
 
 def kv_cloudlet(live_per_key=3, members_on=None, utilization=0.5, n_keys=1,
@@ -49,11 +38,7 @@ def kv_cloudlet(live_per_key=3, members_on=None, utilization=0.5, n_keys=1,
     members_on lists node indices hosting members."""
     members_on = members_on if members_on is not None else [1, 2, 3]
     names = ["x"] if n_keys == 1 else [f"k{i:02d}" for i in range(n_keys)]
-    members = tuple(
-        MemberSnapshot(f"e{i:04d}", f"n{i}", effective_cpu=1.0, allocation_cpu=1.0,
-                       hosts_keys=tuple(names) if j < live_per_key else ())
-        for j, i in enumerate(members_on)
-    )
+    members = tuple(MemberSnapshot(f"e{i:04d}", f"n{i}", effective_cpu=1.0) for i in members_on)
     replicas = tuple(f"e{i:04d}" for i in members_on[:live_per_key])
     replica_nodes = tuple(f"n{i}" for i in members_on[:live_per_key])
     return CloudletSnapshot(
@@ -76,10 +61,11 @@ def kv_snapshot(live_per_key=3, n_nodes=5, members_on=None, utilization=0.5,
     )
 
 
-def compute_snapshot(utilization, n_members=2, n_nodes=6, arrival_rate=0.001,
-                     min_members=1):
+def compute_snapshot(utilization, n_members=2, n_nodes=6, rho=0.0, min_members=1):
+    """Members of 2 cpu each on n1, n2, ...; tasks of WORK cpu-seconds
+    arrive at the rate that offers the members the load rho."""
     members = tuple(
-        MemberSnapshot(f"e{i:04d}", f"n{i}", effective_cpu=2.0, allocation_cpu=2.0)
+        MemberSnapshot(f"e{i:04d}", f"n{i}", effective_cpu=2.0)
         for i in range(1, n_members + 1)
     )
     cloudlet = CloudletSnapshot(
@@ -89,8 +75,8 @@ def compute_snapshot(utilization, n_members=2, n_nodes=6, arrival_rate=0.001,
         keys=(),
         policy=CloudletPolicy(min_members=min_members),
         utilization=utilization,
-        arrival_rate_per_ms=arrival_rate,
-        mean_work_units=5.0,
+        arrival_rate_per_ms=rho * 2.0 * n_members / WORK / 1000.0,
+        mean_work_units=WORK,
     )
     free = {1: 1.0, 2: 2.0, 3: 3.5, 4: 2.5, 5: 4.0, 6: 3.0}
     nodes = {
@@ -103,13 +89,12 @@ def plans_of(snapshot, cid="c1"):
     return generate_plans(snapshot, snapshot.cloudlets[cid])
 
 
-def select(snapshot, weights=UtilityWeights(), epsilon=EPSILON, cid="c1"):
-    return select_plan(snapshot, snapshot.cloudlets[cid], weights, epsilon)
+def select(snapshot, cid="c1"):
+    return select_plan(snapshot, snapshot.cloudlets[cid])
 
 
-def scaling_actions(plans):
-    """The scaling action of each candidate after the repairs alone."""
-    return [plan[-1] for plan in plans[1:]]
+def membership_actions(plan):
+    return [a for a in plan if not isinstance(a, Rereplicate)]
 
 
 class TestGeneratePlans:
@@ -124,11 +109,10 @@ class TestGeneratePlans:
     def test_every_deficient_key_is_repaired_uncapped(self):
         # twenty deficient keys, all with the same spare member as target
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4], n_keys=20)
-        repairs = plans_of(snap)[0]
+        [repairs] = plans_of(snap)
         assert [a.key for a in repairs] == [f"k{i:02d}" for i in range(20)]
         assert {a.target_element for a in repairs} == {"e0004"}
-        plan, _, _ = select(snap)
-        assert plan == repairs
+        assert select(snap) == repairs
 
     def test_keys_without_live_replica_or_at_target_are_not_repaired(self):
         snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
@@ -139,8 +123,8 @@ class TestGeneratePlans:
         assert [a.key for a in plans_of(snap)[0]] == ["x"]
 
     def test_deficit_without_member_target_yields_add_element(self):
-        # all members hold the key: membership must grow before repair, by
-        # rule, on the node with the most free cpu; all tie, so node id order
+        # all members hold the key: membership must grow before repair, on
+        # the node with the most free cpu; all tie, so node id order
         plans = plans_of(kv_snapshot(live_per_key=2, members_on=[1, 2]))
         assert plans == [(AddElement("c1", "n3", ALLOC),)]
 
@@ -161,16 +145,44 @@ class TestGeneratePlans:
             (Rereplicate("c1", "x", "e0004"),)
         ]
 
-    def test_high_watermark_top3_feasible_nodes(self):
-        plans = plans_of(compute_snapshot(utilization=0.95, n_members=2, n_nodes=6))
-        adds = scaling_actions(plans)
-        assert plans[0] == ()
-        # nodes 3..6 are feasible (1,2 host members); top-3 by free cpu
-        assert [a.node_id for a in adds] == ["n5", "n3", "n6"]
+    @pytest.mark.parametrize("rho, plan", [
+        (0.5, ()),
+        # nodes 3..6 are feasible (1, 2 host members); n5 has the most free cpu
+        (1.2, (AddElement("c1", "n5", ALLOC),)),
+    ])
+    def test_busy_members_add_only_when_rho_exceeds_one(self, rho, plan):
+        assert plans_of(compute_snapshot(utilization=0.9, rho=rho)) == [plan]
+
+    def test_a_cloudlet_below_the_high_watermark_does_not_add(self):
+        assert plans_of(compute_snapshot(utilization=0.8, rho=1.2)) == [()]
+
+    def test_an_add_respects_max_members(self):
+        snap = compute_snapshot(utilization=0.9, rho=1.2)
+        cloudlet = snap.cloudlets["c1"]
+        full = cloudlet._replace(policy=cloudlet.policy._replace(max_members=2))
+        assert plans_of(snap._replace(cloudlets={"c1": full})) == [()]
 
     def test_low_watermark_remove_candidate(self):
+        # with no arrivals the guard passes; e0001 is on the most constrained node
         plans = plans_of(compute_snapshot(utilization=0.1, n_members=2))
-        assert scaling_actions(plans) == [RemoveElement("c1", "e0001")]  # most constrained node
+        assert plans == [(RemoveElement("c1", "e0001"),)]
+
+    @pytest.mark.parametrize("rho, removes", [(0.2, True), (0.4, False)])
+    def test_scale_in_guard_loses_one_more_member(self, rho, removes):
+        # three members offered rho; removing e0001 and losing one more
+        # leaves one member, which is offered 3 * rho
+        plans = plans_of(compute_snapshot(utilization=0.1, n_members=3, rho=rho))
+        assert plans == [(RemoveElement("c1", "e0001"),) if removes else ()]
+
+    def test_the_guard_counts_the_largest_member_left_as_lost(self):
+        # the arrivals ask for 2 cpu; e0001 (2 cpu, on the most constrained
+        # node) would go, and with e0003 (6 cpu) lost as well, e0002's 2 cpu
+        # would be offered rho 1.0
+        snap = compute_snapshot(utilization=0.1, n_members=2, rho=0.5)
+        cloudlet = snap.cloudlets["c1"]
+        big = MemberSnapshot("e0003", "n3", effective_cpu=6.0)
+        cloudlet = cloudlet._replace(members=cloudlet.members + (big,))
+        assert plans_of(snap._replace(cloudlets={"c1": cloudlet})) == [()]
 
     def test_low_watermark_respects_min_members(self):
         plans = plans_of(compute_snapshot(utilization=0.1, n_members=2, min_members=2))
@@ -179,22 +191,24 @@ class TestGeneratePlans:
     def test_reserved_elements_never_removal_victims(self):
         snap = compute_snapshot(utilization=0.1, n_members=2)
         snap = snap._replace(reserved_elements=frozenset({"e0001"}))
-        assert scaling_actions(plans_of(snap)) == [RemoveElement("c1", "e0002")]
+        assert plans_of(snap) == [(RemoveElement("c1", "e0002"),)]
 
-    def test_repair_targets_never_removal_victims(self):
-        # e0004 and e0005 hold no key; e0004 takes this epoch's copy
-        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4, 5], utilization=0.0,
-                           min_members=1)
-        plans = plans_of(snap)
-        assert plans[0] == (Rereplicate("c1", "x", "e0004"),)
-        assert scaling_actions(plans) == [RemoveElement("c1", "e0005")]
+    def test_a_kv_cloudlet_never_scales_in(self):
+        # e0004 and e0005 hold no key, the cloudlet is above min_members and
+        # a kv cloudlet's utilisation reads 0.0
+        healthy = kv_snapshot(live_per_key=3, members_on=[1, 2, 3, 4, 5], utilization=0.0,
+                              min_members=1)
+        assert plans_of(healthy) == [()]
+        deficient = kv_snapshot(live_per_key=2, members_on=[1, 2, 4, 5], utilization=0.0,
+                                min_members=1)
+        assert plans_of(deficient) == [(Rereplicate("c1", "x", "e0004"),)]
 
     def test_monotone_candidates(self):
-        # fixing the replica deficit never adds scaling candidates
+        # fixing the replica deficit never adds a membership change
         deficient = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
         healthy = kv_snapshot(live_per_key=3, members_on=[1, 2, 4])
-        assert set(scaling_actions(plans_of(healthy))) <= set(
-            scaling_actions(plans_of(deficient))
+        assert set(membership_actions(select(healthy))) <= set(
+            membership_actions(select(deficient))
         )
 
 
@@ -213,95 +227,16 @@ class TestDescribe:
         assert describe(()) == [["noop"]]
 
 
-INTRUSION_AND_COST = UtilityWeights(w_perf=0, w_intr=1.0, w_cost=1.0)
-
-
-class TestEvaluatePlan:
-    def test_rule_actions_are_not_scored(self):
-        # the copy onto e0004 is rated as the cloudlet stands: as no plan
-        snap = kv_snapshot(live_per_key=2, members_on=[1, 2, 4])
-        healthy = kv_snapshot(live_per_key=3, members_on=[1, 2, 4])
-        [(plan, u)] = evaluate_plans(snap, snap.cloudlets["c1"], INTRUSION_AND_COST)
-        assert plan == (Rereplicate("c1", "x", "e0004"),)
-        assert evaluate_plans(healthy, healthy.cloudlets["c1"], INTRUSION_AND_COST) == [((), u)]
-        assert u == pytest.approx(-1 / 6)  # five up nodes at 1/6 pressure, no cost
-
-    def test_an_add_hosts_the_keys_no_member_can_take(self):
-        # the add is a rule action: one candidate, without the add's
-        # pressure or cost
-        snap = kv_snapshot(live_per_key=2, members_on=[1, 2])
-        scored = evaluate_plans(snap, snap.cloudlets["c1"], INTRUSION_AND_COST)
-        assert scored == [((AddElement("c1", "n3", ALLOC),), pytest.approx(-1 / 6))]
-
-    def test_a_cloudlet_without_arrivals_rates_performance_one(self):
-        snap = compute_snapshot(utilization=0.5, arrival_rate=0.0)
-        [(_, u)] = evaluate_plans(snap, snap.cloudlets["c1"],
-                                  UtilityWeights(w_perf=1.0, w_intr=0, w_cost=0))
-        assert u == 1.0
-
-    def test_performance_counts_the_added_cpu(self):
-        # 2 members x 2 cpu at 5 units per task serve 0.0008 tasks/ms
-        snap = compute_snapshot(utilization=0.95, arrival_rate=0.0016)
-        w = UtilityWeights(w_perf=1.0, w_intr=0, w_cost=0)
-        scored = evaluate_plans(snap, snap.cloudlets["c1"], w)
-        assert [u for _, u in scored] == pytest.approx([0.5, 0.625, 0.625, 0.625])
-
-    def test_intrusion_moves_only_the_node_an_action_touches(self):
-        # six up nodes at 1/6 pressure; an add on n5 takes it to 2/6
-        snap = compute_snapshot(utilization=0.95)
-        w = UtilityWeights(w_perf=0, w_intr=1.0, w_cost=0)
-        scored = evaluate_plans(snap, snap.cloudlets["c1"], w)
-        assert scored[0][1] == pytest.approx(-1 / 6)
-        assert scored[1][1] == pytest.approx(-(5 / 6 + 2 / 6) / 6)
-        assert node_pressure(snap) == (pytest.approx(1.0), 6)
-        down = snap._replace(nodes={**snap.nodes, "n6": node_snap("n6", up=False)})
-        assert node_pressure(down) == (pytest.approx(5 / 6), 5)
-
-    def test_cost_reduces_utility(self):
-        w = UtilityWeights(w_perf=0, w_intr=0, w_cost=1.0)
-        add = compute_snapshot(utilization=0.95)
-        assert evaluate_plans(add, add.cloudlets["c1"], w)[1][1] == pytest.approx(-1.0)
-        rem = compute_snapshot(utilization=0.1)
-        assert evaluate_plans(rem, rem.cloudlets["c1"], w)[1][1] == pytest.approx(-0.2)
-
-
 class TestSelectPlan:
     def test_replica_deficit_selects_repair(self):
-        plan, utility, noop_u = select(kv_snapshot(live_per_key=2, members_on=[1, 2, 4]))
-        assert plan == (Rereplicate("c1", "x", "e0004"),)
-        assert utility == noop_u
-
-    def test_selection_equals_exhaustive_argmax(self):
-        rng = random.Random(5)
-        weights = UtilityWeights()
-        for trial in range(50):
-            kind = rng.choice(["kv", "compute"])
-            if kind == "kv":
-                live = rng.randint(1, 3)
-                members = sorted(rng.sample(range(1, 6), rng.randint(live, 4)))
-                snap = kv_snapshot(live_per_key=live, members_on=members,
-                                   utilization=rng.random(), min_members=1)
-            else:
-                snap = compute_snapshot(
-                    utilization=rng.random(), n_members=rng.randint(1, 3),
-                    arrival_rate=rng.choice([0.0, 0.001, 0.01]),
-                )
-            scored = evaluate_plans(snap, snap.cloudlets["c1"], weights)
-            best, best_u = scored[0]
-            for plan, u in scored:
-                if u > best_u:
-                    best, best_u = plan, u
-            repairs, noop_u = scored[0]
-            if best_u > noop_u + EPSILON:
-                expected = (best, best_u, noop_u)
-            else:
-                expected = (repairs, noop_u, noop_u)
-            assert select(snap, weights) == expected, (trial, kind)
+        assert select(kv_snapshot(live_per_key=2, members_on=[1, 2, 4])) == (
+            Rereplicate("c1", "x", "e0004"),
+        )
 
     def test_healthy_state_keeps_noop(self):
-        assert select(kv_snapshot(live_per_key=3))[0] == ()
+        assert select(kv_snapshot(live_per_key=3)) == ()
 
-    def test_utility_ignores_other_cloudlets_keys(self):
+    def test_plan_ignores_other_cloudlets_keys(self):
         # c1 plans the same whatever c2's keys hold or lack
         base = kv_snapshot(live_per_key=2, members_on=[1, 2])
         reference = select(base)
@@ -311,19 +246,6 @@ class TestSelectPlan:
                                     cloudlet_id="c2")
                 snap = base._replace(cloudlets={**base.cloudlets, "c2": other})
                 assert select(snap) == reference, (live, n_keys)
-
-    def test_argmax_invariant_under_weight_scaling(self):
-        rng = random.Random(17)
-        base = UtilityWeights()
-        for trial in range(30):
-            live = rng.randint(1, 3)
-            members = sorted(rng.sample(range(1, 6), rng.randint(max(live, 1), 4)))
-            snap = kv_snapshot(live_per_key=live, members_on=members,
-                               utilization=rng.random(), min_members=1)
-            reference = select(snap, base)[0]
-            for c in (0.1, 3, 10):
-                scaled = UtilityWeights(*(w * c for w in base))
-                assert select(snap, scaled)[0] == reference, (trial, c)
 
 
 def adapt_steps(s):
@@ -393,8 +315,7 @@ class TestAdaptStepInSim:
             load = TraceLoad(((0, RV.zero()), (90_000, RV(7.5)))) if i == 4 else None
             s.add_node(f"n{i}", RV(8, 8192, 100_000, 100), churn=churn, user_load=load,
                        reserve_margin=RV.zero(), forecast_availability=0.9)
-        # min_members 4 keeps the spare e0004 from being scaled in
-        s.add_cloudlet("c1", "kv_store", CloudletPolicy(target_replication=3, min_members=4))
+        s.add_cloudlet("c1", "kv_store", CloudletPolicy(target_replication=3, min_members=3))
         for i in range(1, 4):
             s.deploy_element(f"n{i}", "c1", ALLOC)
         s.attach_adaptation()

@@ -1,9 +1,10 @@
 """The outcome grid of bench/outcomes.py: per workload and metric, each
 side's mean and worst run and the runs the head moved, in the direction the
-metric declares; one short benchmark document run by the same tree
-imported twice reads no difference on any metric; and a run records its
-adaptation actions by kind, its downgrades and the repairs execution
-refused."""
+metric declares; per workload, the seeds whose mean failed share rose;
+one short benchmark document run by the same tree imported twice reads no
+difference on any metric; and a run records its adaptation actions by kind,
+its downgrades, the repairs execution refused and the tasks still in
+flight."""
 
 import os
 import sys
@@ -53,6 +54,31 @@ def test_summary_groups_by_workload_and_covers_every_metric():
     assert list(grid) == ["a", "b"] and set(grid["a"]) == set(outcomes.METRICS)
     assert grid["a"]["kv_failed"]["worsened"] == 0
     assert grid["b"]["kv_failed"]["worsened"] == 1
+    backlog = outcomes.summarize_grid([row("a", figures, dict(figures, tasks_in_flight=0))])
+    assert backlog["a"]["tasks_in_flight"] == {
+        "better": "lower", "runs": 1, "base": {"mean": 1, "worst": 1},
+        "head": {"mean": 0, "worst": 0}, "improved": 1, "worsened": 0,
+    }
+
+
+def test_seeds_whose_mean_failed_share_rose():
+    """A seed rises when the mean over its replications does, even if one
+    replication fell; one that moved only within its mean does not."""
+    def run(workload, seed, base, head):
+        return {"workload": workload, "seed": seed,
+                "base": {"failed_share": base}, "head": {"failed_share": head}}
+
+    rows = [
+        run("a", 1, 0.10, 0.08), run("a", 1, 0.10, 0.13),  # mean 0.10 -> 0.105
+        run("a", 2, 0.10, 0.05), run("a", 2, 0.10, 0.15),  # mean equal
+        run("a", 3, 0.20, 0.10),
+        run("b", 1, 0.00, 0.01),
+    ]
+    assert outcomes.failed_share_rose(rows) == {
+        "a": [{"seed": 1, "base": pytest.approx(0.10), "head": pytest.approx(0.105)}],
+        "b": [{"seed": 1, "base": 0.0, "head": 0.01}],
+    }
+    assert outcomes.failed_share_rose(rows[2:5]) == {"a": []}
 
 
 def test_a_tree_against_itself_reads_no_difference(tmp_path):
@@ -79,14 +105,17 @@ MIXED = os.path.join(ROOT, "tests", "golden", "mixed.json")
 
 
 def test_a_run_records_its_adaptation_actions_and_dropped_repairs():
-    """The mixed golden executes 18 repairs, a rule add and a removal on its
-    kv cloudlet and a scored add on its compute one."""
+    """The mixed golden executes 18 repairs and a rule add on its kv
+    cloudlet and an add on its compute one."""
     out = outcomes.run_document("adhoc_sim", MIXED)
     assert {k: out[k] for k in ("actions.add", "actions.remove", "actions.rereplicate",
                                 "action_downgrades", "repairs_run", "repairs_dropped")} == {
-        "actions.add": 2, "actions.remove": 1, "actions.rereplicate": 18,
+        "actions.add": 2, "actions.remove": 0, "actions.rereplicate": 18,
         "action_downgrades": 0, "repairs_run": 18, "repairs_dropped": 0,
     }
+    assert out["tasks_submitted"] == (
+        out["tasks_completed"] + out["tasks_lost"] + out["tasks_in_flight"]
+    )
 
 
 def test_a_refused_repair_counts_as_dropped(monkeypatch):

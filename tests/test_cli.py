@@ -158,12 +158,20 @@ def _node_id_not_string(doc):
     doc["fleet"][0]["node_id"] = [1]
 
 
-def _weight_not_finite(doc):
-    doc["weights"] = {"w_perf": float("nan")}
+def _float_not_finite(doc):
+    doc["defaults"] = {"scale_high_watermark": float("nan")}
 
 
-def _removed_weight_given(doc):
-    doc["weights"] = {"w_avail": 100.0}
+def _weights_given(doc):
+    doc["weights"] = {"w_perf": 10.0}
+
+
+def _removed_weight_default_given(doc):
+    doc["defaults"] = {"w_cost": 0.1}
+
+
+def _epsilon_given(doc):
+    doc["adaptation"] = {"epsilon": 1e-6}
 
 
 def _unknown_node_key(doc):
@@ -212,8 +220,11 @@ def _exhaustive_threshold_given(doc):
         (_sample_interval_zero, "invalid: defaults.sample_interval_ms: must be > 0"),
         (_enabled_not_boolean, "invalid: adaptation.enabled: must be true or false"),
         (_node_id_not_string, "invalid: fleet[0].node_id: must be a non-empty string"),
-        (_weight_not_finite, "invalid: weights.w_perf: must be a finite number"),
-        (_removed_weight_given, "invalid: weights: unknown keys ['w_avail']"),
+        (_float_not_finite,
+         "invalid: defaults.scale_high_watermark: must be a finite number"),
+        (_weights_given, "invalid: unknown sections ['weights']"),
+        (_removed_weight_default_given, "invalid: defaults: unknown keys ['w_cost']"),
+        (_epsilon_given, "invalid: adaptation: unknown keys ['epsilon']"),
         (_unknown_node_key, "invalid: fleet[0]: unknown keys ['colour']"),
         (_exhaustive_threshold_given, "invalid: qos: unknown keys ['exhaustive_threshold']"),
     ],

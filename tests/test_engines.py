@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from _harness import check_quorum_safety, execute_schedule
 
-from adhoc_sim.adaptation import AdaptationController, AdaptationPolicy, UtilityWeights
+from adhoc_sim.adaptation import AdaptationController, AdaptationPolicy
 from adhoc_sim.engines import (
     COMPUTE,
     KV_STORE,
@@ -64,7 +64,7 @@ def held(engine, key="x"):
 
 def live_replica_counts(s, cloudlet_id="c1"):
     """key -> live replica count, as the adaptation loop's snapshot sees it."""
-    snapshot = AdaptationController(s, AdaptationPolicy(), UtilityWeights()).build_snapshot()
+    snapshot = AdaptationController(s, AdaptationPolicy()).build_snapshot()
     return {ks.key: len(ks.live_replica_elements) for ks in snapshot.cloudlets[cloudlet_id].keys}
 
 
@@ -174,6 +174,7 @@ class TestComputeCrashRecovery:
         assert (service.completed, service.lost) == (0, 1)
 
     def test_double_crash_loses_task_after_single_retry(self):
+        """The second crash takes the last serving member."""
         s, service, eids = compute_fabric(
             n_nodes=2,
             churn={
@@ -183,8 +184,25 @@ class TestComputeCrashRecovery:
         )
         service.submit_task(Task("t1", 50.0, arrival=s.sim.now), element_id=eids[0])
         s.run_until(30_000)
-        assert was_lost(s, "t1")
+        assert task_outcome(s, "t1")[1]["reason"] == "no live element for retry"
         assert service.lost == 1
+
+    def test_a_task_interrupted_twice_completes_on_a_third_member(self):
+        s, service, eids = compute_fabric(
+            n_nodes=3,
+            churn={
+                "n1": ScriptedChurn(((5000, DOWN),)),
+                "n2": ScriptedChurn(((8000, DOWN),)),
+            },
+        )
+        service.submit_task(Task("t1", 50.0, arrival=s.sim.now), element_id=eids[0])
+        s.run_until(60_000)
+        retries = [e.record["element"] for e in s.sim.log
+                   if e.record.get("event") == "task_retry"]
+        assert retries == eids[1:]
+        # re-executed from scratch after the second crash: 50 cpu-s on 2 cores
+        assert finished(s, "t1") == (eids[2], 8000 + 25_000)
+        assert (service.completed, service.lost) == (1, 0)
 
     def test_conservation_under_churn(self):
         churn = {

@@ -17,8 +17,9 @@ is pinned the same way.
   to admit, so the run loses and skips tasks, rejects a reservation and
   fails stale re-binds; no other golden reaches those paths.
 - scale_in: a compute cloudlet on three idle nodes with min_members 1 and a
-  light task stream, so the adaptation loop scores and executes RemoveElement
-  plans (at 30 s and 60 s); the other goldens never select scale in.
+  light task stream, so the adaptation loop executes a RemoveElement plan
+  (at 30 s; the two members left cannot lose another and still hold the
+  load under the high watermark); the other goldens never scale in.
 """
 
 import hashlib
@@ -38,11 +39,11 @@ from adhoc_sim.scenario import load_scenario, parse_scenario
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 DIGESTS = {
-    "kv_churn_crash": "8943731ef09bf8c168872bee41602eaa1556a8be19ee75c5c419db557cc6c208",
-    "loss_and_rejection": "de34822ad74224cc17be2a6aad39634d5f72032dd23b543687b85ad6dced621c",
-    "mixed": "176071fbf0aa8ad87ccad355ea4e4c38db77753ba6200ac4493616b3008c3ba8",
-    "mixed_window": "87fd13dedada2810e1939467a4c98f15d5c7e1c0709341e3b7bf2cd7b2cce97a",
-    "scale_in": "33340677118a61eae1300c57b907b45d23ba49c6a48af3e5654b7f18b18ef5c2",
+    "kv_churn_crash": "cfe292046e74833f5cd5407c4a9de6520fd7a7ca0d9c4aab65569e7ee1cd2c88",
+    "loss_and_rejection": "08edd9166f4c9be886d06748e6a78422f18995615eb06719314c5a1fc5a0ec47",
+    "mixed": "08e2fbffef9f4b5c3682f88e5583c66a99fc115c8af1b7945ee7363d169ec9aa",
+    "mixed_window": "a89249d93858b8bfb9ac37c916d97c9025e4f90aaf2340a7f52c59ecdfb315f5",
+    "scale_in": "63e08c34c38a3f8a290544a997f4cba607e3badf2965dad04379d6daaa7ff5d7",
 }
 
 
@@ -50,9 +51,9 @@ DIGESTS = {
 SERIES_DIGESTS = {
     "kv_churn_crash": "fe3443590611279e87f46d308f9e4137ef65d510d8d1f23ce728f2481b0030a9",
     "loss_and_rejection": "ee1b0bdbba423e971c6d777916faf753f0f20ca0437841c7c371243e9f314372",
-    "mixed": "ceec2d898b9816bf0f572f7846eaebae53d2e2ce53a1ab6f7f4e4687bffc6ee3",
-    "mixed_window": "624c0aab5e36d816e2f2d4b051842de3acadc5d1188cbac10da10fdfbc9461e3",
-    "scale_in": "aecbdf94894cdfb713fe5d56e948dc7358c9bd0377834bd445e87b56d3470580",
+    "mixed": "c0551b02639342a311ac842bc74f69f5d7e730323c0ef07bdf5853a5d9f01ec9",
+    "mixed_window": "7c5df972b4c08a2df4093841ca2b9eec8b7b7bc85ba25909529b7dcce1e07f59",
+    "scale_in": "831bb5b7fe43e28a592af1e2e9a052b420a3def9992742cf3dddd5c3fc24524f",
 }
 
 

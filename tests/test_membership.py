@@ -3,7 +3,7 @@ import random
 import pytest
 
 from adhoc_sim import membership
-from adhoc_sim.adaptation import AdaptationController, AdaptationPolicy, UtilityWeights
+from adhoc_sim.adaptation import AdaptationController, AdaptationPolicy
 from adhoc_sim.engines import KV_STORE
 from adhoc_sim.errors import (
     EngineMismatch,
@@ -55,7 +55,7 @@ def record_metadata_acks(monkeypatch):
 
 def live_replica_counts(s, cloudlet_id="c1"):
     """key -> live replica count, as the adaptation loop's snapshot sees it."""
-    snapshot = AdaptationController(s, AdaptationPolicy(), UtilityWeights()).build_snapshot()
+    snapshot = AdaptationController(s, AdaptationPolicy()).build_snapshot()
     return {ks.key: len(ks.live_replica_elements) for ks in snapshot.cloudlets[cloudlet_id].keys}
 
 

@@ -65,10 +65,10 @@ def test_a_run_without_an_events_path_keeps_no_log_entry():
         tracemalloc.stop()
     gc.collect()
     assert log_entries_alive() == before
-    # kept as LogEntry objects, the 3,181 entries of this run peak at about
+    # kept as LogEntry objects, the 3,157 entries of this run peak at about
     # 1.4 MB; folded and dropped, the run peaks at about 0.25 MB
     assert peak < 700_000, f"the run peaked at {peak} bytes"
-    assert len(simulation.sim.log) == 3181
+    assert len(simulation.sim.log) == 3157
 
 
 @pytest.mark.parametrize("record", [

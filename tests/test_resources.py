@@ -127,14 +127,11 @@ class TestRecordsBuild:
         assert RV(memory=2.0) == RV(0.0, 2.0, 0.0, 0.0)
         f = NodeForecast(node_id="n1", availability=0.9, expected_headroom=RV(1.0))
         assert (f.node_id, f.availability, f.expected_headroom) == ("n1", 0.9, RV(1.0))
-        n = NodeSnapshot(
-            node_id="n1", up=True, headroom=RV(2.0),
-            available_headroom=RV(1.0), allocated_cpu=1.0,
-        )
+        n = NodeSnapshot(node_id="n1", up=True, available_headroom=RV(1.0))
         assert n.available_headroom.cpu == 1.0 and n.up
         k = KeySnapshot(key="x", live_replica_elements=("e1",), live_replica_nodes=("n1",))
         assert (k.key, k.live_replica_nodes) == ("x", ("n1",))
         m = MemberSnapshot(element_id="e1", node_id="n1", effective_cpu=0.5)
-        assert (m.allocation_cpu, m.hosts_keys) == (0.0, ())
+        assert (m.node_id, m.effective_cpu) == ("n1", 0.5)
         v = VersionedValue(key="x", value="v", version=2)
         assert (v.value, v.version, v.size) == ("v", 2, 0)

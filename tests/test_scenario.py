@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhoc_sim.adaptation import AdaptationPolicy, UtilityWeights
+from adhoc_sim.adaptation import AdaptationPolicy
 from adhoc_sim.defaults import DEFAULTS
 from adhoc_sim.errors import ScenarioValidationError
 from adhoc_sim.infrastructure import IntrusivenessPolicy
@@ -29,9 +29,9 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # (`defaults.element_allocation` and a kv workload's `value_size` as floats:
 # "memory": 512.0, not 512)
 ECHO_DIGESTS = {
-    "kv_churn_crash": "3bd0b7a7a3fc861cea3169568e09b8197be1eb23df4e9472739082cdbccce208",
-    "mixed": "1718e997991e6996ba0a28a8e1b8863751a1025a028c78ce8d20dcea23f439f1",
-    "mixed_window": "208c81aa872debe5e72519c1cdad6d1ddfe7bbf3b123f742bbae909e4ae3035b",
+    "kv_churn_crash": "98c2bbaa4e1b97f9882471786dda0c0d8957613f996d35fefcb2b078a9622732",
+    "mixed": "60ecc067a6faa1121d848b53cdec1b730d1f8f4e45ce8e02194e97f73ee4efc0",
+    "mixed_window": "a9e2af3cb950003e4e854c1b24805fcd3de10acf8485497cbb98ece335267044",
 }
 
 
@@ -123,5 +123,4 @@ def test_constructor_defaults_match_an_empty_document():
     assert scenario.cloudlets[0].policy == CloudletPolicy()
     assert scenario.cloudlets[0].element_allocation == DEFAULTS["element_allocation"]
     assert scenario.adaptation == AdaptationPolicy()
-    assert scenario.weights == UtilityWeights()
     assert scenario.defaults == dict(DEFAULTS)
