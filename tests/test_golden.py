@@ -140,8 +140,8 @@ def test_mixed_window_reserves_by_its_window():
 
 
 def test_kv_churn_crash_ends_with_every_key_at_target():
-    """Repair is a rule, not a scored plan: keys whose replicas sit on nodes
-    rated 1.0 (scripted churn) are repaired too."""
+    """Repair is a rule that reads no node rating: keys whose replicas sit
+    on nodes rated 1.0 (scripted churn) are repaired too."""
     _summary, _rows, simulation = run_scenario(
         load_scenario(os.path.join(GOLDEN_DIR, "kv_churn_crash.json"))
     )
