@@ -29,10 +29,10 @@ EXIT_RUNTIME = 2
 
 
 def write_outputs(out_dir, summary, series_rows, series_columns, fmt="both") -> None:
-    """Write summary.json and series.csv into the directory out_dir as fmt
-    selects. Each series row is its CSV line without the line end; the
-    header goes through ``csv.writer``, as a column name may need quoting.
-    events.ndjson is not written here: a run streams it while it records."""
+    """Write summary.json and series.csv, both folded from the run's event
+    log, into the directory out_dir as fmt selects. Each series row is its
+    CSV line without the line end; the header goes through ``csv.writer``,
+    as a column name may need quoting. The run streams events.ndjson."""
     if fmt in ("json", "both"):
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
@@ -83,10 +83,10 @@ def _run_one(scenario_path, out_dir, seed=None, until=None, fmt="both",
         os.makedirs(out_dir, exist_ok=True)
         # the run streams its event log here; a breach deletes the file
         events_path = os.path.join(out_dir, "events.ndjson") if events else None
-        summary, series_rows, sim = run_scenario(
+        summary, (series_columns, series_rows), _sim = run_scenario(
             scenario, seed_override=seed, events_path=events_path
         )
-        write_outputs(out_dir, summary, series_rows, sim.series_columns, fmt=fmt)
+        write_outputs(out_dir, summary, series_rows, series_columns, fmt=fmt)
     except SimulationAbort as exc:
         print(f"runtime invariant breach: {exc}", file=sys.stderr)
         if made_out_dir:

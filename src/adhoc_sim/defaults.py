@@ -1,9 +1,9 @@
-"""The one defaults table, keyed like a scenario's `defaults` section.
-
-The scenario schema fills omitted fields from it and echoes it into the run
-summary; the policies, services and the simulation take their constructor
-defaults from it, so a component built without a scenario behaves like one
-built from an empty document.
+"""The one defaults table. Each entry fills exactly one scenario field: the
+`defaults` section's setting of the same key, or the `qos` or `adaptation`
+field that a document gives once. The schema fills omitted fields from it
+and echoes them into the run summary; the policies, services and the
+simulation take their constructor defaults from it, so a component built
+without a scenario behaves like one built from an empty document.
 """
 
 from types import MappingProxyType

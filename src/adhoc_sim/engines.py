@@ -9,8 +9,8 @@ Each put builds one immutable VersionedValue; the replicas store it, reads
 reply with it, read repair and re-replication push it, and a get returns
 it, all by reference.
 Compute tasks run FIFO per element at allocation.cpu * throttle_factor
-cores; a task interrupted by a crash is re-executed from scratch exactly
-once on another live element.
+cores; a task interrupted by a crash is re-executed from scratch on
+another serving member each time, and lost once no such member is left.
 """
 
 from __future__ import annotations
@@ -146,8 +146,7 @@ class ComputeElementEngine:
         """Throttle factor moved: settle work done at the armed rate, then
         re-arm the finish event at the new rate."""
         if self.current is not None:
-            if self._finish_handle is not None:
-                self.sim.cancel(self._finish_handle)
+            self.sim.cancel(self._finish_handle)
             elapsed = self.sim.now - self._since
             self._remaining = max(
                 0.0, self._remaining - elapsed * self._armed_rate / 1000.0
@@ -170,9 +169,8 @@ class ComputeElementEngine:
         out = []
         if self.current is not None:
             out.append(self.current)
-            if self._finish_handle is not None:
-                self.sim.cancel(self._finish_handle)
-                self._finish_handle = None
+            self.sim.cancel(self._finish_handle)
+            self._finish_handle = None
             self.current = None
             self.busy_history.append(self.sim.now, False)
         out.extend(self.queue)

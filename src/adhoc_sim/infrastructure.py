@@ -179,9 +179,7 @@ class NodeInfrastructure:
         self.reassess()
 
     def _cancel_pending(self, element_id: str) -> None:
-        handle = self._pending.pop(element_id, None)
-        if handle is not None:
-            self.sim.cancel(handle)
+        self.sim.cancel(self._pending.pop(element_id, None))
 
     # -- crash / recovery ---------------------------------------------------
 
@@ -198,9 +196,8 @@ class NodeInfrastructure:
                 self._transition(el, DEAD, "crash")
         if self.violating:
             self._set_violating(False)
-        if self._grace_handle is not None:
-            self.sim.cancel(self._grace_handle)
-            self._grace_handle = None
+        self.sim.cancel(self._grace_handle)
+        self._grace_handle = None
 
     def _on_node_up(self) -> None:
         # persistent software restarts on boot; deliberately destroyed
@@ -250,9 +247,8 @@ class NodeInfrastructure:
                 )
         elif not violating and self.violating:
             self._set_violating(False)
-            if self._grace_handle is not None:
-                self.sim.cancel(self._grace_handle)
-                self._grace_handle = None
+            self.sim.cancel(self._grace_handle)
+            self._grace_handle = None
         if not violating:
             self._unthrottle_to_fit()
 

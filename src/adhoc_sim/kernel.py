@@ -166,10 +166,6 @@ class Dist(NamedTuple):
             return uniform_ms
         raise ValueError(f"unknown distribution kind {kind!r}")
 
-    def sample(self, stream: RngStream) -> float:
-        """One value drawn from ``stream``."""
-        return self.sampler(stream)()
-
     def mean_value(self) -> float:
         """Analytic mean, used by capacity forecasting."""
         if self.kind == "constant":
@@ -435,7 +431,8 @@ class Simulator:
     its target id attributes aborts to a component. ``schedule`` returns the
     queue entry ``[fire_at, seq, payload, target]`` itself as the handle:
     ``cancel`` clears its payload slot, which frees what the payload held at
-    once, and the run loop skips an entry whose payload is ``None``.
+    once, and the run loop skips an entry whose payload is ``None``;
+    ``cancel(None)`` does nothing.
     """
 
     def __init__(self, seed: int = 0, log: Optional[EventLog] = None):
@@ -467,8 +464,9 @@ class Simulator:
         _heappush(self._heap, entry)
         return entry
 
-    def cancel(self, handle: list) -> None:
-        handle[2] = None
+    def cancel(self, handle: Optional[list]) -> None:
+        if handle is not None:
+            handle[2] = None
 
     def record(self, component: str, record: dict) -> None:
         self.log.append(self.now, component, record)

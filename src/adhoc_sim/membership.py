@@ -132,14 +132,10 @@ class CloudletRuntime:
         )
 
     def _stop_heartbeats(self, eid: str) -> None:
-        handle = self._hb_handles.pop(eid, None)
-        if handle is not None:
-            self.sim.cancel(handle)
+        self.sim.cancel(self._hb_handles.pop(eid, None))
 
     def _arm_expiry(self, eid: str, sent_at: int) -> None:
-        old = self._expiry_handles.pop(eid, None)
-        if old is not None:
-            self.sim.cancel(old)
+        self.sim.cancel(self._expiry_handles.pop(eid, None))
         timeout = self.policy.timeout_multiplier * self.policy.heartbeat_interval_ms
         fire_at = sent_at + timeout + 1
         self._expiry_handles[eid] = self.sim.schedule(
@@ -171,16 +167,8 @@ class CloudletRuntime:
         return self.view
 
     def leave(self, eid: str) -> None:
-        if eid not in self.view.members:
-            return
-        self.view.members.remove(eid)
-        self._serving = None
-        self.view.last_heartbeat.pop(eid, None)
-        handle = self._expiry_handles.pop(eid, None)
-        if handle is not None:
-            self.sim.cancel(handle)
-        self.view.version += 1
-        self._log_membership("leave", eid)
+        if eid in self.view.members:
+            self._remove(eid, "leave")
 
     def heartbeat(self, eid: str, sent_at: int) -> None:
         if eid not in self.view.members:
@@ -199,15 +187,16 @@ class CloudletRuntime:
             if t - sent > timeout
         }
         for eid in sorted(suspected):
-            self.view.members.remove(eid)
-            self._serving = None
-            del self.view.last_heartbeat[eid]
-            handle = self._expiry_handles.pop(eid, None)
-            if handle is not None:
-                self.sim.cancel(handle)
-            self.view.version += 1
-            self._log_membership("suspect", eid)
+            self._remove(eid, "suspect")
         return suspected
+
+    def _remove(self, eid: str, change: str) -> None:  # a leave or a suspicion
+        self.view.members.remove(eid)
+        self._serving = None
+        del self.view.last_heartbeat[eid]
+        self.sim.cancel(self._expiry_handles.pop(eid, None))
+        self.view.version += 1
+        self._log_membership(change, eid)
 
     def _log_membership(self, change: str, eid: str) -> None:
         self.sim.record(
@@ -348,25 +337,14 @@ class CloudletRuntime:
     def _place_replicas(self) -> list[str]:
         """Choose up to k serving members on distinct nodes: highest headroom
         first, node_id ascending on ties."""
-        k = self.policy.target_replication
         candidates = sorted(
             self.serving_members(),
             key=lambda el: (-self.node_cpu_headroom(el.node_id), el.node_id),
         )
-        chosen: list[str] = []
-        used_nodes: set[str] = set()
+        first_per_node: dict[str, str] = {}  # node -> its first candidate
         for el in candidates:
-            if len(chosen) >= k:
-                break
-            if el.node_id in used_nodes:
-                continue
-            chosen.append(el.element_id)
-            used_nodes.add(el.node_id)
-        if len(chosen) < k:
-            # fewer distinct nodes than k: allow same-node members
-            for el in candidates:
-                if len(chosen) >= k:
-                    break
-                if el.element_id not in chosen:
-                    chosen.append(el.element_id)
-        return chosen
+            first_per_node.setdefault(el.node_id, el.element_id)
+        distinct = list(first_per_node.values())
+        # fewer distinct nodes than k: same-node members fill the rest
+        rest = [el.element_id for el in candidates if el.element_id not in distinct]
+        return (distinct + rest)[: self.policy.target_replication]

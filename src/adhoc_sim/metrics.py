@@ -1,14 +1,15 @@
-"""Goal-level figures and reservation decisions folded from the event log,
-one record at a time.
+"""Goal-level figures, the sampled series and reservation decisions folded
+from the event log, one record at a time.
 
 A ``MetricsFold`` takes each record in log order through a table keyed by
 event name. It keeps each node's liveness and violation, each cloudlet's
 "some element serves" and each element's serving as a flag
-``kernel.StepHistory``, plus task counts and latencies, the agreements'
-windows and elements, and each reservation request's admission or
-rejection. A run feeds it every record as the log records it, so the
-summary needs no second pass over the log; ``aggregate_metrics`` feeds it a
-log that already exists. Every summary figure is therefore exactly
+``kernel.StepHistory``, each cloudlet's count of serving view members as a
+count history, plus task counts and latencies, the agreements' windows and
+elements, and each reservation request's admission or rejection. A run
+feeds it every record as the log records it, so neither the summary nor
+series.csv needs a second pass over the log; ``aggregate_metrics`` feeds it
+a log that already exists. Every output figure is therefore exactly
 recomputable from the log alone, and all time fractions are exact integer
 ratios of flag-history integrals over the goal window.
 """
@@ -16,7 +17,7 @@ ratios of flag-history integrals over the goal window.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import IncompleteLog
@@ -43,15 +44,26 @@ def _cloudlet_of(component: str) -> str:
     return component.split(":", 1)[1]
 
 
-def _set_flag(histories: dict, key: str, t: int, flag: bool) -> None:
-    """Step the flag history of ``key`` to ``flag`` at t; the key's first
-    record starts its history, and a record that repeats the flag adds no
-    breakpoint."""
+def _set_flag(histories: dict, key: str, t: int, flag, area=flag_area) -> None:
+    """Step the history of ``key`` to ``flag`` (or a count, with area mul)
+    at t; the key's first record starts its history, and a record that
+    repeats the value adds no breakpoint."""
     history = histories.get(key)
     if history is None:
-        histories[key] = StepHistory(t, flag, flag_area)
+        histories[key] = StepHistory(t, flag, area)
     elif history.value_at(t) != flag:
         history.append(t, flag)
+
+
+def _sampled(history: StepHistory, interval: int, samples: int) -> list:
+    """The history's value, as text, at each of the first ``samples``
+    multiples of interval: one list fill per breakpoint, not one lookup per
+    sample. A later breakpoint overwrites the samples from its time on."""
+    out = []
+    for t, value in history:
+        start = min(samples, -(-t // interval)) if out else 0
+        out[start:] = [str(int(value))] * (samples - start)
+    return out
 
 
 def _any_holds(histories: list, start: int, end: int) -> int:
@@ -72,12 +84,12 @@ def _any_holds(histories: list, start: int, end: int) -> int:
 
 
 class MetricsFold:
-    """The summary metrics of one log over ``goal.window`` and its
-    reservation decisions, folded as each record arrives through ``add(t,
-    component, record)``. Time in a state is kept only as flag histories,
-    which hold their last value past the last record, so ``metrics()`` reads
-    each as an integral over the window without closing anything; it raises
-    IncompleteLog while no ``run_end`` record covers the window.
+    """The summary metrics of one log over ``goal.window``, its series and
+    its reservation decisions, folded as each record arrives through
+    ``add(t, component, record)``. Time in a state is kept only as step
+    histories, which hold their last value past the last record, so
+    ``metrics()`` and ``series()`` read them without closing anything; both
+    raise IncompleteLog while no ``run_end`` record covers the window.
     ``reservations()`` gives each request's decision as logged by the
     broker."""
 
@@ -89,6 +101,8 @@ class MetricsFold:
         self.cloudlet_live: dict[str, StepHistory] = {}  # some element serving
         self.element_serving: dict[str, StepHistory] = {}
         self.serving: dict[str, set] = {}  # cloudlet -> serving element ids
+        self.members: dict[str, set] = {}  # cloudlet -> view member ids
+        self.serving_members: dict[str, StepHistory] = {}  # cloudlet -> count
         self.latencies: dict[str, list] = {}
         self.tasks: dict[str, dict] = {}
         self.agreements: dict[str, tuple] = {}  # id -> (window, element ids)
@@ -99,9 +113,10 @@ class MetricsFold:
             "run_end": self._run_end,
             "cloudlet_defined": self._cloudlet_defined,
             "element_state": self._element_state,
+            "membership": self._membership,
             "violation_start": self._violation_start,
             "violation_end": self._violation_end,
-            "node_defined": self._node_up,  # nodes start up
+            "node_defined": self._node_defined,
             "node_up": self._node_up,
             "node_down": self._node_down,
             "task_completed": self._task_completed,
@@ -127,6 +142,7 @@ class MetricsFold:
     def _cloudlet_defined(self, t, component, rec):
         cid = rec["cloudlet"]
         _set_flag(self.cloudlet_live, cid, t, bool(self.serving.get(cid)))
+        self._count_serving_members(t, cid)
 
     def _element_state(self, t, component, rec):
         eid, cid, serving = rec["element"], rec["cloudlet"], rec["serving"]
@@ -134,12 +150,27 @@ class MetricsFold:
         (group.add if serving else group.discard)(eid)
         _set_flag(self.element_serving, eid, t, serving)
         _set_flag(self.cloudlet_live, cid, t, bool(group))
+        self._count_serving_members(t, cid)
+
+    def _membership(self, t, component, rec):  # a join, a leave or a suspicion
+        members = self.members.setdefault(rec["cloudlet"], set())
+        (members.add if rec["change"] == "join" else members.discard)(rec["element"])
+        self._count_serving_members(t, rec["cloudlet"])
+
+    def _count_serving_members(self, t: int, cid: str) -> None:
+        """The view members that serve, as ``CloudletRuntime.serving_members()``."""
+        count = len(self.members.get(cid, set()) & self.serving.get(cid, set()))
+        _set_flag(self.serving_members, cid, t, count, mul)
 
     def _violation_start(self, t, component, rec):
         _set_flag(self.violating, rec["node"], t, True)
 
     def _violation_end(self, t, component, rec):
         _set_flag(self.violating, rec["node"], t, False)
+
+    def _node_defined(self, t, component, rec):  # up; not violating unless a record said so
+        self._node_up(t, component, rec)
+        self.violating.setdefault(rec["node"], StepHistory(t, False, flag_area))
 
     def _node_up(self, t, component, rec):
         _set_flag(self.node_up, rec["node"], t, True)
@@ -196,12 +227,29 @@ class MetricsFold:
         """request id -> its admission or rejection, request id ascending."""
         return dict(sorted(self.decisions.items()))
 
+    def _check_covered(self) -> None:
+        if self.run_end is None or self.end > self.run_end:
+            raise IncompleteLog(f"window [{self.start},{self.end}) not covered by the log "
+                                f"(run_end={self.run_end})")
+
+    def series(self, interval: int) -> tuple[list, list]:
+        """series.csv's header and rows, each row its CSV line without the
+        line end. A row at each multiple of ``interval`` from 0 to the
+        window's end inclusive reads, as of the last record at or before its
+        time, each cloudlet's count of serving view members, then each
+        node's up flag and violation flag, all in definition order."""
+        self._check_covered()
+        named = [(f"{cid}_serving", h) for cid, h in self.serving_members.items()]
+        named += [(f"{node}_up", h) for node, h in self.node_up.items()]
+        named += [(f"{node}_violation", self.violating[node]) for node in self.node_up]
+        samples = self.end // interval + 1
+        values = [[str(k * interval) for k in range(samples)]]
+        values += [_sampled(history, interval, samples) for _name, history in named]
+        return ["time_ms"] + [name for name, _h in named], [",".join(r) for r in zip(*values)]
+
     def metrics(self) -> dict:
-        start, end, run_end = self.start, self.end, self.run_end
-        if run_end is None or end > run_end:
-            raise IncompleteLog(
-                f"window [{start},{end}) not covered by the log (run_end={run_end})"
-            )
+        self._check_covered()
+        start, end = self.start, self.end
         window_ms = end - start
 
         def fraction_in(histories: dict, key: str) -> dict:

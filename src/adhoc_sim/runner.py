@@ -3,7 +3,8 @@ coordinators, engines, QoS, adaptation, and workload generators.
 
 Every instance has its QoS layer (forecaster, broker and dispatcher); the
 adaptation controller is attached on demand. Instances share nothing; a
-batch may run many of them independently.
+batch may run many of them independently. The kernel runs model events
+only; every output is folded from the event log (``metrics.MetricsFold``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .membership import CloudletPolicy, CloudletRuntime
 from .metrics import GoalSpec, MetricsFold
 from .network import Network
 from .nodes import Node
-from .qos import Broker, Dispatcher, Forecaster
+from .qos import Agreement, Broker, Dispatcher, Forecaster
 from .resources import ResourceVector
 
 
@@ -78,6 +79,8 @@ class Simulation:
         self.dispatcher = Dispatcher(self.sim, self.cloudlets, self.broker)
         self.controller = None
         self.element_allocations: dict[str, ResourceVector] = {}
+        self.reservation_results: dict[str, Optional[Agreement]] = {}  # by request id
+        self.workload_generators: list = []  # one per scenario workload
         self._started = False
 
     # -- construction ---------------------------------------------------------
@@ -342,51 +345,26 @@ def build_simulation(scenario, seed: Optional[int] = None,
         )
         for node_id in spec.nodes:
             s.deploy_element(node_id, spec.cloudlet_id, spec.element_allocation)
-    s.reservation_results = {}
     for res in scenario.reservations:
         def submit(request=res.request):
             s.reservation_results[request.request_id] = s.broker.negotiate(request)
 
         s.sim.schedule(submit, "broker", res.submit_ms)
-    s.workload_generators = []
     for spec in scenario.workloads:
         cls = TaskWorkload if spec.kind == "tasks" else KvWorkload
         s.workload_generators.append(cls(s, spec, scenario.run_until))
-    # per-tick series sampling: each row is kept as its CSV line, which is
-    # several times smaller than a list of ints
-    s.series_rows = []
-    s.series_columns = (
-        ["time_ms"]
-        + [f"{c.cloudlet_id}_serving" for c in scenario.cloudlets]
-        + [f"{n.node_id}_up" for n in scenario.fleet]
-        + [f"{n.node_id}_violation" for n in scenario.fleet]
-    )
-    interval = d["sample_interval_ms"]
-
-    def sample():
-        row = [s.sim.now]
-        for c in scenario.cloudlets:
-            row.append(len(s.cloudlets[c.cloudlet_id].serving_members()))
-        for n in scenario.fleet:
-            row.append(1 if s.nodes[n.node_id].is_up() else 0)
-        for n in scenario.fleet:
-            row.append(1 if s.infras[n.node_id].violating else 0)
-        s.series_rows.append(",".join(map(str, row)))
-        if s.sim.now + interval <= scenario.run_until:
-            s.sim.schedule(sample, "sampler", interval)
-
-    s.sim.schedule(sample, "sampler", 0)
     return s
 
 
 def run_scenario(scenario, seed_override: Optional[int] = None,
                  events_path: Optional[str] = None):
-    """Execute a validated scenario to run_until; returns (summary, series
-    rows, simulation), each series row its CSV line without the line end.
-    Raises SimulationAbort on an invariant breach.
+    """Execute a validated scenario to run_until; returns (summary, (series
+    columns, series rows), simulation), each series row its CSV line
+    without the line end. Raises SimulationAbort on an invariant breach.
 
-    The summary's metrics and reservation decisions are folded from each
-    record as it is logged, so the event log alone recomputes them. With
+    The summary's metrics and reservation decisions and the series sampled
+    every ``sample_interval_ms`` are folded from each record as it is
+    logged, so the event log alone recomputes them. With
     ``events_path`` the event log is streamed to that file as it is
     recorded and closed when the run ends, and the simulation's log reads
     the file back; a run that raises deletes the file. Without it the fold
@@ -414,4 +392,4 @@ def run_scenario(scenario, seed_override: Optional[int] = None,
         "reservations": fold.reservations(),
         "metrics": fold.metrics(),
     }
-    return summary, s.series_rows, s
+    return summary, fold.series(scenario.defaults["sample_interval_ms"]), s

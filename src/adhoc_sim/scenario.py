@@ -69,7 +69,7 @@ class ReservationSpec(NamedTuple):
 class Scenario(NamedTuple):
     run_until: int
     seed: int
-    defaults: dict  # every DEFAULTS key, typed
+    defaults: dict  # every `defaults` section key, typed
     fleet: tuple
     cloudlets: tuple
     workloads: tuple
@@ -444,13 +444,13 @@ WORKLOAD_KINDS = {  # kind -> (its fields, the cloudlet engine it needs)
 }
 
 QOS = (
-    field("mode", ID, Fallback("qos_mode"), _one_of(ORACLE, ESTIMATOR), "qos_mode"),
-    _d("trailing_window_ms", INT, POSITIVE),
+    field("mode", ID, DEFAULTS["qos_mode"], _one_of(ORACLE, ESTIMATOR), "qos_mode"),
+    field("trailing_window_ms", INT, DEFAULTS["trailing_window_ms"], POSITIVE),
 )
 
 ADAPTATION = (
-    _d("enabled", BOOL, name="adaptation_enabled"),
-    _d("epoch_ms", INT, POSITIVE),
+    field("enabled", BOOL, DEFAULTS["adaptation_enabled"]),
+    field("epoch_ms", INT, DEFAULTS["epoch_ms"], POSITIVE),
 )
 
 
@@ -491,7 +491,7 @@ DEFAULTS_FIELDS = (
     _setting("sample_interval_ms", INT, POSITIVE),
 ) + tuple(
     _setting(str(f.default), Kind(f.read, f.write), f.bound)
-    for table in (INTRUSIVENESS, POLICY, CLOUDLET, WORKLOAD, QOS, ADAPTATION)
+    for table in (INTRUSIVENESS, POLICY, CLOUDLET, WORKLOAD)
     for f in table
     if type(f.default) is Fallback
 )

@@ -174,6 +174,14 @@ def _epsilon_given(doc):
     doc["adaptation"] = {"epsilon": 1e-6}
 
 
+def _qos_settings_in_defaults(doc):
+    doc["defaults"] = {"qos_mode": "estimator", "trailing_window_ms": 60_000}
+
+
+def _adaptation_settings_in_defaults(doc):
+    doc["defaults"] = {"adaptation_enabled": False, "epoch_ms": 10_000}
+
+
 def _unknown_node_key(doc):
     doc["fleet"][0]["colour"] = "red"
 
@@ -225,6 +233,10 @@ def _exhaustive_threshold_given(doc):
         (_weights_given, "invalid: unknown sections ['weights']"),
         (_removed_weight_default_given, "invalid: defaults: unknown keys ['w_cost']"),
         (_epsilon_given, "invalid: adaptation: unknown keys ['epsilon']"),
+        (_qos_settings_in_defaults,
+         "invalid: defaults: unknown keys ['qos_mode', 'trailing_window_ms']"),
+        (_adaptation_settings_in_defaults,
+         "invalid: defaults: unknown keys ['adaptation_enabled', 'epoch_ms']"),
         (_unknown_node_key, "invalid: fleet[0]: unknown keys ['colour']"),
         (_exhaustive_threshold_given, "invalid: qos: unknown keys ['exhaustive_threshold']"),
     ],

@@ -338,12 +338,13 @@ class TestPinnedDraws:
         draw = dist.sampler(s, ms=True)
         assert [draw() for _ in range(6)] == expected
         assert s.counter == draws_used
-        # without ms the same draws, unrounded; sample() is one of them
+        # without ms the same draws, unrounded; a new sampler per draw
+        # continues the same stream
         s, again = RngStream(7, "net"), RngStream(7, "net")
         draw = dist.sampler(s)
         values = [draw() for _ in range(6)]
         assert [max(0, round(x)) for x in values] == expected
-        assert [dist.sample(again) for _ in range(6)] == values
+        assert [dist.sampler(again)() for _ in range(6)] == values
         assert s.counter == again.counter == draws_used
 
 
@@ -351,7 +352,7 @@ class TestStreams:
     def test_constant_is_degenerate(self):
         sim = make_sim()
         st = sim.stream("s")
-        assert Dist.constant(5).sample(st) == 5.0
+        assert Dist.constant(5).sampler(st)() == 5.0
         assert st.counter == 0
 
     def test_same_seed_and_id_yield_identical_sequences(self):
@@ -378,20 +379,21 @@ class TestStreams:
         st = RngStream(12345, "lln")
         mean = 400.0
         n = 100_000
-        total = sum(Dist.exponential(mean).sample(st) for _ in range(n))
+        draw = Dist.exponential(mean).sampler(st)
+        total = sum(draw() for _ in range(n))
         assert abs(total / n - mean) / mean < 0.02
 
     def test_uniform_bounds_and_mean(self):
         st = RngStream(5, "u")
-        d = Dist.uniform(10.0, 20.0)
-        xs = [d.sample(st) for _ in range(20_000)]
+        draw = Dist.uniform(10.0, 20.0).sampler(st)
+        xs = [draw() for _ in range(20_000)]
         assert all(10.0 <= x < 20.0 for x in xs)
         assert abs(sum(xs) / len(xs) - 15.0) < 0.1
 
     def test_two_point_hits_both_values(self):
         st = RngStream(5, "tp")
-        d = Dist("two_point", p=0.25, lo=1.0, hi=9.0)
-        xs = [d.sample(st) for _ in range(10_000)]
+        draw = Dist("two_point", p=0.25, lo=1.0, hi=9.0).sampler(st)
+        xs = [draw() for _ in range(10_000)]
         frac_hi = sum(1 for x in xs if x == 9.0) / len(xs)
         assert set(xs) == {1.0, 9.0}
         assert abs(frac_hi - 0.25) < 0.02

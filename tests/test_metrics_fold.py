@@ -1,4 +1,5 @@
-"""MetricsFold against a brute-force count, one millisecond at a time.
+"""MetricsFold against a brute-force count, one millisecond at a time, and
+its series sampled on a hand-built log.
 
 Random time-ordered logs of node, violation, element-state and agreement
 records (several at the same time, ``node_up`` with no ``node_defined``,
@@ -9,9 +10,11 @@ by the records at or before it. Windows start after 0 and end before the
 logged run end.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adhoc_sim.errors import IncompleteLog
 from adhoc_sim.metrics import GoalSpec, MetricsFold
 
 NODES = ("n0", "n1", "n2")
@@ -170,3 +173,40 @@ def test_reservations_are_the_last_logged_decision_per_request():
                "predicted_availability": None},
     }
     assert list(fold.reservations()) == ["r1", "r2"]
+
+
+def _membership(change, eid):
+    return {"event": "membership", "cloudlet": CLOUDLET_OF[eid], "change": change,
+            "element": eid, "version": 0}
+
+
+def test_series_samples_the_state_left_by_the_records_at_or_before_each_instant():
+    log = [
+        (0, {"event": "node_defined", "node": "n1"}),
+        (0, {"event": "node_defined", "node": "n0"}),
+        (0, {"event": "cloudlet_defined", "cloudlet": "c1"}),
+        (0, {"event": "cloudlet_defined", "cloudlet": "c0"}),
+        (0, _serving("e0", True)),  # serving, but not yet a view member
+        (5, _membership("join", "e2")),  # a member that never serves
+        (10, _membership("join", "e0")),  # at a sample instant: counts there
+        (10, _membership("join", "e1")),  # not serving: adds nothing
+        (15, {"event": "violation_start", "node": "n0"}),
+        (20, _serving("e1", True)),
+        (20, {"event": "node_down", "node": "n1"}),
+        (25, _membership("suspect", "e0")),
+        (30, {"event": "violation_end", "node": "n0"}),
+        (30, {"event": "run_end"}),
+    ]
+    fold = MetricsFold(GoalSpec(window=(0, 30)))
+    for t, record in log:
+        if record["event"] == "run_end":
+            with pytest.raises(IncompleteLog):
+                fold.series(10)
+        fold.add(t, "test", record)
+    columns, rows = fold.series(10)
+    # definition order, not id order
+    assert columns == ["time_ms", "c1_serving", "c0_serving", "n1_up", "n0_up",
+                       "n1_violation", "n0_violation"]
+    # the last row lands at the window's end, a multiple of the interval
+    assert rows == ["0,0,0,1,1,0,0", "10,0,1,1,1,0,0", "20,0,2,0,1,0,1", "30,0,1,0,1,0,0"]
+    assert [row.split(",")[0] for row in fold.series(7)[1]] == ["0", "7", "14", "21", "28"]

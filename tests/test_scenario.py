@@ -27,11 +27,21 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # left the schema (the earlier echo with those two keys dropped), and again
 # when an omitted field began to echo its default as the field reads it
 # (`defaults.element_allocation` and a kv workload's `value_size` as floats:
-# "memory": 512.0, not 512)
+# "memory": 512.0, not 512), and again when the four settings of SINGLETONS
+# left the `defaults` section (the earlier echo with those four keys dropped)
 ECHO_DIGESTS = {
-    "kv_churn_crash": "98c2bbaa4e1b97f9882471786dda0c0d8957613f996d35fefcb2b078a9622732",
-    "mixed": "60ecc067a6faa1121d848b53cdec1b730d1f8f4e45ce8e02194e97f73ee4efc0",
-    "mixed_window": "a9e2af3cb950003e4e854c1b24805fcd3de10acf8485497cbb98ece335267044",
+    "kv_churn_crash": "190af4de05914feca689e462d1c90d9aa6e710f3941ec3b8c5b9604c4c896351",
+    "mixed": "24d0768942d454d0c9e260fe2ab0c74c865214abfed8f7e779ce145c14fc5e57",
+    "mixed_window": "aedd62375f104bde7fc6546f48bf4334d2273fb242a68562e2ed4268b246d77b",
+}
+
+# DEFAULTS entry -> (section, key) of the one field it fills; the `defaults`
+# section does not hold these, as a document gives each of them once
+SINGLETONS = {
+    "qos_mode": ("qos", "mode"),
+    "trailing_window_ms": ("qos", "trailing_window_ms"),
+    "adaptation_enabled": ("adaptation", "enabled"),
+    "epoch_ms": ("adaptation", "epoch_ms"),
 }
 
 
@@ -105,7 +115,9 @@ def test_round_trip_and_pinned_echo(name):
 
 
 def test_defaults_table_covers_every_default_once():
-    keys = [f.key for f in DEFAULTS_FIELDS]
+    """Every DEFAULTS entry fills exactly one field: a `defaults` section
+    setting, which the fields that fall back to it read, or a singleton."""
+    keys = [f.key for f in DEFAULTS_FIELDS] + list(SINGLETONS)
     assert sorted(keys) == sorted(DEFAULTS)
     assert len(set(keys)) == len(keys)
 
@@ -123,4 +135,8 @@ def test_constructor_defaults_match_an_empty_document():
     assert scenario.cloudlets[0].policy == CloudletPolicy()
     assert scenario.cloudlets[0].element_allocation == DEFAULTS["element_allocation"]
     assert scenario.adaptation == AdaptationPolicy()
-    assert scenario.defaults == dict(DEFAULTS)
+    # each DEFAULTS entry arrives in its one field
+    assert scenario.defaults == {f.key: DEFAULTS[f.key] for f in DEFAULTS_FIELDS}
+    echo = scenario_to_json(scenario)
+    for key, (section, name) in SINGLETONS.items():
+        assert echo[section][name] == DEFAULTS[key]

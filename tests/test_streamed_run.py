@@ -1,9 +1,9 @@
 """A run with its event log streamed to a file: the same log and len as a
 simulation that records into a bare in-memory EventLog, the same summary
-and series as a run that keeps no log at all, a summary whose metrics and
-reservations a fold of the file recomputes, no LogEntry held by either
-kind of run, no file left by a breach, and the element and membership
-caches the run reads never stale."""
+and series as a run that keeps no log at all, a summary's metrics and
+reservations and a series.csv that a fold of the file recomputes, no
+LogEntry held by either kind of run, no file left by a breach, and the
+element and membership caches the run reads never stale."""
 
 import gc
 import json
@@ -67,8 +67,8 @@ def test_streamed_and_in_memory_logs_are_the_same(both_modes):
         iter(folded[2].sim.log)  # the fold was its one reader
 
 
-def test_summary_folded_on_append_equals_aggregate_of_the_file(both_modes):
-    (summary, _rows, simulation), path, _folded, _memory_log = both_modes
+def test_summary_folded_on_append_equals_aggregate_of_the_file(both_modes, tmp_path):
+    (summary, series, simulation), path, _folded, _memory_log = both_modes
     goal = GoalSpec(window=(0, summary["run_until"]))
     # the streamed log's iteration reads the file back
     recomputed = aggregate_metrics(simulation.sim.log, goal)
@@ -80,6 +80,14 @@ def test_summary_folded_on_append_equals_aggregate_of_the_file(both_modes):
             fold.add(entry["t"], entry["component"], entry["record"])
     written = json.loads(json.dumps({k: summary[k] for k in ("metrics", "reservations")}))
     assert {"metrics": fold.metrics(), "reservations": fold.reservations()} == written
+    # series.csv too, byte for byte, from the file alone
+    interval = summary["scenario"]["defaults"]["sample_interval_ms"]
+    for out, (columns, rows) in (("run", series), ("file", fold.series(interval))):
+        (tmp_path / out).mkdir()
+        cli.write_outputs(str(tmp_path / out), summary, rows, columns, fmt="csv")
+    run_csv = (tmp_path / "run" / "series.csv").read_bytes()
+    assert (tmp_path / "file" / "series.csv").read_bytes() == run_csv
+    assert run_csv.count(b"\n") == summary["run_until"] // interval + 2
 
 
 def log_entries_alive():
