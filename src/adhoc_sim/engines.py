@@ -475,10 +475,7 @@ class ComputeService:
 
     def handle_element_failure(self, element: CloudElement) -> None:
         """Crash or eviction: recover the element's queued and running tasks."""
-        engine = element.engine
-        if engine is None:
-            return
-        for task in engine.interrupt_all():
+        for task in element.engine.interrupt_all():
             self._retry_or_lose(task, exclude=element.element_id)
 
     def _retry_or_lose(self, task: Task, exclude: str) -> None:

@@ -3,9 +3,9 @@
 The element manager creates and destroys cloud elements; the node manager
 watches the balance between harvested allocations and the primary user's
 demand. When allocations exceed headroom for longer than the grace period it
-first throttles element cpu (cheap, reversible), then evicts, largest first.
-Only cpu can be reclaimed fractionally; memory/storage/network violations go
-straight to eviction.
+enforces, largest cpu allocation first. Only cpu can be reclaimed
+fractionally, so a memory, storage or network overload evicts until it fits;
+a cpu overload throttles (cheap, reversible), then evicts.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class NodeInfrastructure:
         self.deploy_ms = deploy_ms
         self.shutdown_ms = shutdown_ms
         self.elements: dict[str, CloudElement] = {}
-        # listeners receive (element, old_state, new_state, reason)
+        # listeners receive (element, old_state, new_state)
         self.on_element_transition: list[Callable] = []
         self.violating = False
         self._grace_handle = None
@@ -150,18 +150,9 @@ class NodeInfrastructure:
         self.elements[element_id] = el
         self._committed = None
         self._log_state(el, "deploy")
-        self._pending[element_id] = self.sim.schedule(
-            lambda: self._finish_deploy(element_id), self._component, self.deploy_ms
-        )
+        self._move_after(self.deploy_ms, el, RUNNING, "deploy")
         self.reassess()
         return element_id
-
-    def _finish_deploy(self, element_id: str) -> None:
-        el = self.elements.get(element_id)
-        if el is None or el.state != DEPLOYING:
-            return
-        self._pending.pop(element_id, None)
-        self._transition(el, RUNNING, "deploy")
 
     def destroy_element(self, element_id: str) -> None:
         el = self.elements.get(element_id)
@@ -170,48 +161,40 @@ class NodeInfrastructure:
         self._evict(el)
         self.reassess()
 
-    def _finish_shutdown(self, element_id: str) -> None:
-        el = self.elements.get(element_id)
-        if el is None or el.state != EVICTING:
-            return
-        self._pending.pop(element_id, None)
-        self._transition(el, DEAD, "shutdown")
-        self.reassess()
+    def _move_after(self, delay: int, el: CloudElement, new_state: str, reason: str) -> None:
+        """Move `el` to `new_state` once `delay` has passed, if it is still
+        in the state it is in now; a shutdown is followed by a reassess."""
+        old = el.state
 
-    def _cancel_pending(self, element_id: str) -> None:
-        self.sim.cancel(self._pending.pop(element_id, None))
+        def finish():
+            if el.state != old:
+                return
+            self._pending.pop(el.element_id, None)
+            self._transition(el, new_state, reason)
+            if new_state == DEAD:
+                self.reassess()
+
+        self._pending[el.element_id] = self.sim.schedule(finish, self._component, delay)
 
     # -- crash / recovery ---------------------------------------------------
 
     def _on_liveness_change(self, node: Node) -> None:
         if node.is_up():
-            self._on_node_up()
-        else:
-            self._on_node_down()
-
-    def _on_node_down(self) -> None:
+            # persistent software restarts on boot; deliberately destroyed
+            # elements stay dead
+            for el in list(self.elements.values()):
+                if el.state == DEAD and not el.evict_requested:
+                    el.throttle_factor = 1.0
+                    self._transition(el, DEPLOYING, "restart")
+                    self._move_after(self.deploy_ms, el, RUNNING, "deploy")
+            self.reassess()
+            return
         for el in list(self.elements.values()):
             if el.state != DEAD:
-                self._cancel_pending(el.element_id)
+                self.sim.cancel(self._pending.pop(el.element_id, None))
                 self._transition(el, DEAD, "crash")
         if self.violating:
             self._set_violating(False)
-        self.sim.cancel(self._grace_handle)
-        self._grace_handle = None
-
-    def _on_node_up(self) -> None:
-        # persistent software restarts on boot; deliberately destroyed
-        # elements stay dead
-        for el in list(self.elements.values()):
-            if el.state == DEAD and not el.evict_requested:
-                el.throttle_factor = 1.0
-                self._transition(el, DEPLOYING, "restart")
-                self._pending[el.element_id] = self.sim.schedule(
-                    (lambda eid: lambda: self._finish_deploy(eid))(el.element_id),
-                    self._component,
-                    self.deploy_ms,
-                )
-        self.reassess()
 
     # -- intrusiveness ------------------------------------------------------
 
@@ -221,17 +204,19 @@ class NodeInfrastructure:
             total = total + el.effective_usage()
         return total
 
-    def _is_violating(self) -> bool:
-        if not self.node.is_up():
-            return False
+    def _over(self, head: ResourceVector, cpu: bool = True) -> bool:
+        """Whether the elements' usage exceeds `head`; with `cpu` false only
+        memory, storage and network count."""
         usage = self.total_usage()
-        head = self.node.headroom()
         return (
-            usage.cpu > head.cpu + _EPS
+            cpu and usage.cpu > head.cpu + _EPS
             or usage.memory > head.memory + _EPS
             or usage.storage > head.storage + _EPS
             or usage.network > head.network + _EPS
         )
+
+    def _is_violating(self) -> bool:
+        return self._over(self.node.headroom())
 
     def reassess(self) -> None:
         """Re-evaluate the violation state machine after any change to
@@ -239,20 +224,16 @@ class NodeInfrastructure:
         if not self.node.is_up():
             return
         violating = self._is_violating()
-        if violating and not self.violating:
-            self._set_violating(True)
-            if self.policy.enforce:
-                self._grace_handle = self.sim.schedule(
-                    self._grace_expired, self._component, self.policy.grace_ms
-                )
-        elif not violating and self.violating:
-            self._set_violating(False)
-            self.sim.cancel(self._grace_handle)
-            self._grace_handle = None
+        if violating != self.violating:
+            self._set_violating(violating)
         if not violating:
             self._unthrottle_to_fit()
 
     def _set_violating(self, value: bool) -> None:
+        """Log the start or end of a violation. A start arms the grace timer
+        when enforcement is on; an end cancels it (a timer that has fired
+        is cancelled to no effect). No timer is pending without a
+        violation."""
         self.violating = value
         self.sim.record(
             self._component,
@@ -261,21 +242,25 @@ class NodeInfrastructure:
                 "node": self.node.node_id,
             },
         )
+        if not value:
+            self.sim.cancel(self._grace_handle)
+        elif self.policy.enforce:
+            self._grace_handle = self.sim.schedule(
+                self._grace_expired, self._component, self.policy.grace_ms
+            )
 
     def _grace_expired(self) -> None:
-        self._grace_handle = None
-        if self.violating:
-            actions = self.enforce_intrusiveness(self.sim.now)
-            if actions:
-                self.sim.record(
-                    self._component,
-                    {"event": "enforcement", "node": self.node.node_id, "actions": actions},
-                )
-            self.reassess()
+        actions = self.enforce_intrusiveness()
+        if actions:
+            self.sim.record(
+                self._component,
+                {"event": "enforcement", "node": self.node.node_id, "actions": actions},
+            )
+        self.reassess()
 
-    def enforce_intrusiveness(self, t: int) -> list:
-        """Apply the throttle-then-evict ladder; returns the control actions
-        taken. Idempotent when there is no violation."""
+    def enforce_intrusiveness(self) -> list:
+        """Apply the evict-then-throttle-then-evict ladder; returns the
+        control actions taken. Idempotent when there is no violation."""
         if not self.node.is_up():
             raise NodeDown(f"node {self.node.node_id} is down")
         if not self._is_violating():
@@ -283,35 +268,26 @@ class NodeInfrastructure:
         head = self.node.headroom()
         actions = []
 
-        def active():
-            return [el for el in self.elements.values() if el.state in ACTIVE_STATES]
-
         # memory/storage/network cannot be fractionally reclaimed: evict,
         # largest cpu allocation first, element_id ascending on ties
-        def noncpu_over():
-            usage = ResourceVector.zero()
-            for el in active():
-                usage = usage + el.effective_usage()
-            return (
-                usage.memory > head.memory + _EPS
-                or usage.storage > head.storage + _EPS
-                or usage.network > head.network + _EPS
-            )
-
-        eviction_order = sorted(active(), key=lambda e: (-e.allocation.cpu, e.element_id))
+        eviction_order = sorted(
+            (el for el in self.elements.values() if el.state in ACTIVE_STATES),
+            key=lambda e: (-e.allocation.cpu, e.element_id),
+        )
         for victim in eviction_order:
-            if not noncpu_over():
+            if not self._over(head, cpu=False):
                 break
             self._evict(victim)
             actions.append(["evict", victim.element_id])
 
         # cpu phase: throttle down to fit, largest allocation first (larger
-        # element_id loses ties), then evict if still infeasible
-        deficit = sum(el.effective_usage().cpu for el in active()) - head.cpu
+        # element_id loses ties), then evict in the same order as above
+        deficit = self.total_usage().cpu - head.cpu
         if deficit > _EPS and self.policy.throttle_first:
             throttleable = sorted(
-                (el for el in active() if el.state in (RUNNING, THROTTLED)),
-                key=lambda e: (-e.allocation.cpu, _desc_key(e.element_id)),
+                (el for el in self.elements.values() if el.state in SERVING_STATES),
+                key=lambda e: (e.allocation.cpu, e.element_id),
+                reverse=True,
             )
             for el in throttleable:
                 if deficit <= _EPS:
@@ -329,9 +305,11 @@ class NodeInfrastructure:
                 actions.append(["throttle", el.element_id, round(new_factor, 9)])
                 deficit -= take
         if deficit > _EPS:
-            for victim in sorted(active(), key=lambda e: (-e.allocation.cpu, e.element_id)):
+            for victim in eviction_order:
                 if deficit <= _EPS:
                     break
+                if victim.state not in ACTIVE_STATES:
+                    continue
                 freed = victim.effective_usage().cpu
                 self._evict(victim)
                 actions.append(["evict", victim.element_id])
@@ -340,25 +318,17 @@ class NodeInfrastructure:
 
     def _evict(self, el: CloudElement) -> None:
         el.evict_requested = True
-        self._cancel_pending(el.element_id)
+        self.sim.cancel(self._pending.pop(el.element_id, None))
         self._transition(el, EVICTING, "evict")
-        self._pending[el.element_id] = self.sim.schedule(
-            (lambda eid: lambda: self._finish_shutdown(eid))(el.element_id),
-            self._component,
-            self.shutdown_ms,
-        )
+        self._move_after(self.shutdown_ms, el, DEAD, "shutdown")
 
     def _unthrottle_to_fit(self) -> None:
         """Raise throttle factors while the cpu budget allows, id ascending."""
-        if not self.node.is_up():
-            return
         budget = self.node.headroom().cpu
         throttled = sorted(
             (el for el in self.elements.values() if el.state == THROTTLED),
             key=lambda e: e.element_id,
         )
-        if not throttled:
-            return
         for el in throttled:
             others = sum(
                 o.effective_usage().cpu
@@ -368,7 +338,7 @@ class NodeInfrastructure:
             room = budget - others
             if room <= 0:
                 continue
-            new_factor = min(1.0, room / el.allocation.cpu) if el.allocation.cpu > 0 else 1.0
+            new_factor = min(1.0, room / el.allocation.cpu)  # only cpu > 0 is throttled
             if new_factor > el.throttle_factor + _EPS:
                 if new_factor >= 1.0 - _EPS:
                     el.throttle_factor = 1.0
@@ -383,11 +353,9 @@ class NodeInfrastructure:
         old = el.state
         el.state = new_state
         self._committed = None
-        if new_state == RUNNING and el.throttle_factor >= 1.0:
-            el.throttle_factor = 1.0
         self._log_state(el, reason)
         for cb in self.on_element_transition:
-            cb(el, old, new_state, reason)
+            cb(el, old, new_state)
 
     def _log_state(self, el: CloudElement, reason: str) -> None:
         self.sim.record(
@@ -403,8 +371,3 @@ class NodeInfrastructure:
                 "throttle_factor": round(el.throttle_factor, 9),
             },
         )
-
-
-def _desc_key(element_id: str) -> tuple:
-    """Sort helper: inverts lexicographic order of an id."""
-    return tuple(-ord(c) for c in element_id)

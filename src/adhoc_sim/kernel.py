@@ -74,23 +74,19 @@ _DIST_PARAMS = {
     "exponential": ("mean",),
     "uniform": ("a", "b"),
     "constant": ("value",),
-    "two_point": ("p", "lo", "hi"),
 }
 
 
 class Dist(NamedTuple):
-    """Distribution spec: exponential(mean), uniform(a,b), constant(value),
-    two_point(p, lo, hi) where hi is drawn with probability p. Values are
-    drawn through ``sampler``, the one place that holds the formulas."""
+    """Distribution spec: exponential(mean), uniform(a,b), constant(value).
+    Values are drawn through ``sampler``, the one place that holds the
+    formulas."""
 
     kind: str
     mean: float = 0.0
     a: float = 0.0
     b: float = 0.0
     value: float = 0.0
-    p: float = 0.0
-    lo: float = 0.0
-    hi: float = 0.0
 
     @staticmethod
     def exponential(mean: float) -> "Dist":
@@ -117,11 +113,6 @@ class Dist(NamedTuple):
         elif self.kind == "constant":
             if not math.isfinite(self.value):
                 out.append(f"constant value must be finite, got {self.value}")
-        elif self.kind == "two_point":
-            if not 0.0 <= self.p <= 1.0:
-                out.append(f"two_point p must be in [0,1], got {self.p}")
-            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-                out.append(f"two_point lo and hi must be finite, got lo={self.lo} hi={self.hi}")
         else:
             out.append(f"unknown distribution kind {self.kind!r}")
         return out
@@ -139,11 +130,6 @@ class Dist(NamedTuple):
         if kind == "constant":
             value = _whole_ms(self.value) if ms else self.value
             return lambda: value
-        if kind == "two_point":
-            # a draw is one of two fixed values: round them once
-            p = self.p
-            lo, hi = (_whole_ms(self.lo), _whole_ms(self.hi)) if ms else (self.lo, self.hi)
-            return lambda: hi if (stream.next_u64() >> 11) * 2.0**-53 < p else lo
         if kind == "exponential":
             neg_mean = -self.mean
             if not ms:
@@ -174,8 +160,6 @@ class Dist(NamedTuple):
             return self.mean
         if self.kind == "uniform":
             return (self.a + self.b) / 2.0
-        if self.kind == "two_point":
-            return self.p * self.hi + (1.0 - self.p) * self.lo
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     def to_json(self) -> dict:

@@ -100,11 +100,11 @@ class CloudletRuntime:
         self.elements[element.element_id] = element
         self._serving = None
 
-    def element_transition(self, el: CloudElement, old: str, new: str, reason: str) -> None:
+    def element_transition(self, el: CloudElement, old: str, new: str) -> None:
         self._serving = None
         eid = el.element_id
         if new == RUNNING and old == DEPLOYING:
-            self._start_heartbeats(el)
+            self._schedule_beat(el)  # DEAD and EVICTING stopped any earlier beat
             sent_at = self.sim.now
             self.net.send(self._component, lambda: self.join(el, sent_at=sent_at))
         elif new == EVICTING:
@@ -114,10 +114,6 @@ class CloudletRuntime:
             self._stop_heartbeats(eid)  # crash: silence, timeout will detect
 
     # -- heartbeats ----------------------------------------------------------
-
-    def _start_heartbeats(self, el: CloudElement) -> None:
-        self._stop_heartbeats(el.element_id)
-        self._schedule_beat(el)
 
     def _schedule_beat(self, el: CloudElement) -> None:
         def beat():

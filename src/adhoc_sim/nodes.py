@@ -87,7 +87,7 @@ def _up_area(liveness: str, dt: int) -> int:
 class Node:
     """One machine: liveness, user demand, and accounting history.
 
-    Listeners (infrastructure, metrics) subscribe to liveness and demand
+    The node's infrastructure subscribes to liveness and demand
     changes; the node itself never touches hosted elements.
     """
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from .defaults import DEFAULTS
+from .errors import InsufficientHeadroom, NodeDown
 from .kernel import Simulator
 from .membership import CloudletRuntime
 from .nodes import ChurnModel, MarkovLoad, Node, TraceLoad
@@ -276,7 +277,7 @@ class Broker:
                 continue
             try:
                 new_eid = self.deploy_fn(node_id, request.cloudlet_id, request.demand)
-            except Exception as exc:  # best effort: reservation kept, slot empty
+            except (NodeDown, InsufficientHeadroom) as exc:  # reservation kept, slot empty
                 self.sim.record(
                     "broker",
                     {

@@ -174,19 +174,15 @@ class Simulation:
 
     # -- transition routing -----------------------------------------------------
 
-    def _route_transition(self, el: CloudElement, old: str, new: str, reason: str) -> None:
-        runtime = self.cloudlets.get(el.cloudlet_id)
-        if runtime is not None:
-            runtime.element_transition(el, old, new, reason)
-        engine = el.engine
-        if not isinstance(engine, ComputeElementEngine):
+    def _route_transition(self, el: CloudElement, old: str, new: str) -> None:
+        # deploy_element attaches the runtime and the engine before any transition
+        self.cloudlets[el.cloudlet_id].element_transition(el, old, new)
+        if el.engine_kind != COMPUTE:
             return
         if new in (DEAD, EVICTING):
-            service = self.compute_services.get(el.cloudlet_id)
-            if service is not None:
-                service.handle_element_failure(el)
+            self.compute_services[el.cloudlet_id].handle_element_failure(el)
         elif new in (RUNNING, THROTTLED):
-            engine.on_rate_change()
+            el.engine.on_rate_change()
 
     # -- execution ---------------------------------------------------------------
 

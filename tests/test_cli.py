@@ -190,6 +190,10 @@ def _exhaustive_threshold_given(doc):
     doc["qos"] = {"exhaustive_threshold": 10}
 
 
+def _removed_dist_kind(doc):
+    doc["fleet"][0]["churn"]["down"] = {"kind": "two_point", "p": 0.5, "lo": 1000, "hi": 9000}
+
+
 @pytest.mark.parametrize(
     "mutate, diagnostic",
     [
@@ -239,6 +243,8 @@ def _exhaustive_threshold_given(doc):
          "invalid: defaults: unknown keys ['adaptation_enabled', 'epoch_ms']"),
         (_unknown_node_key, "invalid: fleet[0]: unknown keys ['colour']"),
         (_exhaustive_threshold_given, "invalid: qos: unknown keys ['exhaustive_threshold']"),
+        (_removed_dist_kind,
+         "invalid: fleet[0].churn.down: must be one of ['exponential', 'uniform', 'constant']"),
     ],
 )
 def test_malformed_scenario_exits_1_with_diagnostic(mutate, diagnostic, tmp_path, capsys):

@@ -107,7 +107,7 @@ class TestComputeTiming:
         s, service, eids = compute_fabric(n_nodes=1)
         el = s.infras["n1"].elements[eids[0]]
         s.nodes["n1"].user_demand = RV(7.0)  # headroom 1.0 of 8
-        s.infras["n1"].enforce_intrusiveness(s.sim.now)
+        s.infras["n1"].enforce_intrusiveness()
         assert el.throttle_factor == pytest.approx(0.5)
         t0 = s.sim.now
         service.submit_task(Task("t1", 10.0, arrival=t0), element_id=eids[0])
@@ -121,7 +121,7 @@ class TestComputeTiming:
         service.submit_task(Task("t1", 10.0, arrival=t0), element_id=eids[0])
         s.run_until(t0 + 2500)  # 5 cpu-s consumed, 5 remain
         s.nodes["n1"].user_demand = RV(7.0)
-        s.infras["n1"].enforce_intrusiveness(s.sim.now)
+        s.infras["n1"].enforce_intrusiveness()
         s.run_until(t0 + 2500 + 5000)
         assert finished(s, "t1")[1] == t0 + 7500
 

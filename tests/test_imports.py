@@ -4,8 +4,9 @@ costs a load, and the command line loads neither ``dataclasses`` nor
 ``inspect``. Every function and class the package defines is named
 somewhere besides its own definition, in the package or in the benchmark
 that drives it, and every attribute a package class stores on ``self`` is
-read there too. Every function the benchmark's tracer wraps still exists,
-and a run under that tracer writes the same event log as one without it."""
+read there too, as is every parameter of a public function or method.
+Every function the benchmark's tracer wraps still exists, and a run under
+that tracer writes the same event log as one without it."""
 
 import ast
 import builtins
@@ -232,6 +233,61 @@ def test_reports_an_unread_attribute():
     ]
     readers = ["def probe(box):\n    return getattr(box, 'probed')\n"]
     assert unread_attributes(package, readers) == ["Box.counted", "Box.planted"]
+
+
+def unread_parameters(package):
+    """``Owner.function parameter`` for each parameter, ``self`` and ``cls``
+    aside, that a module-level function or a method of a module-level class
+    in the `package` sources never loads in its body. Functions whose name
+    starts with an underscore are exempt, dunders aside: a private handler
+    keeps the signature its caller fixes. Nested closures are exempt too,
+    but a name they load counts as read by the function around them."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unread = []
+    for text in package:
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ClassDef):
+                owned = [(f"{node.name}.", fn) for fn in node.body if isinstance(fn, functions)]
+            elif isinstance(node, functions):
+                owned = [("", node)]
+            else:
+                continue
+            for prefix, fn in owned:
+                if fn.name.startswith("_") and not fn.name.endswith("__"):
+                    continue
+                read = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                args = fn.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                unread += [f"{prefix}{fn.name} {a.arg}" for a in params
+                           if a.arg not in ("self", "cls") and a.arg not in read]
+    return sorted(unread)
+
+
+def test_no_unread_parameters():
+    unread = unread_parameters(_sources(PACKAGE))
+    assert not unread, f"parameters adhoc_sim never reads: {', '.join(unread)}"
+
+
+def test_reports_an_unread_parameter():
+    package = [
+        "def used(a, *rest, key=None, **extra):\n"
+        "    return a, rest, key, extra\n"
+        "def planted(a, b):\n"
+        "    def inner(unused):\n"
+        "        return a\n"
+        "    return inner\n"
+        "class Box:\n"
+        "    def __init__(self, size, colour):\n"
+        "        self.size = size\n"
+        "    @classmethod\n"
+        "    def make(cls, t):\n"
+        "        return cls(1, 2)\n"
+        "    def _on_event(self, event, reason):\n"
+        "        return None\n",
+    ]
+    assert unread_parameters(package) == ["Box.__init__ colour", "Box.make t", "planted b"]
 
 
 def _load_tracing():

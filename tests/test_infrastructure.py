@@ -20,11 +20,11 @@ from adhoc_sim.resources import ResourceVector as RV
 
 
 def build(capacity=RV(4, 8192, 10_000, 100), margin=RV.zero(), policy=None, churn=None,
-          user_load=None, deploy_ms=2000, shutdown_ms=500):
+          user_load=None, deploy_ms=2000, shutdown_ms=500, ids=None):
     sim = Simulator(seed=1)
     node = Node(sim, "n1", capacity, churn=churn, user_load=user_load, reserve_margin=margin)
     infra = NodeInfrastructure(
-        sim, node, Ids(), policy=policy or IntrusivenessPolicy(), deploy_ms=deploy_ms,
+        sim, node, ids or Ids(), policy=policy or IntrusivenessPolicy(), deploy_ms=deploy_ms,
         shutdown_ms=shutdown_ms,
     )
     node.start()
@@ -123,12 +123,28 @@ def spike_trace(baseline, spike, start, end):
     return TraceLoad(((0, baseline), (start, spike), (end, baseline)))
 
 
+def violation_records(sim):
+    """(time, event) of the node's violation and enforcement records."""
+    kinds = ("violation_start", "violation_end", "enforcement")
+    return [(e.t, e.record["event"]) for e in sim.log if e.record["event"] in kinds]
+
+
+class ScriptedIds:
+    """Hands out the given element ids in order."""
+
+    def __init__(self, *ids):
+        self._ids = iter(ids)
+
+    def next(self, prefix):
+        return next(self._ids)
+
+
 class TestEnforcement:
     def test_no_violation_returns_no_actions(self):
         sim, node, infra = build()
         infra.create_element("c1", "kv_store", RV(1.0))
         sim.run_until(3000)
-        assert infra.enforce_intrusiveness(sim.now) == []
+        assert infra.enforce_intrusiveness() == []
 
     def test_spike_throttles_to_fit(self):
         # capacity cpu 4, margin 0, element cpu 1.0; user spikes to 3.8
@@ -161,16 +177,18 @@ class TestEnforcement:
         assert infra.elements[eid].state == DEAD
 
     def test_equal_allocations_throttle_larger_id_first(self):
-        sim, node, infra = build(capacity=RV(4))
-        e1 = infra.create_element("c1", "compute", RV(1.0))
-        e2 = infra.create_element("c1", "compute", RV(1.0))
-        sim.run_until(3000)
-        node.user_demand = RV(2.5)  # headroom 1.5
-        actions = infra.enforce_intrusiveness(sim.now)
-        assert actions == [["throttle", e2, 0.5]]
-        assert infra.elements[e2].state == THROTTLED
-        assert infra.elements[e1].state == RUNNING
-        assert infra.total_usage().cpu <= 1.5 + 1e-9
+        # e0001 < e0002, and e1000 < e10000 although it is shorter
+        for ids in (None, ScriptedIds("e1000", "e10000")):
+            sim, node, infra = build(capacity=RV(4), ids=ids)
+            e1 = infra.create_element("c1", "compute", RV(1.0))
+            e2 = infra.create_element("c1", "compute", RV(1.0))
+            sim.run_until(3000)
+            node.user_demand = RV(2.5)  # headroom 1.5
+            actions = infra.enforce_intrusiveness()
+            assert actions == [["throttle", e2, 0.5]]
+            assert infra.elements[e2].state == THROTTLED
+            assert infra.elements[e1].state == RUNNING
+            assert infra.total_usage().cpu <= 1.5 + 1e-9
 
     def test_memory_violation_goes_straight_to_eviction(self):
         sim, node, infra = build(capacity=RV(4, 4096))
@@ -178,10 +196,49 @@ class TestEnforcement:
         e2 = infra.create_element("c1", "kv_store", RV(1.5, 1024))
         sim.run_until(3000)
         node.user_demand = RV(0, 2048)  # memory headroom 2048 < 3072 used
-        actions = infra.enforce_intrusiveness(sim.now)
+        actions = infra.enforce_intrusiveness()
         # eviction order: cpu allocation desc, so e2 goes first and suffices
         assert actions == [["evict", e2]]
         assert infra.elements[e2].state == EVICTING
+
+    def test_memory_and_cpu_overload_evicts_until_memory_fits_then_throttles(self):
+        sim, node, infra = build(capacity=RV(4, 4096),
+                                 policy=IntrusivenessPolicy(throttle_floor=0.1))
+        e1, e2, e3, e4 = (infra.create_element("c1", "kv_store", RV(cpu, 1024))
+                          for cpu in (1.0, 1.5, 0.5, 1.0))
+        sim.run_until(3000)
+        node.user_demand = RV(3.0, 2048)  # headroom: cpu 1.0, memory 2048 < 4096 used
+        actions = infra.enforce_intrusiveness()
+        # (-cpu, id) order: e2, then e1 before e4 on the tie, until memory
+        # fits; the cpu left (1.5) is throttled down to 1.0, largest first
+        assert actions == [["evict", e2], ["evict", e1], ["throttle", e4, 0.5]]
+        assert infra.elements[e3].state == RUNNING
+        assert infra.total_usage().cpu <= node.headroom().cpu + 1e-9
+        assert infra.total_usage().memory <= node.headroom().memory
+
+    def test_violation_cleared_within_grace_is_not_enforced(self):
+        trace = spike_trace(RV(0.5), RV(3.8), 10_000, 12_500)
+        sim, node, infra = build(capacity=RV(4), user_load=trace,
+                                 policy=IntrusivenessPolicy(grace_ms=5000))
+        eid = infra.create_element("c1", "compute", RV(1.0))
+        sim.run_until(30_000)
+        assert violation_records(sim) == [(10_000, "violation_start"), (12_500, "violation_end")]
+        assert infra.elements[eid].state == RUNNING
+        assert violation_ms(sim) == 2_500
+
+    def test_crash_within_grace_ends_the_violation_and_its_timer(self):
+        trace = spike_trace(RV(0.5), RV(3.8), 10_000, 60_000)
+        sim, node, infra = build(capacity=RV(4), user_load=trace,
+                                 churn=ScriptedChurn(((12_000, DOWN), (20_000, UP))),
+                                 policy=IntrusivenessPolicy(grace_ms=5000))
+        infra.create_element("c1", "compute", RV(1.0))
+        sim.run_until(30_000)
+        # the restarted element violates again at once and gets a grace period
+        # of its own; nothing is enforced at the first deadline, 15_000
+        assert violation_records(sim) == [
+            (10_000, "violation_start"), (12_000, "violation_end"),
+            (20_000, "violation_start"), (25_000, "enforcement"), (25_000, "violation_end"),
+        ]
 
     def test_enforcement_disabled_keeps_violation(self):
         trace = spike_trace(RV(0.5), RV(3.8), 10_000, 60_000)
@@ -207,7 +264,7 @@ class TestEnforcement:
             infra.create_element("c1", "compute", RV(1.2))
         sim.run_until(3000)
         node.user_demand = RV(3.9)
-        infra.enforce_intrusiveness(sim.now)
+        infra.enforce_intrusiveness()
         assert infra.total_usage().cpu <= node.headroom().cpu + 1e-9
 
 
@@ -243,7 +300,7 @@ class TestEnforcementMinimality:
                 infra.create_element("c1", "compute", RV(a))
             sim.run_until(3000)
             node.user_demand = RV(16 - budget)
-            actions = infra.enforce_intrusiveness(sim.now)
+            actions = infra.enforce_intrusiveness()
 
             assert infra.total_usage().cpu <= budget + 1e-6, (trial, allocs, budget)
             expected = minimal_throttle_only_count(allocs, budget, floor)

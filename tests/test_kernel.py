@@ -330,7 +330,6 @@ class TestPinnedDraws:
             (Dist.exponential(100.0), [13, 58, 52, 11, 28, 183], 6),
             (Dist.uniform(10.0, 50.0), [15, 28, 26, 14, 20, 44], 6),
             (Dist.constant(42.4), [42, 42, 42, 42, 42, 42], 0),
-            (Dist("two_point", p=0.3, lo=3.0, hi=900.0), [900, 3, 3, 900, 900, 3], 6),
         ],
     )
     def test_draw_ms_per_kind(self, dist, expected, draws_used):
@@ -390,19 +389,10 @@ class TestStreams:
         assert all(10.0 <= x < 20.0 for x in xs)
         assert abs(sum(xs) / len(xs) - 15.0) < 0.1
 
-    def test_two_point_hits_both_values(self):
-        st = RngStream(5, "tp")
-        draw = Dist("two_point", p=0.25, lo=1.0, hi=9.0).sampler(st)
-        xs = [draw() for _ in range(10_000)]
-        frac_hi = sum(1 for x in xs if x == 9.0) / len(xs)
-        assert set(xs) == {1.0, 9.0}
-        assert abs(frac_hi - 0.25) < 0.02
-
     def test_invalid_parameters_reported(self):
         assert Dist.exponential(0).problems()
         assert Dist.exponential(-3).problems()
         assert Dist.uniform(5, 4).problems()
-        assert Dist("two_point", p=1.5, lo=0, hi=1).problems()
         assert not Dist.uniform(4, 4).problems()
         assert not Dist.constant(-1).problems()  # durations validated at use sites
 
@@ -411,6 +401,5 @@ class TestStreams:
             Dist.exponential(3.5),
             Dist.uniform(0, 9),
             Dist.constant(2),
-            Dist("two_point", p=0.3, lo=1, hi=2),
         ]:
             assert Dist.from_json(d.to_json()) == d

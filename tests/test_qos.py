@@ -6,7 +6,7 @@ from _broker_oracle import best_available_placement
 
 from adhoc_sim.engines import COMPUTE
 from adhoc_sim.errors import NoLiveElement
-from adhoc_sim.kernel import Dist
+from adhoc_sim.kernel import Dist, SimulationAbort
 from adhoc_sim.membership import CloudletPolicy
 from adhoc_sim.nodes import DOWN, ChurnModel, MarkovLoad, TraceLoad
 from adhoc_sim.qos import (
@@ -266,6 +266,20 @@ class TestRelease:
         s.run_until(90_000)
         assert result.state == "expired"
         assert s.broker.calendar.reserved_at(result.reserved_nodes()[0], 60_000) == RV.zero()
+
+    def test_a_programming_error_in_a_pre_deploy_aborts_the_run(self):
+        # only NodeDown and InsufficientHeadroom leave a reserved slot empty
+        s = fleet(n_nodes=3)
+
+        def broken(node_id, cloudlet_id, demand):
+            raise KeyError(node_id)
+
+        s.broker.deploy_fn = broken
+        assert isinstance(s.broker.negotiate(request(target=0.5)), Agreement)
+        with pytest.raises(SimulationAbort) as ei:
+            s.run_until(200_000)
+        assert isinstance(ei.value.__cause__, KeyError)
+        assert not [e for e in s.sim.log if e.record["event"] == "pre_deploy_failed"]
 
     def test_availability_of(self):
         assert availability_of([0.9, 0.9, 0.9]) == pytest.approx(0.999)
