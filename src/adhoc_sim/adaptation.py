@@ -237,6 +237,7 @@ class AdaptationController:
         self.simulation = simulation
         self.policy = policy
         self.sim = simulation.sim
+        self._nodes: dict[str, NodeSnapshot] = {}  # kept between epochs, node id order
 
     def start(self) -> None:
         if self.policy.enabled:
@@ -253,25 +254,36 @@ class AdaptationController:
     # -- snapshot construction
 
     def build_snapshot(self) -> CloudStateSnapshot:
+        """The cloud as the loop plans over it. Its node snapshots are the
+        ones ``node_snapshots`` keeps; each cloudlet's part is built anew."""
         s = self.simulation
         now = self.sim.now
-        nodes = {}
-        for node_id in sorted(s.nodes):
-            node = s.nodes[node_id]
-            infra = s.infras[node_id]
-            up = node.is_up()
-            available = infra.available_headroom() if up else ResourceVector.zero()
-            # records are built positionally: a NamedTuple built by keyword
-            # costs about twice as much, once per node, key and member
-            nodes[node_id] = NodeSnapshot(node_id, up, available)
         cloudlets = {}
         for cid in sorted(s.cloudlets):
             cloudlets[cid] = self._cloudlet_snapshot(cid, now)
         return CloudStateSnapshot(
-            nodes=nodes,
+            nodes=self.node_snapshots(),
             cloudlets=cloudlets,
             reserved_elements=frozenset(s.broker.reserved_element_ids()),
         )
+
+    def node_snapshots(self) -> dict:
+        """node id -> its NodeSnapshot, node id order. One snapshot per node
+        is kept between calls, and a call rebuilds only the nodes whose
+        liveness, user demand or committed allocations changed since the
+        last one (``Simulation.changed_nodes``); the rest is one dict copy."""
+        s = self.simulation
+        kept, changed = self._nodes, s.changed_nodes
+        if len(kept) != len(s.nodes):  # the first call, or a node added since
+            kept = changed = self._nodes = dict.fromkeys(sorted(s.nodes))
+        for node_id in changed:
+            up = s.nodes[node_id].is_up()
+            available = s.infras[node_id].available_headroom() if up else ResourceVector.zero()
+            # records are built positionally: a NamedTuple built by keyword
+            # costs about twice as much, once per node, key and member
+            kept[node_id] = NodeSnapshot(node_id, up, available)
+        s.changed_nodes.clear()
+        return dict(kept)
 
     def _cloudlet_snapshot(self, cid: str, now: int) -> CloudletSnapshot:
         s = self.simulation

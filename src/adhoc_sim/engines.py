@@ -499,8 +499,7 @@ class ComputeService:
         """Tasks accepted but neither completed nor lost."""
         queued = 0
         for el in self.runtime.elements.values():
-            if el.engine is not None and isinstance(el.engine, ComputeElementEngine):
-                queued += len(el.engine.queue) + (1 if el.engine.current else 0)
+            queued += len(el.engine.queue) + (1 if el.engine.current else 0)
         return queued + self.in_transit
 
     def arrival_rate_per_ms(self, window_ms: int, now: int) -> float:

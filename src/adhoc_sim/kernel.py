@@ -12,7 +12,6 @@ there. Every log line is encoded by one prebuilt JSON encoder.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -25,23 +24,35 @@ from typing import Any, Callable, NamedTuple, Optional
 
 
 class SimulationAbort(Exception):
-    """An event handler raised: the run stops with the offending event identified."""
+    """An event handler raised: the run stops with the offending event
+    identified. ``seq`` is None when ``target`` raised before any event, as
+    the build of a simulation may."""
 
-    def __init__(self, at: int, target: str, seq: int, cause: BaseException):
+    def __init__(self, at: int, target: str, seq: Optional[int], cause: BaseException):
         self.at = at
         self.target = target
         self.seq = seq
         self.cause = cause
-        super().__init__(
-            f"aborted at t={at} while delivering event seq={seq} to {target!r}: {cause!r}"
+        where = f"in {target!r}, before any event" if seq is None else (
+            f"while delivering event seq={seq} to {target!r}"
         )
+        super().__init__(f"aborted at t={at} {where}: {cause!r}")
 
 
 # ---------------------------------------------------------------------------
 # Random streams and distribution specs
 
 
-_sha256 = hashlib.sha256
+# CPython's own SHA-256 costs less per call than OpenSSL's for a 10-20 byte
+# input and gives the same digest; hashlib's serves an interpreter built
+# without it
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 _unpack_u64 = struct.Struct(">Q").unpack_from
 _log = math.log
 

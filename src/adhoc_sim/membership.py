@@ -87,7 +87,10 @@ class CloudletRuntime:
         self._hb_handles: dict[str, object] = {}
         self._expiry_handles: dict[str, object] = {}
         self._component = f"cloudlet:{cloudlet_id}"
-        self._serving: Optional[list[CloudElement]] = None  # cleared on view or state changes
+        # both cleared on view or state changes; the ranking also on a
+        # demand change of a node that hosts one of the elements
+        self._serving: Optional[list[CloudElement]] = None
+        self._ranked: Optional[list[CloudElement]] = None
 
     # -- element attachment and transition routing ---------------------------
 
@@ -97,11 +100,20 @@ class CloudletRuntime:
                 f"element {element.element_id} has engine {element.engine_kind!r}, "
                 f"cloudlet {self.cloudlet_id} runs {self.engine_kind!r}"
             )
+        # a new element deploys and is no view member yet, so the serving
+        # members and their ranking stay as they are
         self.elements[element.element_id] = element
-        self._serving = None
+        node = self.nodes.get(element.node_id)
+        if node is not None and self._drop_ranking not in node.on_demand_change:
+            # once per node, ahead of the node's infrastructure, so that no
+            # pick made while it reassesses the new demand reads the old headroom
+            node.on_demand_change.insert(0, self._drop_ranking)
+
+    def _drop_ranking(self, _node: Node) -> None:
+        self._ranked = None
 
     def element_transition(self, el: CloudElement, old: str, new: str) -> None:
-        self._serving = None
+        self._serving = self._ranked = None
         eid = el.element_id
         if new == RUNNING and old == DEPLOYING:
             self._schedule_beat(el)  # DEAD and EVICTING stopped any earlier beat
@@ -155,7 +167,7 @@ class CloudletRuntime:
             return self.view  # idempotent re-join, version unchanged
         self.elements.setdefault(eid, element)
         self.view.members.add(eid)
-        self._serving = None
+        self._serving = self._ranked = None
         self.view.last_heartbeat[eid] = sent_at
         self.view.version += 1
         self._arm_expiry(eid, sent_at)
@@ -188,7 +200,7 @@ class CloudletRuntime:
 
     def _remove(self, eid: str, change: str) -> None:  # a leave or a suspicion
         self.view.members.remove(eid)
-        self._serving = None
+        self._serving = self._ranked = None
         del self.view.last_heartbeat[eid]
         self.sim.cancel(self._expiry_handles.pop(eid, None))
         self.view.version += 1
@@ -211,7 +223,8 @@ class CloudletRuntime:
     def serving_members(self) -> list[CloudElement]:
         """View members that are actually serving right now, id ascending.
         The list is kept, and shared between callers, until the view or an
-        element's state changes: callers must not modify it."""
+        element's state changes: callers must not modify it. The ranking
+        ``best_effort_pick`` reads is built from it and dropped with it."""
         if self._serving is None:
             self._serving = [
                 el for el in map(self.elements.get, self.view.member_ids())
@@ -227,15 +240,24 @@ class CloudletRuntime:
 
     def best_effort_pick(self, exclude: Optional[str] = None) -> CloudElement:
         """Serving element, other than `exclude`, whose node has the most cpu
-        headroom, id ascending ties."""
-        pick = min(
-            (el for el in self.serving_members() if el.element_id != exclude),
-            key=lambda el: (-self.node_cpu_headroom(el.node_id), el.element_id),
-            default=None,
-        )
-        if pick is None:
-            raise NoLiveElement(f"cloudlet {self.cloudlet_id} has no live element")
-        return pick
+        headroom, id ascending ties: the first such element of the serving
+        members ranked by (-node cpu headroom, id). The ranking is built on
+        the first pick after a change and kept until the serving members
+        change or the user demand of a node hosting one of the cloudlet's
+        elements does, the one input a node's headroom has besides its
+        liveness. Liveness needs no watch: a node going down moves each of
+        its elements to dead, which drops the ranking of that element's
+        cloudlet before the cloudlet can pick again."""
+        ranked = self._ranked
+        if ranked is None:
+            ranked = self._ranked = sorted(
+                self.serving_members(),
+                key=lambda el: (-self.node_cpu_headroom(el.node_id), el.element_id),
+            )
+        for el in ranked:
+            if el.element_id != exclude:
+                return el
+        raise NoLiveElement(f"cloudlet {self.cloudlet_id} has no live element")
 
     def bind(self, key: str) -> int:
         """Bind a client to key: the view version it binds at, once the key

@@ -87,8 +87,10 @@ def _up_area(liveness: str, dt: int) -> int:
 class Node:
     """One machine: liveness, user demand, and accounting history.
 
-    The node's infrastructure subscribes to liveness and demand
-    changes; the node itself never touches hosted elements.
+    The node's infrastructure subscribes to liveness and demand changes, and
+    each cloudlet with an element here to demand changes, ahead of the
+    infrastructure (its best-effort ranking reads the node's headroom); the
+    node itself never touches hosted elements.
     """
 
     def __init__(

@@ -32,7 +32,7 @@ from .infrastructure import (
     IntrusivenessPolicy,
     NodeInfrastructure,
 )
-from .kernel import Dist, EventLog, Simulator
+from .kernel import Dist, EventLog, SimulationAbort, Simulator
 from .membership import CloudletPolicy, CloudletRuntime
 from .metrics import GoalSpec, MetricsFold
 from .network import Network
@@ -69,6 +69,9 @@ class Simulation:
         self.copy_ms_per_mb = copy_ms_per_mb
         self.nodes: dict[str, Node] = {}
         self.infras: dict[str, NodeInfrastructure] = {}
+        # the nodes whose available headroom may have moved since the
+        # adaptation loop's last snapshot, which empties it
+        self.changed_nodes: set[str] = set()
         self.cloudlets: dict[str, CloudletRuntime] = {}
         self.kv_services: dict[str, KvService] = {}
         self.compute_services: dict[str, ComputeService] = {}
@@ -106,6 +109,7 @@ class Simulation:
             policy=policy or IntrusivenessPolicy(),
             deploy_ms=self.deploy_ms,
             shutdown_ms=self.shutdown_ms,
+            changed=self.changed_nodes,
         )
         infra.on_element_transition.append(self._route_transition)
         self.nodes[node_id] = node
@@ -356,7 +360,8 @@ def run_scenario(scenario, seed_override: Optional[int] = None,
                  events_path: Optional[str] = None):
     """Execute a validated scenario to run_until; returns (summary, (series
     columns, series rows), simulation), each series row its CSV line
-    without the line end. Raises SimulationAbort on an invariant breach.
+    without the line end. Raises SimulationAbort on an invariant breach,
+    in the build or in the run.
 
     The summary's metrics and reservation decisions and the series sampled
     every ``sample_interval_ms`` are folded from each record as it is
@@ -373,7 +378,10 @@ def run_scenario(scenario, seed_override: Optional[int] = None,
     fold = MetricsFold(GoalSpec(window=(0, scenario.run_until)))
     log = EventLog(events_path, fold.add)
     try:
-        s = build_simulation(scenario, seed, log=log)
+        try:
+            s = build_simulation(scenario, seed, log=log)
+        except Exception as exc:  # a breach while deploying, as one in an event is
+            raise SimulationAbort(0, "build_simulation", None, exc) from exc
         s.run_until(scenario.run_until)
         s.sim.record("runner", {"event": "run_end"})
     except BaseException:

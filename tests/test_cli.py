@@ -2,6 +2,7 @@
 with exit code 1 and a diagnostic naming the offending path, never with a
 traceback. So is a document that is not UTF-8 text, and an --out the run
 cannot write, which fails before the run where it cannot be a directory.
+An error while the simulation is built exits 2, as one in the run does.
 Series rows are written as the CSV lines they are kept as."""
 
 import json
@@ -10,6 +11,7 @@ import pytest
 
 from adhoc_sim import cli
 from adhoc_sim.membership import CloudletRuntime
+from adhoc_sim.runner import Simulation
 
 
 def _doc():
@@ -412,4 +414,25 @@ def test_breach_without_events_leaves_no_output_directory(tmp_path, capsys, monk
     code = cli.main(["run", "--scenario", str(_scenario_file(tmp_path)), "--out", str(out)])
     assert code == cli.EXIT_RUNTIME
     assert "runtime invariant breach" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("events", [False, True])
+def test_error_while_deploying_the_initial_placement_exits_2(events, tmp_path, capsys,
+                                                             monkeypatch):
+    """An error raised while the simulation is built is a runtime breach, as
+    the same error inside the event loop is: one line, exit 2, and no output
+    directory left behind."""
+
+    def broken(self, node_id, cloudlet_id, allocation):
+        raise KeyError(node_id)
+
+    monkeypatch.setattr(Simulation, "deploy_element", broken)
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(_scenario_file(tmp_path)), "--out", str(out)]
+    code = cli.main(argv + (["--events"] if events else []))
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime invariant breach: ")
+    assert "KeyError('n1')" in err[0]
     assert not out.exists()

@@ -120,6 +120,25 @@ class TestFailureDetection:
         runtime.leave(eids[1])
         assert runtime.serving_members() == []
 
+    def test_suspect_and_leave_drop_a_serving_member_from_the_pick(self):
+        # the element still serves, so only the view change drops it from
+        # the ranking a pick built before
+        s, runtime, eids = kv_fabric(n_nodes=2, h=10_000, m=3)
+        s.run_until(2100)
+        assert runtime.best_effort_pick().element_id in eids
+        for handle in runtime._expiry_handles.values():
+            s.sim.cancel(handle)
+        runtime._expiry_handles.clear()
+        runtime.view.last_heartbeat[eids[0]] = 0
+        runtime.view.last_heartbeat[eids[1]] = 95_000
+        assert runtime.detect_failures(100_000) == {eids[0]}
+        assert runtime.best_effort_pick().element_id == eids[1]
+        with pytest.raises(NoLiveElement):
+            runtime.best_effort_pick(exclude=eids[1])
+        runtime.leave(eids[1])
+        with pytest.raises(NoLiveElement):
+            runtime.best_effort_pick()
+
     def test_clean_leave_removes_without_timeout(self):
         s, runtime, eids = kv_fabric(n_nodes=3)
         s.run_until(2100)
