@@ -1,8 +1,6 @@
 """Cost per event against fleet size, two revisions side by side.
 
-    python3 bench/fleet_scale.py --base REV --head REV
-                                 [--sizes 100,400,1000,10000] [--repeats N]
-                                 [--out PATH]
+    python3 bench/fleet_scale.py --base REV --head REV [--out PATH]
 
 The document of size N (``fleet_document``) is replication 0 of the seed-7
 ``compute_fleet`` document of ``perfbench/generate.py``, scaled by N/100:
@@ -15,15 +13,19 @@ The document of size N (``fleet_document``) is replication 0 of the seed-7
 - no reservations, and 10 simulated minutes.
 
 The kv cloudlet and its client stay as they are. Each revision is checked
-out into a temporary ``git worktree``, as ``bench/ab.py`` does. Per size and
-repeat each tree runs the document in a fresh child process, the tree that
-runs first alternating; the child times ``run_until`` alone, counting the
-kernel's events through a wrapper of ``Simulator._dispatch`` (one extra
-call per event on both trees). Writes ``bench/BENCH_fleet_scale.json``: the
-rule above, and per size and revision the median microseconds per event
-over the repeats with every repeat's seconds, the events, and the tasks
-completed and submitted (deterministic, equal on every repeat); and the
-head/base ratio of the medians. Run from the repository root.
+out into a temporary ``git worktree`` through ``bench/ab.py``'s helpers, and
+each of the sizes 100, 400, 1,000 and 10,000 runs as ``bench/ab.py`` runs a
+document: three times per tree, the tree that runs first alternating, each
+an untraced ``perfbench/child.py --setups 3 --check`` process whose
+event-loop seconds are ``ab.loop_s`` of its ``measure.json``; then one
+``--trace`` run per tree counts the kernel's events (``kernel.dispatch``).
+Writes ``bench/BENCH_fleet_scale.json``: the rule above, and per size and
+revision the median microseconds per event over the three runs with every
+run's event-loop seconds, the events, and the tasks completed and submitted
+(from the summary's ``task_counts``; deterministic, and each tree's outputs
+must be equal on every run); the head/base ratio of the medians; and
+whether both trees wrote the same ``events.ndjson``, ``summary.json`` and
+``series.csv``. Run from the repository root.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -44,6 +44,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import ab  # noqa: E402
 import generate  # noqa: E402
 
+SIZES = (100, 400, 1000, 10000)
+REPEATS = 3
 RUN_MS = 10 * 60_000
 TEMPLATE = ("compute_fleet", 7, 0)  # workload, seed, replication
 RULE = (
@@ -74,72 +76,55 @@ def fleet_document(n: int) -> dict:
     return doc
 
 
-def run_child(tree: str, doc_path: str) -> dict:
-    """One timed run of the document on the tree, in this process."""
-    sys.path.insert(0, os.path.join(tree, "src"))
-    from adhoc_sim.runner import build_simulation
-    from adhoc_sim.scenario import load_scenario
-
-    scenario = load_scenario(doc_path)
-    simulation = build_simulation(scenario)
-    sim = simulation.sim
-    dispatch = sim._dispatch
-    events = [0]
-
-    def counted(entry):
-        events[0] += 1
-        dispatch(entry)
-
-    sim._dispatch = counted
-    t0 = time.perf_counter()
-    simulation.run_until(scenario.run_until)
-    host_s = time.perf_counter() - t0
-    services = simulation.compute_services.values()
+def run_tree(tree: str, doc_path: str, out: str) -> dict:
+    """One untraced ``perfbench/child.py`` run of the document on the tree,
+    through ``bench/ab.py``: its event-loop seconds, the tasks completed and
+    submitted, and the sha256 of its outputs."""
+    m = ab._run_child(tree, doc_path, out)
+    counts = m["summary_metrics"]["task_counts"].values()
     return {
-        "host_s": host_s,
-        "events": events[0],
-        "tasks_completed": sum(s.completed for s in services),
-        "tasks_submitted": sum(s.submitted for s in services),
+        "loop_s": ab.loop_s(m),
+        "tasks_completed": sum(c["completed"] for c in counts),
+        "tasks_submitted": sum(c["submitted"] for c in counts),
+        "outputs": m["outputs"],
     }
 
 
-def _child(tree: str, doc_path: str) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    env.pop("PYTHONPATH", None)
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", tree, doc_path],
-        env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"{tree} on {doc_path} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+def events(tree: str, doc_path: str, out: str) -> int:
+    """The kernel's events in one traced run of the document on the tree."""
+    return ab._run_child(tree, doc_path, out, trace=True)["calls"]["kernel.dispatch"]
 
 
-def measure(trees: dict, sizes: list, repeats: int, workdir: str) -> list:
-    """Per size: each side's median us per event, its repeats' seconds and
-    its deterministic counts, and the head/base ratio."""
+def measure(trees: dict, workdir: str) -> list:
+    """Per size: each side's median us per event, its repeats' event-loop
+    seconds and its deterministic counts, the head/base ratio, and whether
+    both trees wrote the same outputs."""
     entries = []
-    for n in sizes:
+    for n in SIZES:
         doc_path = os.path.join(workdir, f"fleet-{n}.json")
         with open(doc_path, "w", encoding="utf-8") as fh:
             json.dump(fleet_document(n), fh)
         runs = {side: [] for side in ab.SIDES}
-        for i in range(repeats):
+        for i in range(REPEATS):
             for side in ab.SIDES if i % 2 == 0 else ab.SIDES[::-1]:
-                runs[side].append(_child(trees[side], doc_path))
+                out = os.path.join(workdir, f"run-{n}-{side}-{i}")
+                runs[side].append(run_tree(trees[side], doc_path, out))
         entry = {"nodes": n}
         for side in ab.SIDES:
-            counts = {k: runs[side][0][k]
-                      for k in ("events", "tasks_completed", "tasks_submitted")}
-            if any({k: r[k] for k in counts} != counts for r in runs[side]):
-                raise RuntimeError(f"{side} at N = {n}: the counts differ between repeats")
-            host = [r["host_s"] for r in runs[side]]
+            first = runs[side][0]
+            if any(r["outputs"] != first["outputs"] for r in runs[side]):
+                raise RuntimeError(f"{side} at N = {n}: the outputs differ between repeats")
+            count = events(trees[side], doc_path, os.path.join(workdir, f"trace-{n}-{side}"))
+            loop = [r["loop_s"] for r in runs[side]]
             entry[side] = {
-                "us_per_event": statistics.median(host) * 1e6 / counts["events"],
-                "host_s": host,
-                **counts,
+                "us_per_event": statistics.median(loop) * 1e6 / count,
+                "loop_s": loop,
+                "events": count,
+                "tasks_completed": first["tasks_completed"],
+                "tasks_submitted": first["tasks_submitted"],
             }
         entry["head_over_base"] = entry["head"]["us_per_event"] / entry["base"]["us_per_event"]
+        entry["identical_outputs"] = runs["base"][0]["outputs"] == runs["head"][0]["outputs"]
         print(f"N = {n}: {entry['base']['us_per_event']:.2f} -> "
               f"{entry['head']['us_per_event']:.2f} us/event", file=sys.stderr)
         entries.append(entry)
@@ -147,28 +132,19 @@ def measure(trees: dict, sizes: list, repeats: int, workdir: str) -> list:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--child"]:
-        print(json.dumps(run_child(*argv[1:3])))
-        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the parent")
     parser.add_argument("--head", required=True, help="git revision of the change")
-    parser.add_argument("--sizes", default="100,400,1000,10000")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default=os.path.join(HERE, "BENCH_fleet_scale.json"))
     args = parser.parse_args(argv)
-    sizes = [int(n) for n in args.sizes.split(",")]
-    if args.repeats < 1 or min(sizes) < 1:
-        parser.error("--repeats and every size must be at least 1")
 
     revs = ab.revisions(args)
     with ab.worktrees(revs) as (workdir, trees):
-        entries = measure(trees, sizes, args.repeats, workdir)
+        entries = measure(trees, workdir)
     result = {
         "rule": RULE,
         "run_until_ms": RUN_MS,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         **ab.provenance(revs),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),

@@ -93,7 +93,6 @@ class NodeInfrastructure:
         policy: IntrusivenessPolicy = IntrusivenessPolicy(),
         deploy_ms: int = DEFAULTS["deploy_ms"],
         shutdown_ms: int = DEFAULTS["shutdown_ms"],
-        changed: Optional[set] = None,
     ):
         self.sim = sim
         self.node = node
@@ -109,11 +108,8 @@ class NodeInfrastructure:
         self._pending: dict[str, object] = {}  # element_id -> scheduled transition handle
         self._component = f"infra:{node.node_id}"
         self._committed: Optional[ResourceVector] = None  # cleared on element changes
-        # gets the node's id whenever its liveness, user demand or committed
-        # allocations change, so available headroom may have moved
-        self._changed = set() if changed is None else changed
         node.on_liveness_change.append(self._on_liveness_change)
-        node.on_demand_change.append(self._on_demand_change)
+        node.on_demand_change.append(lambda _n: self.reassess())
 
     # -- element manager ----------------------------------------------------
 
@@ -152,7 +148,7 @@ class NodeInfrastructure:
             allocation=allocation,
         )
         self.elements[element_id] = el
-        self._drop_committed()
+        self._committed = None
         self._log_state(el, "deploy")
         self._move_after(self.deploy_ms, el, RUNNING, "deploy")
         self.reassess()
@@ -182,12 +178,7 @@ class NodeInfrastructure:
 
     # -- crash / recovery ---------------------------------------------------
 
-    def _on_demand_change(self, node: Node) -> None:
-        self._changed.add(node.node_id)
-        self.reassess()
-
     def _on_liveness_change(self, node: Node) -> None:
-        self._changed.add(node.node_id)
         if node.is_up():
             # persistent software restarts on boot; deliberately destroyed
             # elements stay dead
@@ -361,14 +352,10 @@ class NodeInfrastructure:
     def _transition(self, el: CloudElement, new_state: str, reason: str) -> None:
         old = el.state
         el.state = new_state
-        self._drop_committed()
+        self._committed = None
         self._log_state(el, reason)
         for cb in self.on_element_transition:
             cb(el, old, new_state)
-
-    def _drop_committed(self) -> None:
-        self._committed = None
-        self._changed.add(self.node.node_id)
 
     def _log_state(self, el: CloudElement, reason: str) -> None:
         self.sim.record(

@@ -88,9 +88,10 @@ class Node:
     """One machine: liveness, user demand, and accounting history.
 
     The node's infrastructure subscribes to liveness and demand changes, and
-    each cloudlet with an element here to demand changes, ahead of the
-    infrastructure (its best-effort ranking reads the node's headroom); the
-    node itself never touches hosted elements.
+    so does the simulation, to record the node as changed for the adaptation
+    loop's kept snapshot; each cloudlet with an element here subscribes to
+    demand changes ahead of the infrastructure (its best-effort ranking reads
+    the node's headroom). The node itself never touches hosted elements.
     """
 
     def __init__(

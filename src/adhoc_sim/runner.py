@@ -69,8 +69,9 @@ class Simulation:
         self.copy_ms_per_mb = copy_ms_per_mb
         self.nodes: dict[str, Node] = {}
         self.infras: dict[str, NodeInfrastructure] = {}
-        # the nodes whose available headroom may have moved since the
-        # adaptation loop's last snapshot, which empties it
+        # the nodes whose liveness, user demand or committed allocations, so
+        # available headroom, may have moved since the adaptation loop's last
+        # snapshot, which empties it
         self.changed_nodes: set[str] = set()
         self.cloudlets: dict[str, CloudletRuntime] = {}
         self.kv_services: dict[str, KvService] = {}
@@ -109,9 +110,10 @@ class Simulation:
             policy=policy or IntrusivenessPolicy(),
             deploy_ms=self.deploy_ms,
             shutdown_ms=self.shutdown_ms,
-            changed=self.changed_nodes,
         )
         infra.on_element_transition.append(self._route_transition)
+        node.on_liveness_change.append(self._node_changed)
+        node.on_demand_change.append(self._node_changed)
         self.nodes[node_id] = node
         self.infras[node_id] = infra
         self.sim.record(f"node:{node_id}", {"event": "node_defined", "node": node_id})
@@ -160,6 +162,7 @@ class Simulation:
         runtime = self.cloudlets[cloudlet_id]
         infra = self.infras[node_id]
         eid = infra.create_element(cloudlet_id, runtime.engine_kind, allocation)
+        self.changed_nodes.add(node_id)
         element = infra.elements[eid]
         runtime.attach_element(element)
         if runtime.engine_kind == KV_STORE:
@@ -178,7 +181,11 @@ class Simulation:
 
     # -- transition routing -----------------------------------------------------
 
+    def _node_changed(self, node: Node) -> None:
+        self.changed_nodes.add(node.node_id)
+
     def _route_transition(self, el: CloudElement, old: str, new: str) -> None:
+        self.changed_nodes.add(el.node_id)
         # deploy_element attaches the runtime and the engine before any transition
         self.cloudlets[el.cloudlet_id].element_transition(el, old, new)
         if el.engine_kind != COMPUTE:

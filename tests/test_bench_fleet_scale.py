@@ -1,6 +1,7 @@
 """The document builder of bench/fleet_scale.py: the compute_fleet template
 scaled out to N nodes, its compute members and task rate scaled by N/100,
-no reservations and 10 simulated minutes; a valid document that runs."""
+no reservations and 10 simulated minutes; a valid document that runs
+through perfbench's child, untraced and traced."""
 
 import json
 import os
@@ -30,6 +31,7 @@ def test_fleet_document_scales_the_template_to_200_nodes(tmp_path):
 
     path = tmp_path / "fleet-200.json"
     path.write_text(json.dumps(doc))
-    result = fleet_scale.run_child(ROOT, str(path))
-    assert result["events"] > 1000 and result["host_s"] > 0
+    result = fleet_scale.run_tree(ROOT, str(path), str(tmp_path / "run"))
+    assert result["loop_s"] > 0
     assert 0 < result["tasks_completed"] <= result["tasks_submitted"]
+    assert fleet_scale.events(ROOT, str(path), str(tmp_path / "trace")) > 1000
